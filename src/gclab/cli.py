@@ -54,7 +54,14 @@ EXIT_NUMERIC = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # argparse defaults to exit code 2
         self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+        self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+def positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _write_csv(path: Path, header, rows):
@@ -286,8 +293,8 @@ def build_parser() -> _Parser:
     p_uni = sub.add_parser("universality", help="single-layer target-fitting runs")
     p_uni.add_argument("--method", choices=list(METHODS) + ["all"], default="all")
     p_uni.add_argument("--lr", type=float, default=None, help="single rate; default runs the grid")
-    p_uni.add_argument("--steps", type=int, default=40000)
-    p_uni.add_argument("--seeds", type=int, default=3, help="number of repeated runs (initializations)")
+    p_uni.add_argument("--steps", type=positive_int, default=40000)
+    p_uni.add_argument("--seeds", type=positive_int, default=3, help="number of repeated runs (initializations)")
     p_uni.add_argument(
         "--instance-seed",
         type=int,
@@ -305,7 +312,7 @@ def build_parser() -> _Parser:
 
     p_ver = sub.add_parser("verify", help="randomized property suites")
     p_ver.add_argument("--kind", choices=["injectivity", "independence", "equivalence"], required=True)
-    p_ver.add_argument("--pairs", type=int, default=1000)
+    p_ver.add_argument("--pairs", type=positive_int, default=1000)
     p_ver.add_argument("--k", type=int, default=None)
     p_ver.add_argument("--d", type=int, default=4)
     p_ver.add_argument("--c", type=int, default=4)

@@ -144,11 +144,7 @@ def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) 
         raise ValueError("stack must hold one matrix per spectral component")
     x = _check_channels(x, stack.d)
     u = basis.eigenvectors
-    out = np.zeros((basis.n, stack.c))
-    # fixed ascending-k reduction keeps results bit-stable
-    for k in range(basis.n):
-        out += np.outer(u[:, k], (u[:, k] @ x) @ stack.matrices[k])
-    return out
+    return u @ np.einsum("kd,kdc->kc", u.T @ x, stack.matrices)
 
 
 def mimo_gc_oracle(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -194,12 +190,21 @@ def pairwise_weight(stack: WeightStack, basis: SpectralBasis, i: int, j: int) ->
 
 
 def mimo_gc_pairwise(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Node-form evaluation: row i = sum_j W_(i,j) X_{j,:}."""
+    """Node-form evaluation: row i = sum_j W_(i,j) X_{j,:}.
+
+    The transforms W_(i,j) are built explicitly, one row i at a time, so
+    the route stays an independent oracle without an (n, n, d, c) temporary.
+    """
+    if stack.count != basis.n:
+        raise ValueError("stack must hold one matrix per spectral component")
     x = _check_channels(x, stack.d)
-    out = np.zeros((basis.n, stack.c))
-    for i in range(basis.n):
-        for j in range(basis.n):
-            out[i] += pairwise_weight(stack, basis, i, j) @ x[j]
+    u = basis.eigenvectors
+    n, d, c = stack.count, stack.d, stack.c
+    flat = stack.matrices.reshape(n, d * c)
+    out = np.empty((n, c))
+    for i in range(n):
+        w_i = ((u[i] * u) @ flat).reshape(n, d, c)  # w_i[j] = W_(i,j)^T
+        out[i] = np.einsum("jd,jdc->c", x, w_i)
     return out
 
 

@@ -130,7 +130,10 @@ def compute_coefficients(
     x = _check_features(x, g)
     n = g.n
     mats = np.zeros((scheme.k, n, n))
+    # directed edges (i, j) in neighbor-list row order: i ascending, j ascending
     nbrs = g.neighbors
+    src = np.repeat(np.arange(n), [len(v) for v in nbrs])
+    dst = np.array([j for v in nbrs for j in v], dtype=np.intp)
 
     if scheme.variant is Variant.GCN_NORM:
         deg = g.degrees
@@ -141,25 +144,20 @@ def compute_coefficients(
         for k in range(scheme.k):
             v = np.asarray(scheme.vectors[k], dtype=float)
             xw = x @ weights[k]  # (n, c)
-            for i in range(n):
-                if not nbrs[i]:
-                    continue
-                scores = np.array(
-                    [v @ _leaky_relu(xw[i] + xw[j], scheme.leaky_slope) for j in nbrs[i]]
-                )
-                scores -= scores.max()
-                alpha = np.exp(scores)
-                alpha /= alpha.sum()
-                mats[k, i, nbrs[i]] = alpha
+            scores = _leaky_relu(xw[src] + xw[dst], scheme.leaky_slope) @ v
+            # softmax over each source's neighbors, shifted by that source's max
+            peak = np.full(n, -np.inf)
+            np.maximum.at(peak, src, scores)
+            e = np.exp(scores - peak[src])
+            mats[k, src, dst] = e / np.bincount(src, weights=e, minlength=n)[src]
 
     elif scheme.variant is Variant.FAGCN_TANH:
         v = np.asarray(scheme.vectors[0], dtype=float)
+        d = x.shape[1]
         deg = g.degrees
         inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-        for i in range(n):
-            for j in nbrs[i]:
-                gate = np.tanh(v @ np.concatenate([x[i], x[j]]))
-                mats[0, i, j] = gate * inv_sqrt[i] * inv_sqrt[j]
+        gate = np.tanh((x @ v[:d])[src] + (x @ v[d:])[dst])
+        mats[0, src, dst] = gate * inv_sqrt[src] * inv_sqrt[dst]
 
     elif scheme.variant is Variant.ACM_FIXED:
         mats[0] = normalized_adjacency(g)
@@ -170,21 +168,16 @@ def compute_coefficients(
 
     elif scheme.variant is Variant.LMGC_EQ14:
         xw = np.concatenate([x @ weights[m] for m in range(scheme.k)], axis=1)  # (n, K*c)
-        for k in range(scheme.k):
-            v = np.asarray(scheme.vectors[k], dtype=float)
-            for i in range(n):
-                for j in nbrs[i]:
-                    feat = _leaky_relu(
-                        np.concatenate([xw[i], xw[j]]), scheme.leaky_slope
-                    )
-                    mats[k, i, j] = np.tanh(v @ feat)
+        h = _leaky_relu(xw, scheme.leaky_slope)
+        kc = h.shape[1]
+        v = np.stack([np.asarray(vec, dtype=float) for vec in scheme.vectors])  # (K, 2*K*c)
+        # v_k . leaky([xw_i, xw_j]) splits into a source and a destination term
+        mats[:, src, dst] = np.tanh((h @ v[:, :kc].T)[src] + (h @ v[:, kc:].T)[dst]).T
 
     elif scheme.variant is Variant.RANDOM_IID:
         rng = np.random.default_rng(scheme.seed)
         for k in range(scheme.k):
-            for i in range(n):
-                for j in nbrs[i]:
-                    mats[k, i, j] = rng.standard_normal()
+            mats[k, src, dst] = rng.standard_normal(len(src))
 
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {scheme.variant}")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 SYMMETRY_TOL = 1e-10
-JACOBI_OFFDIAG_TOL = 1e-12
-JACOBI_MAX_SWEEPS = 100
 
 
 @dataclass(frozen=True)
@@ -44,75 +42,27 @@ class SpectralBasis:
         return 1.0 - self.eigenvalues
 
 
-def _jacobi_rotate(a, v, p, q):
-    app, aqq, apq = a[p, p], a[q, q], a[p, q]
-    # stable computation of the rotation angle
-    theta = 0.5 * (aqq - app) / apq
-    t = np.sign(theta) / (abs(theta) + np.sqrt(1.0 + theta * theta))
-    if theta == 0.0:
-        t = 1.0
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * row_q
-    a[q, :] = s * row_p + c * row_q
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * col_q
-    a[:, q] = s * col_p + c * col_q
-
-    vp = v[:, p].copy()
-    v[:, p] = c * vp - s * v[:, q]
-    v[:, q] = s * vp + c * v[:, q]
-
-
-def _offdiag_norm(a):
-    off = a - np.diag(np.diag(a))
-    return np.sqrt(np.sum(off * off))
-
-
 def eigendecompose_symmetric(m: np.ndarray) -> SpectralBasis:
-    """Full eigendecomposition of a symmetric matrix via cyclic Jacobi sweeps.
+    """Full eigendecomposition of a symmetric matrix via LAPACK (numpy.linalg.eigh).
 
-    Sweeps rotate away every off-diagonal pair in row order until the
-    off-diagonal Frobenius norm drops below 1e-12 (relative to the input
-    scale) or the sweep budget runs out.
+    The input is symmetrized before the solve; eigenvalues come back in
+    stable ascending order and each eigenvector's first entry with absolute
+    value above 1e-10 is made positive.
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("input must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("input matrix has non-finite entries")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError("input matrix is not symmetric within 1e-10")
 
-    n = m.shape[0]
-    a = 0.5 * (m + m.T)
-    v = np.eye(n)
-    scale = max(1.0, float(np.sqrt(np.sum(a * a))))
-    threshold = JACOBI_OFFDIAG_TOL * scale
-
-    for _ in range(JACOBI_MAX_SWEEPS):
-        if _offdiag_norm(a) <= threshold:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(a[p, q]) > threshold / (n * n):
-                    _jacobi_rotate(a, v, p, q)
-    if _offdiag_norm(a) > threshold:
-        raise RuntimeError(
-            f"Jacobi iteration did not converge in {JACOBI_MAX_SWEEPS} sweeps"
-        )
-
-    eigenvalues = np.diag(a).copy()
+    eigenvalues, vectors = np.linalg.eigh(0.5 * (m + m.T))
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
-    vectors = v[:, order]
-    for k in range(n):
-        col = vectors[:, k]
-        lead = np.nonzero(np.abs(col) > 1e-10)[0]
-        if len(lead) and col[lead[0]] < 0:
-            vectors[:, k] = -col
+    vectors = vectors[:, order]
+    lead = np.argmax(np.abs(vectors) > 1e-10, axis=0)
+    vectors *= np.where(vectors[lead, np.arange(len(lead))] < 0, -1.0, 1.0)
     return SpectralBasis(eigenvalues, vectors)
 
 

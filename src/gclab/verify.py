@@ -9,6 +9,7 @@ draw: identical instances always receive identical coefficients.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,13 +17,15 @@ import numpy as np
 from .convolution import sca_repeated_gcn
 from .graph import Graph, generate_erdos_renyi, laplacian
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
-from .seeding import derive_seed
+from .seeding import derive_seed, splitmix64
 from .spectral import eigendecompose_symmetric
 
 LATTICE_RANGE = 5
 LATTICE_SCALE = 1.0 / 3.0
 COLLISION_RTOL = 1e-9
 COEFFICIENT_SOURCES = ("random_iid", "fagcn_tanh", "lmgc_eq14")
+_FEATURE_SEPARATOR = 0x5EA0_5EA0_5EA0_5EA0  # between center and element coordinates
+_UNIT = 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -64,9 +67,17 @@ def sample_instance(rng, d: int, max_size: int = 5) -> MultisetInstance:
 
 
 def _coefficient(seed: int, k: int, center: tuple, element: tuple) -> float:
-    """One draw of the fixed random coefficient function alpha_k(x_i, x_j)."""
-    key = hash((k, center, element)) & ((1 << 64) - 1)
-    return float(np.random.default_rng(derive_seed(seed, k, key)).standard_normal())
+    """One draw of the fixed random coefficient function alpha_k(x_i, x_j).
+
+    The key mixes every coordinate through splitmix64, and two further
+    splitmix64 outputs become one standard normal by Box-Muller.
+    """
+    key = derive_seed(seed, k, *center, _FEATURE_SEPARATOR, *element)
+    a = splitmix64(key)
+    b = splitmix64(a)
+    u1 = ((a >> 11) + 1) * _UNIT  # (0, 1], keeps the log finite
+    u2 = (b >> 11) * _UNIT
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 class CoefficientSource:
@@ -89,31 +100,49 @@ class CoefficientSource:
         elif kind == "lmgc_eq14":
             self.w = rng.standard_normal((k, d, c))
             self.gate = rng.standard_normal((k, 2 * k * c))
+            self._eq14_pair = None
 
     def alpha(self, head: int, center: tuple, element: tuple) -> float:
         if self.kind == "random_iid":
             return _coefficient(self.seed, head, center, element)
-        xi = np.array(center, dtype=float) * LATTICE_SCALE
-        xj = np.array(element, dtype=float) * LATTICE_SCALE
         if self.kind == "fagcn_tanh":
+            xi = np.array(center, dtype=float) * LATTICE_SCALE
+            xj = np.array(element, dtype=float) * LATTICE_SCALE
             return float(np.tanh(self.gate[head] @ np.concatenate([xi, xj])))
-        zi = np.concatenate([xi @ self.w[m] for m in range(self.k)])
-        zj = np.concatenate([xj @ self.w[m] for m in range(self.k)])
-        feat = np.concatenate([zi, zj])
-        feat = np.where(feat >= 0, feat, 0.2 * feat)
-        return float(np.tanh(self.gate[head] @ feat))
+        return float(np.tanh(self.gate[head] @ self._eq14_features(center, element)))
+
+    def _eq14_features(self, center: tuple, element: tuple) -> np.ndarray:
+        """leaky_relu([z_i, z_j]) with z the K head projections, shared by all heads.
+
+        The last pair is kept, so a caller that asks for every head of one
+        pair in a row projects each feature once.
+        """
+        if self._eq14_pair != (center, element):
+            xi = np.array(center, dtype=float) * LATTICE_SCALE
+            xj = np.array(element, dtype=float) * LATTICE_SCALE
+            zi = np.concatenate([xi @ self.w[m] for m in range(self.k)])
+            zj = np.concatenate([xj @ self.w[m] for m in range(self.k)])
+            feat = np.concatenate([zi, zj])
+            self._eq14_pair = (center, element)
+            self._eq14_feat = np.where(feat >= 0, feat, 0.2 * feat)
+        return self._eq14_feat
 
 
 def aggregate(instance: MultisetInstance, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
-    """f(x_p, X_p) = sum_k (sum_j alpha_k x_j) W^(k), an output row in R^c."""
+    """f(x_p, X_p) = sum_k (sum_j alpha_k x_j) W^(k), an output row in R^c.
+
+    Heads run innermost, so every head's coefficient for one element is
+    asked for in a row; each head still sums its elements in order.
+    """
+    heads = range(weights.shape[0])
+    s = [np.zeros(weights.shape[1]) for _ in heads]
+    for element in instance.elements:
+        xj = np.array(element, dtype=float) * LATTICE_SCALE
+        for k in heads:
+            s[k] += source.alpha(k, instance.center, element) * xj
     out = np.zeros(weights.shape[2])
-    for k in range(weights.shape[0]):
-        s = np.zeros(weights.shape[1])
-        for element in instance.elements:
-            s += source.alpha(k, instance.center, element) * (
-                np.array(element, dtype=float) * LATTICE_SCALE
-            )
-        out += s @ weights[k]
+    for k in heads:
+        out += s[k] @ weights[k]
     return out
 
 

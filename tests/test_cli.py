@@ -43,7 +43,7 @@ class TestUniversality:
     def test_all_methods_full_grid_row_count(self, tmp_path):
         out = tmp_path / "grid"
         code = main(
-            ["universality", "--steps", "0", "--seeds", "2", "--out", str(out)]
+            ["universality", "--steps", "1", "--seeds", "2", "--out", str(out)]
         )
         assert code == EXIT_OK
         rows = read_csv(out / "results.csv")
@@ -189,6 +189,23 @@ class TestVerify:
 
 
 class TestUsageErrors:
+    def test_zero_seeds_is_usage_error(self, tmp_path, capsys):
+        code = main(["universality", "--seeds", "0", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "--seeds: must be at least 1" in capsys.readouterr().err
+
+    def test_steps_below_one_is_usage_error(self, tmp_path, capsys):
+        code = main(["universality", "--steps", "-5", "--out", str(tmp_path / "o")])
+        assert code == EXIT_USAGE
+        assert "--steps: must be at least 1" in capsys.readouterr().err
+
+    def test_zero_pairs_is_usage_error(self, tmp_path, capsys):
+        code = main(
+            ["verify", "--kind", "injectivity", "--pairs", "0", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_USAGE
+        assert "--pairs: must be at least 1" in capsys.readouterr().err
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 

@@ -140,6 +140,20 @@ class TestMimoRoutes:
         with pytest.raises(IndexError):
             pairwise_weight(stack, basis, 0, theta.n)
 
+    def test_pairwise_route_matches_pair_by_pair_sum(self):
+        rng = np.random.default_rng(24)
+        n, d, c = 24, 3, 5
+        _, basis = make_basis(n, p=0.3, seed=24)
+        stack = WeightStack(rng.standard_normal((n, d, c)))
+        x = rng.standard_normal((n, d))
+        expected = np.zeros((n, c))
+        for i in range(n):
+            for j in range(n):
+                expected[i] += pairwise_weight(stack, basis, i, j) @ x[j]
+        np.testing.assert_allclose(
+            mimo_gc_pairwise(stack, x, basis), expected, atol=1e-13
+        )
+
 
 class TestUniversality:
     def test_constructed_filter_maps_x_to_y(self):

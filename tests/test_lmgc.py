@@ -200,6 +200,58 @@ class TestCoefficientSchemes:
         assert not np.array_equal(m1, m3)
 
 
+def per_edge_coefficients(scheme, x, g, weights):
+    """Reference: every coefficient evaluated edge by edge, in neighbor order."""
+    n, slope = g.n, scheme.leaky_slope
+    nbrs = g.neighbors
+    mats = np.zeros((scheme.k, n, n))
+
+    def leaky(z):
+        return np.where(z >= 0, z, slope * z)
+
+    inv_sqrt = 1.0 / np.sqrt(np.maximum(g.degrees, 1.0))
+    xw = np.concatenate([x @ weights[m] for m in range(scheme.k)], axis=1)
+    rng = np.random.default_rng(scheme.seed)
+    for k in range(scheme.k):
+        for i in range(n):
+            for j in nbrs[i]:
+                if scheme.variant is Variant.GATV2_SOFTMAX:
+                    hk = x @ weights[k]
+                    scores = [scheme.vectors[k] @ leaky(hk[i] + hk[m]) for m in nbrs[i]]
+                    top = max(scores)
+                    denom = sum(np.exp(t - top) for t in scores)
+                    own = scheme.vectors[k] @ leaky(hk[i] + hk[j])
+                    mats[k, i, j] = np.exp(own - top) / denom
+                elif scheme.variant is Variant.FAGCN_TANH:
+                    gate = np.tanh(scheme.vectors[0] @ np.concatenate([x[i], x[j]]))
+                    mats[k, i, j] = gate * inv_sqrt[i] * inv_sqrt[j]
+                elif scheme.variant is Variant.LMGC_EQ14:
+                    feat = leaky(np.concatenate([xw[i], xw[j]]))
+                    mats[k, i, j] = np.tanh(scheme.vectors[k] @ feat)
+                else:
+                    mats[k, i, j] = rng.standard_normal()
+    return mats
+
+
+class TestEdgeArrayCoefficients:
+    @pytest.mark.parametrize(
+        "variant", [Variant.GATV2_SOFTMAX, Variant.FAGCN_TANH, Variant.LMGC_EQ14]
+    )
+    def test_matches_per_edge_loop(self, variant):
+        k = 1 if variant is Variant.FAGCN_TANH else 3
+        g, x, weights, scheme = small_setup(seed=40, n=40, d=4, c=3, k=k, variant=variant)
+        got = compute_coefficients(scheme, x, g, weights).matrices
+        np.testing.assert_allclose(
+            got, per_edge_coefficients(scheme, x, g, weights), rtol=0, atol=1e-14
+        )
+
+    def test_random_iid_bit_identical_to_per_edge_draws(self):
+        g, x, weights, _ = small_setup(seed=41, n=40, d=4, c=3, k=3, variant=Variant.RANDOM_IID)
+        scheme = CoefficientScheme(Variant.RANDOM_IID, 3, seed=17)
+        got = compute_coefficients(scheme, x, g, weights).matrices
+        np.testing.assert_array_equal(got, per_edge_coefficients(scheme, x, g, weights))
+
+
 class TestLayerAndPairwise:
     def test_layer_weight_count_checked(self):
         scheme = CoefficientScheme(Variant.RANDOM_IID, 2)

@@ -1,4 +1,4 @@
-"""Jacobi eigendecomposition against the dense-solver oracle, Fourier transform."""
+"""Eigendecomposition (ordering, signs, eigenspaces) against numpy, Fourier transform."""
 
 import numpy as np
 import pytest
@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gclab.graph import generate_erdos_renyi, laplacian
+from gclab.train import ExperimentConfig, experiment_data
 from gclab.spectral import (
     eigendecompose_symmetric,
     graph_fourier,
@@ -73,6 +74,32 @@ class TestEigendecomposition:
     def test_rejects_nonsquare(self):
         with pytest.raises(ValueError, match="square"):
             eigendecompose_symmetric(np.zeros((2, 3)))
+
+    def test_rejects_non_finite(self):
+        m = random_symmetric(4, 0)
+        m[1, 2] = m[2, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            eigendecompose_symmetric(m)
+
+    def test_repeated_eigenvalue_projectors_match_eigh(self):
+        # the reference instance's Laplacian has repeated eigenvalues; there
+        # only the eigenspace, U_S U_S^T, is determined
+        g, _, _ = experiment_data(ExperimentConfig())
+        m = laplacian(g)
+        basis = eigendecompose_symmetric(m)
+        lam_ref, u_ref = np.linalg.eigh(m)
+        lam, u = basis.eigenvalues, basis.eigenvectors
+        np.testing.assert_allclose(lam, lam_ref, atol=1e-12)
+        breaks = np.nonzero(np.diff(lam) > 1e-8)[0] + 1
+        groups = np.split(np.arange(len(lam)), breaks)
+        assert max(len(s) for s in groups) > 1
+        for s in groups:
+            np.testing.assert_allclose(
+                u[:, s] @ u[:, s].T, u_ref[:, s] @ u_ref[:, s].T, atol=1e-12
+            )
+        for k in range(len(lam)):
+            col = u[:, k]
+            assert col[np.nonzero(np.abs(col) > 1e-10)[0][0]] > 0
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6), n=st.integers(2, 10))

@@ -82,6 +82,38 @@ class TestCoefficientSource:
         )
 
 
+    def test_random_iid_separates_minus_one_from_minus_two(self):
+        # Python's hash() maps -1 and -2 to the same value; the key must not
+        src = CoefficientSource("random_iid", 1, 4, 4, seed=0)
+        center = (1, 2, 3, 4)
+        assert src.alpha(0, center, (-1, 3, 0, 0)) != src.alpha(0, center, (-2, 3, 0, 0))
+
+    def test_random_iid_draws_look_standard_normal(self):
+        src = CoefficientSource("random_iid", 1, 1, 1, seed=3)
+        vals = np.array(
+            [src.alpha(0, (i,), (j,)) for i in range(-50, 50) for j in range(-50, 50)]
+        )
+        assert len(np.unique(vals)) == len(vals)
+        assert abs(vals.mean()) < 0.05 and abs(vals.std() - 1.0) < 0.05
+
+    def test_eq14_shared_projection_matches_per_call_formula(self):
+        k, d, c = 4, 3, 2
+        src = CoefficientSource("lmgc_eq14", k, d, c, seed=11)
+        rng = np.random.default_rng(12)
+        for _ in range(30):
+            inst = sample_instance(rng, d)
+            xi = np.array(inst.center, dtype=float) * LATTICE_SCALE
+            for element in inst.elements:
+                xj = np.array(element, dtype=float) * LATTICE_SCALE
+                zi = np.concatenate([xi @ src.w[m] for m in range(k)])
+                zj = np.concatenate([xj @ src.w[m] for m in range(k)])
+                feat = np.concatenate([zi, zj])
+                feat = np.where(feat >= 0, feat, 0.2 * feat)
+                for head in range(k):
+                    expected = np.tanh(src.gate[head] @ feat)
+                    assert abs(src.alpha(head, inst.center, element) - expected) <= 1e-15
+
+
 class TestAggregate:
     def test_hand_computed_single_head(self):
         src = CoefficientSource("random_iid", 1, 2, 2, seed=9)
