@@ -39,29 +39,49 @@ def _unbroadcast(grad, shape):
 
 
 def _accumulate(var, grad):
+    # no rule mutates a gradient in place, so the first one is kept uncopied
     if var.grad is None:
-        var.grad = np.array(grad)
+        var.grad = grad
     else:
         var.grad = var.grad + grad
 
 
+def _sum_rows(values, index, size):
+    """Rows of values summed into `size` rows by index, in index order.
+
+    np.bincount adds its weights in input order, so each sum is bit-identical
+    to a loop that adds the rows one by one onto zeros.
+    """
+    rest = values.shape[1:]
+    width = int(np.prod(rest))
+    flat = (index[:, None] * width + np.arange(width)).ravel()
+    sums = np.bincount(flat, weights=values.ravel(), minlength=size * width)
+    return sums.reshape((size,) + rest)
+
+
+def _t(m):
+    """Transpose the matrix axes (the last two) of a possibly batched operand."""
+    return np.swapaxes(m, -1, -2)
+
+
 def matmul(a: Var, b: Var) -> Var:
+    """a @ b; operands of more than two dimensions broadcast over leading axes."""
     out = Var(a.value @ b.value, (a, b))
 
     def backward(g):
-        if a.value.ndim == 1:
-            _accumulate(a, g @ b.value.T if b.value.ndim == 2 else g * b.value)
+        av, bv = a.value, b.value
+        if av.ndim == 1:
+            _accumulate(a, g @ bv.T if bv.ndim == 2 else g * bv)
         else:
             gb = g[:, None] if g.ndim == 1 else g
-            bv = b.value[:, None] if b.value.ndim == 1 else b.value
-            _accumulate(a, gb @ bv.T)
-        if b.value.ndim == 1:
-            av = a.value
+            bm = bv[:, None] if bv.ndim == 1 else bv
+            _accumulate(a, _unbroadcast(gb @ _t(bm), av.shape))
+        if bv.ndim == 1:
             _accumulate(b, av.T @ g if av.ndim == 2 else av * g)
         else:
             ga = g[None, :] if g.ndim == 1 else g
-            av = a.value[None, :] if a.value.ndim == 1 else a.value
-            _accumulate(b, av.T @ ga)
+            am = av[None, :] if av.ndim == 1 else av
+            _accumulate(b, _unbroadcast(_t(am) @ ga, bv.shape))
 
     out._backward = backward
     return out
@@ -114,22 +134,13 @@ def concat(parts, axis=0) -> Var:
 def gather_rows(a: Var, index: np.ndarray) -> Var:
     """Select rows by index (edge endpoint lookup)."""
     out = Var(a.value[index], (a,))
-
-    def backward(g):
-        acc = np.zeros_like(a.value)
-        np.add.at(acc, index, g)
-        _accumulate(a, acc)
-
-    out._backward = backward
+    out._backward = lambda g: _accumulate(a, _sum_rows(g, index, a.value.shape[0]))
     return out
 
 
 def scatter_sum(a: Var, index: np.ndarray, size: int) -> Var:
     """Sum rows of a into an output of `size` rows grouped by index."""
-    shape = (size,) + a.value.shape[1:]
-    acc = np.zeros(shape)
-    np.add.at(acc, index, a.value)
-    out = Var(acc, (a,))
+    out = Var(_sum_rows(a.value, index, size), (a,))
     out._backward = lambda g: _accumulate(a, g[index])
     return out
 
@@ -161,21 +172,22 @@ def relu(a: Var) -> Var:
 def segment_softmax(scores: Var, offsets: np.ndarray) -> Var:
     """Softmax within contiguous segments given by offsets (len = segments + 1).
 
-    Used for per-node attention over incoming edges; scores must be a
-    vector ordered so that each node's edges are contiguous.
+    Used for per-node attention over incoming edges; scores are (E,) or
+    (E, H), with rows ordered so that each node's edges are contiguous, and
+    each column of an (E, H) array is normalized on its own.
     """
     s = scores.value
     counts = np.diff(offsets)
     starts = offsets[:-1]
-    seg_max = np.maximum.reduceat(s, starts)
-    e = np.exp(s - np.repeat(seg_max, counts))
-    seg_sum = np.add.reduceat(e, starts)
-    alpha = e / np.repeat(seg_sum, counts)
+    seg_max = np.maximum.reduceat(s, starts, axis=0)
+    e = np.exp(s - np.repeat(seg_max, counts, axis=0))
+    seg_sum = np.add.reduceat(e, starts, axis=0)
+    alpha = e / np.repeat(seg_sum, counts, axis=0)
     out = Var(alpha, (scores,))
 
     def backward(g):
-        dot = np.add.reduceat(alpha * g, starts)
-        _accumulate(scores, alpha * (g - np.repeat(dot, counts)))
+        dot = np.add.reduceat(alpha * g, starts, axis=0)
+        _accumulate(scores, alpha * (g - np.repeat(dot, counts, axis=0)))
 
     out._backward = backward
     return out

@@ -104,10 +104,11 @@ def cmd_universality(args) -> int:
         results = [_run_trial(j) for j in jobs]
 
     rows = [
-        (r.method, r.lr, s, r.steps, f"{r.min_mse:.6e}", f"{r.wall_seconds:.2f}")
+        (r.method, r.lr, s, r.steps, f"{r.min_mse:.6e}", int(r.diverged), f"{r.wall_seconds:.2f}")
         for r, s in zip(results, run_ids)
     ]
-    _write_csv(out / "results.csv", ["method", "lr", "seed", "steps", "min_mse", "wall_seconds"], rows)
+    header = ["method", "lr", "seed", "steps", "min_mse", "diverged", "wall_seconds"]
+    _write_csv(out / "results.csv", header, rows)
 
     best = {}
     for r in results:

@@ -58,6 +58,19 @@ class Graph:
         return self._cache["nbrs"]
 
     @property
+    def directed_edges(self):
+        """(rows, cols): every edge in both directions, ordered by row, then column.
+
+        The arrays are cached and read-only.
+        """
+        if "directed" not in self._cache:
+            rows, cols = np.nonzero(self.adjacency)
+            rows.setflags(write=False)
+            cols.setflags(write=False)
+            self._cache["directed"] = (rows, cols)
+        return self._cache["directed"]
+
+    @property
     def degrees(self):
         return np.array([len(v) for v in self.neighbors], dtype=float)
 
@@ -81,22 +94,20 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Sample a connected G(n, p) graph by rejection.
 
     Each of the n(n-1)/2 candidate edges is drawn i.i.d. with probability p,
-    scanning pairs in (i, j), i < j order; draws come from numpy's PCG64
-    stream so regression values are stable. Disconnected samples are
-    rejected and regenerated with fresh draws.
+    one uniform double per pair in (i, j), i < j order, all pairs of an
+    attempt in one call; draws come from numpy's PCG64 stream so regression
+    values are stable. Disconnected samples are rejected and regenerated
+    with fresh draws.
     """
     if n < 2:
         raise ValueError("n must be at least 2")
     if not 0.0 < p <= 1.0:
         raise ValueError("p must be in (0, 1]")
     rng = np.random.default_rng(seed)
+    rows, cols = np.triu_indices(n, 1)
     for _ in range(MAX_CONNECTIVITY_ATTEMPTS):
-        edges = set()
-        for i in range(n):
-            for j in range(i + 1, n):
-                if rng.random() < p:
-                    edges.add((i, j))
-        g = Graph(n, frozenset(edges))
+        keep = rng.random(rows.size) < p
+        g = Graph(n, frozenset(zip(rows[keep].tolist(), cols[keep].tolist())))
         if is_connected(g):
             return g
     raise RuntimeError(

@@ -130,10 +130,8 @@ def compute_coefficients(
     x = _check_features(x, g)
     n = g.n
     mats = np.zeros((scheme.k, n, n))
-    # directed edges (i, j) in neighbor-list row order: i ascending, j ascending
-    nbrs = g.neighbors
-    src = np.repeat(np.arange(n), [len(v) for v in nbrs])
-    dst = np.array([j for v in nbrs for j in v], dtype=np.intp)
+    # directed edges (i, j) in row order: i ascending, j ascending
+    src, dst = g.directed_edges
 
     if scheme.variant is Variant.GCN_NORM:
         deg = g.degrees

@@ -5,8 +5,19 @@ from __future__ import annotations
 import numpy as np
 
 
+def _flatten(arrays):
+    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+
+
 class Adam:
-    """Bias-corrected Adam with the conventional moment decay rates."""
+    """Bias-corrected Adam with the conventional moment decay rates.
+
+    The optimizer owns the parameter storage: construction copies every
+    parameter into one flat vector and rebinds each `p.value` to a view of
+    it, so a step updates all parameters with a few whole-vector operations.
+    Assigning a new array to `p.value` afterwards detaches that parameter
+    from the optimizer; build a new Adam to train from reassigned values.
+    """
 
     def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)
@@ -15,21 +26,31 @@ class Adam:
         self.beta2 = beta2
         self.eps = eps
         self.t = 0
-        self.m = [np.zeros_like(p.value) for p in self.params]
-        self.v = [np.zeros_like(p.value) for p in self.params]
+        self._sizes = [p.value.size for p in self.params]
+        self.flat = _flatten([p.value for p in self.params])
+        bounds = np.cumsum([0] + self._sizes)
+        for p, lo, hi in zip(self.params, bounds[:-1], bounds[1:]):
+            p.value = self.flat[lo:hi].reshape(p.value.shape)
+        self.m = np.zeros_like(self.flat)
+        self.v = np.zeros_like(self.flat)
 
     def step(self):
-        self.t += 1
-        for i, p in enumerate(self.params):
-            g = p.grad
-            if g is None:
-                continue
-            if g.shape != p.value.shape:
+        grads = [p.grad for p in self.params]
+        for p, g in zip(self.params, grads):
+            if g is not None and g.shape != p.value.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match parameter {p.value.shape}"
                 )
-            self.m[i] = self.beta1 * self.m[i] + (1 - self.beta1) * g
-            self.v[i] = self.beta2 * self.v[i] + (1 - self.beta2) * g * g
-            m_hat = self.m[i] / (1 - self.beta1**self.t)
-            v_hat = self.v[i] / (1 - self.beta2**self.t)
-            p.value = p.value - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        self.t += 1
+        present = [g is not None for g in grads]
+        # a parameter without a gradient keeps its value and its moments
+        sel = slice(None) if all(present) else np.repeat(present, self._sizes)
+        g = _flatten([g for g in grads if g is not None])
+        m, v = self.m[sel], self.v[sel]
+        m = self.beta1 * m + (1 - self.beta1) * g
+        v = self.beta2 * v + (1 - self.beta2) * g * g
+        self.m[sel] = m
+        self.v[sel] = v
+        m_hat = m / (1 - self.beta1**self.t)
+        v_hat = v / (1 - self.beta2**self.t)
+        self.flat[sel] = self.flat[sel] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)

@@ -65,13 +65,7 @@ class EdgeIndex:
     """Directed edge arrays in CSR-by-destination order for message passing."""
 
     def __init__(self, g: Graph):
-        pairs = []
-        for i, nbrs in enumerate(g.neighbors):
-            for j in nbrs:
-                pairs.append((i, j))
-        pairs.sort()
-        self.dst = np.array([i for i, _ in pairs], dtype=np.intp)
-        self.src = np.array([j for _, j in pairs], dtype=np.intp)
+        self.dst, self.src = g.directed_edges
         counts = np.bincount(self.dst, minlength=g.n)
         self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         deg = g.degrees
@@ -95,26 +89,45 @@ class Model:
         raise NotImplementedError
 
 
+def _head_messages(alpha, hj, rows, n):
+    """Sum alpha[e, k] * hj[e, k*c:(k+1)*c] over edges e and heads k into row dst[e].
+
+    alpha is (E, H), hj is (E, H*c) and rows is dst repeated H times, so the
+    E*H messages are summed by one scatter.
+    """
+    edges, heads = alpha.shape
+    c = hj.shape[1] // heads
+    msg = ad.mul(ad.reshape(alpha, (edges, heads, 1)), ad.reshape(hj, (edges, heads, c)))
+    return ad.scatter_sum(ad.reshape(msg, (edges * heads, c)), rows, n)
+
+
 class Gatv2Model(Model):
+    """Multi-head GATv2 with the heads stacked into one parameter per role.
+
+    W is (d, H*c), head k's weights in columns k*c:(k+1)*c; V is (H, c, 1),
+    head k's score vector in V[k, :, 0].
+    """
+
     def __init__(self, edges: EdgeIndex, d, c, heads, rng):
         self.edges = edges
         self.heads = heads
-        self.w = [ad.Var(_uniform_init(rng, (d, c))) for _ in range(heads)]
-        self.v = [ad.Var(_uniform_init(rng, (c,))) for _ in range(heads)]
-        self.params = self.w + self.v
+        w = [_uniform_init(rng, (d, c)) for _ in range(heads)]
+        v = [_uniform_init(rng, (c,)) for _ in range(heads)]
+        self.w = ad.Var(np.concatenate(w, axis=1))
+        self.v = ad.Var(np.stack(v)[:, :, None])
+        self.params = [self.w, self.v]
+        self.rows = np.repeat(edges.dst, heads)
 
     def forward(self, x):
         e = self.edges
-        out = None
-        for k in range(self.heads):
-            xw = ad.matmul(x, self.w[k])
-            hi = ad.gather_rows(xw, e.dst)
-            hj = ad.gather_rows(xw, e.src)
-            scores = ad.matmul(ad.leaky_relu(ad.add(hi, hj), LEAKY_SLOPE), self.v[k])
-            alpha = ad.reshape(ad.segment_softmax(scores, e.offsets), (-1, 1))
-            contrib = ad.scatter_sum(ad.mul(alpha, hj), e.dst, e.n)
-            out = contrib if out is None else ad.add(out, contrib)
-        return out
+        z = ad.matmul(x, self.w)
+        hj = ad.gather_rows(z, e.src)
+        hidden = ad.leaky_relu(ad.add(ad.gather_rows(z, e.dst), hj), LEAKY_SLOPE)
+        edges, heads = len(e.dst), self.heads
+        per_head = ad.reshape(hidden, (edges, heads, 1, -1))
+        scores = ad.reshape(ad.matmul(per_head, self.v), (edges, heads))
+        alpha = ad.segment_softmax(scores, e.offsets)
+        return _head_messages(alpha, hj, self.rows, e.n)
 
 
 class FagcnModel(Model):
@@ -186,28 +199,29 @@ class GinModel(Model):
 
 
 class LmgcModel(Model):
-    """Multi-graph layer with tanh-gated coefficients over shared head weights."""
+    """Multi-graph layer with tanh-gated coefficients over shared head weights.
+
+    W is (d, H*c), head k's weights in columns k*c:(k+1)*c; V is (2*H*c, H),
+    head k's gating vector in column k.
+    """
 
     def __init__(self, edges: EdgeIndex, d, c, heads, rng):
         self.edges = edges
         self.heads = heads
-        self.w = [ad.Var(_uniform_init(rng, (d, c))) for _ in range(heads)]
-        self.v = [ad.Var(_uniform_init(rng, (2 * heads * c,))) for _ in range(heads)]
-        self.params = self.w + self.v
+        w = [_uniform_init(rng, (d, c)) for _ in range(heads)]
+        v = [_uniform_init(rng, (2 * heads * c,)) for _ in range(heads)]
+        self.w = ad.Var(np.concatenate(w, axis=1))
+        self.v = ad.Var(np.stack(v, axis=1))
+        self.params = [self.w, self.v]
+        self.rows = np.repeat(edges.dst, heads)
 
     def forward(self, x):
         e = self.edges
-        xws = [ad.matmul(x, self.w[k]) for k in range(self.heads)]
-        z = ad.concat(xws, axis=1)
-        feat = ad.concat([ad.gather_rows(z, e.dst), ad.gather_rows(z, e.src)], axis=1)
-        hidden = ad.leaky_relu(feat, LEAKY_SLOPE)
-        out = None
-        for k in range(self.heads):
-            alpha = ad.reshape(ad.tanh(ad.matmul(hidden, self.v[k])), (-1, 1))
-            msg = ad.mul(alpha, ad.gather_rows(xws[k], e.src))
-            contrib = ad.scatter_sum(msg, e.dst, e.n)
-            out = contrib if out is None else ad.add(out, contrib)
-        return out
+        z = ad.matmul(x, self.w)
+        zj = ad.gather_rows(z, e.src)
+        hidden = ad.leaky_relu(ad.concat([ad.gather_rows(z, e.dst), zj], axis=1), LEAKY_SLOPE)
+        alpha = ad.tanh(ad.matmul(hidden, self.v))
+        return _head_messages(alpha, zj, self.rows, e.n)
 
 
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:

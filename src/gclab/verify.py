@@ -194,10 +194,19 @@ def is_integer_scaling(ms1: tuple, ms2: tuple) -> bool:
     return _as_scaled(ms1, ms2) or _as_scaled(ms2, ms1)
 
 
+def _is_zero(ms: tuple) -> bool:
+    """True for a multiset of zero vectors, whose output 0 = 0 * f(b) is parallel to any."""
+    return not any(any(e) for e in ms)
+
+
 def independence_trial(
     num_pairs: int, k: int, d: int, c: int, seed: int, source: str = "random_iid"
 ) -> TrialReport:
-    """Check that output pairs are not parallel outside the scaling family."""
+    """Check that output pairs are not parallel outside the scaling family.
+
+    The family includes 0 * b: a multiset of zero vectors aggregates to the
+    zero output, so it is redrawn on either side of a pair.
+    """
     if k <= 1:
         raise ValueError("linear independence requires K > 1")
     rng = np.random.default_rng(derive_seed(seed, 1))
@@ -207,8 +216,10 @@ def independence_trial(
     min_ratio = np.inf
     for _ in range(num_pairs):
         a = sample_instance(rng, d)
+        while _is_zero(a.elements):
+            a = sample_instance(rng, d)
         b = sample_instance(rng, d)
-        while b == a or is_integer_scaling(a.elements, b.elements):
+        while b == a or _is_zero(b.elements) or is_integer_scaling(a.elements, b.elements):
             b = sample_instance(rng, d)
         fa = aggregate(a, coeffs, weights)
         fb = aggregate(b, coeffs, weights)

@@ -96,6 +96,12 @@ class TestPrimitiveGradients:
         t = RNG.standard_normal((4, 2))
         check_grads(lambda x: ad.mse(ad.scatter_sum(x, index, 4), t), [a])
 
+    def test_matmul_broadcast_batched(self):
+        # (E, H, 1, c) @ (H, c, 1): one score per edge and head, as in GATv2
+        a, b = RNG.standard_normal((5, 3, 1, 4)), RNG.standard_normal((3, 4, 1))
+        t = RNG.standard_normal((5, 3, 1, 1))
+        check_grads(lambda x, y: ad.mse(ad.matmul(x, y), t), [a, b])
+
     def test_reshape(self):
         a = RNG.standard_normal((4, 3))
         t = RNG.standard_normal(12)
@@ -126,10 +132,54 @@ class TestPrimitiveGradients:
             lambda s: ad.mse(ad.segment_softmax(s, offsets), t), [scores]
         )
 
+    def test_segment_softmax_per_column(self):
+        scores = RNG.standard_normal((7, 3))
+        offsets = np.array([0, 3, 5, 7])
+        t = RNG.standard_normal((7, 3))
+        check_grads(
+            lambda s: ad.mse(ad.segment_softmax(s, offsets), t), [scores]
+        )
+
     def test_mse(self):
         a = RNG.standard_normal((3, 3))
         t = RNG.standard_normal((3, 3))
         check_grads(lambda x: ad.mse(x, t), [a])
+
+
+def add_at_reference(values, index, size):
+    acc = np.zeros((size,) + values.shape[1:])
+    np.add.at(acc, index, values)
+    return acc
+
+
+ROW_SUM_CASES = [
+    ((9, 3), np.array([4, 0, 2, 0, 4, 4, 1, 2, 0]), 6),  # unsorted, repeated, row 3 and 5 empty
+    ((9,), np.array([4, 0, 2, 0, 4, 4, 1, 2, 0]), 5),  # 1-D values
+    ((6, 2, 3), np.array([1, 1, 0, 3, 3, 1]), 4),
+    ((0, 3), np.zeros(0, dtype=np.intp), 4),  # zero rows
+]
+
+
+class TestRowSums:
+    """scatter_sum and the gather_rows backward add rows in index order, bit for bit."""
+
+    @pytest.mark.parametrize("shape, index, size", ROW_SUM_CASES)
+    def test_scatter_sum_equals_add_at(self, shape, index, size):
+        values = RNG.standard_normal(shape) * 10.0 ** RNG.integers(-8, 8, shape)
+        out = ad.scatter_sum(ad.Var(values), index, size).value
+        ref = add_at_reference(values, index, size)
+        assert out.shape == ref.shape
+        assert out.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("shape, index, size", ROW_SUM_CASES)
+    def test_gather_rows_backward_equals_add_at(self, shape, index, size):
+        a = ad.Var(RNG.standard_normal((size,) + shape[1:]))
+        out = ad.gather_rows(a, index)
+        g = RNG.standard_normal(shape) * 10.0 ** RNG.integers(-8, 8, shape)
+        out._backward(g)
+        ref = add_at_reference(g, index, size)
+        assert a.grad.shape == ref.shape
+        assert a.grad.tobytes() == ref.tobytes()
 
 
 class TestForwardValues:
@@ -140,6 +190,14 @@ class TestForwardValues:
         assert np.isclose(alpha[:3].sum(), 1.0)
         assert np.isclose(alpha[3:].sum(), 1.0)
         assert np.all(alpha > 0)
+
+    def test_segment_softmax_columns_equal_vector_calls(self):
+        scores = RNG.standard_normal((7, 3))
+        offsets = np.array([0, 3, 5, 7])
+        alpha = ad.segment_softmax(ad.Var(scores), offsets).value
+        for k in range(3):
+            column = ad.segment_softmax(ad.Var(scores[:, k]), offsets).value
+            assert alpha[:, k].tobytes() == column.tobytes()
 
     def test_relu_and_leaky_relu_values(self):
         x = ad.Var(np.array([-2.0, 3.0]))

@@ -33,8 +33,9 @@ class TestUniversality:
         )
         assert code == EXIT_OK
         rows = read_csv(out / "results.csv")
-        assert rows[0] == ["method", "lr", "seed", "steps", "min_mse", "wall_seconds"]
+        assert rows[0] == ["method", "lr", "seed", "steps", "min_mse", "diverged", "wall_seconds"]
         assert len(rows) == 1 + 2  # one method, one rate, two runs
+        assert {r[5] for r in rows[1:]} == {"0"}
         assert {r[0] for r in rows[1:]} == {"lmgc"}
         assert {r[2] for r in rows[1:]} == {"0", "1"}
         summary = (out / "summary.txt").read_text()
@@ -67,7 +68,7 @@ class TestUniversality:
         rows_a = read_csv(a / "results.csv")
         rows_b = read_csv(b / "results.csv")
         # wall-clock column differs; everything else must match bitwise
-        assert [r[:5] for r in rows_a] == [r[:5] for r in rows_b]
+        assert [r[:6] for r in rows_a] == [r[:6] for r in rows_b]
 
     def test_custom_instance_seed_changes_results(self, tmp_path):
         argv = [
@@ -104,6 +105,14 @@ class TestUniversality:
             ]
         )
         assert code == EXIT_NUMERIC
+
+    def test_diverged_run_is_flagged_in_results(self, tmp_path):
+        out = tmp_path / "div"
+        argv = ["universality", "--method", "fagcn", "--lr", "1e200", "--steps", "20"]
+        assert main(argv + ["--seeds", "1", "--out", str(out)]) == EXIT_NUMERIC
+        rows = read_csv(out / "results.csv")
+        assert rows[0][5] == "diverged"
+        assert [r[5] for r in rows[1:]] == ["1"]
 
 
 class TestSpectra:

@@ -60,6 +60,22 @@ class TestConstruction:
         assert np.array_equal(g.degrees, [2.0, 2.0, 1.0, 1.0])
 
 
+class TestDirectedEdges:
+    def test_both_directions_in_row_order(self):
+        g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 3)])
+        rows, cols = g.directed_edges
+        pairs = list(zip(rows.tolist(), cols.tolist()))
+        assert pairs == [(i, j) for i in range(4) for j in g.neighbors[i]]
+        assert pairs == sorted(pairs)
+
+    def test_cached_and_read_only(self):
+        g = generate_erdos_renyi(12, 0.3, seed=5)
+        rows, cols = g.directed_edges
+        assert g.directed_edges[0] is rows and g.directed_edges[1] is cols
+        with pytest.raises(ValueError):
+            rows[0] = 1
+
+
 class TestConnectivity:
     def test_path_is_connected(self):
         assert is_connected(path_graph(6))
@@ -100,6 +116,19 @@ class TestErdosRenyi:
             generate_erdos_renyi(5, 0.0, seed=0)
         with pytest.raises(ValueError):
             generate_erdos_renyi(5, 1.5, seed=0)
+
+    @pytest.mark.parametrize(
+        "n, p, seed, attempts", [(16, 0.1, 0, 13), (16, 0.1, 1, 3), (16, 0.1, 2, 32), (16, 0.25, 0, 1)]
+    )
+    def test_matches_scalar_draw_loop(self, n, p, seed, attempts):
+        # one rng.random() per candidate pair, scanned in (i, j), i < j order
+        rng = np.random.default_rng(seed)
+        for used in range(1, attempts + 1):
+            edges = {(i, j) for i in range(n) for j in range(i + 1, n) if rng.random() < p}
+            if is_connected(Graph(n, frozenset(edges))):
+                break
+        assert used == attempts
+        assert generate_erdos_renyi(n, p, seed).edges == edges
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 10**6))

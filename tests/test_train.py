@@ -59,6 +59,50 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step()
 
+    @staticmethod
+    def reference_steps(values, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+        """Per-parameter Adam loop; a None gradient skips its parameter."""
+        values = [v.copy() for v in values]
+        m = [np.zeros_like(v) for v in values]
+        s = [np.zeros_like(v) for v in values]
+        for t, step_grads in enumerate(grads, start=1):
+            for i, g in enumerate(step_grads):
+                if g is None:
+                    continue
+                m[i] = beta1 * m[i] + (1 - beta1) * g
+                s[i] = beta2 * s[i] + (1 - beta2) * g * g
+                m_hat = m[i] / (1 - beta1**t)
+                s_hat = s[i] / (1 - beta2**t)
+                values[i] = values[i] - lr * m_hat / (np.sqrt(s_hat) + eps)
+        return values
+
+    @pytest.mark.parametrize("skip", [None, 1])
+    def test_flat_buffer_matches_per_parameter_loop(self, skip):
+        rng = np.random.default_rng(21)
+        shapes = [(4, 3), (5,), (2, 3, 2)]
+        init = [rng.standard_normal(shape) for shape in shapes]
+        grads = [
+            [None if i == skip and t % 2 else rng.standard_normal(shape) * 10.0 ** (t % 7 - 3)
+             for i, shape in enumerate(shapes)]
+            for t in range(50)
+        ]
+        params = [ad.Var(v.copy()) for v in init]
+        opt = Adam(params, lr=0.01)
+        for step_grads in grads:
+            for p, g in zip(params, step_grads):
+                p.grad = g
+            opt.step()
+        expected = self.reference_steps(init, grads, lr=0.01)
+        for p, e in zip(params, expected):
+            assert p.value.shape == e.shape
+            assert p.value.tobytes() == e.tobytes()
+
+    def test_parameters_are_views_of_one_buffer(self):
+        params = [ad.Var(np.ones((2, 3))), ad.Var(np.zeros(4))]
+        opt = Adam(params, lr=0.1)
+        assert all(np.shares_memory(p.value, opt.flat) for p in params)
+        assert opt.flat.size == 10
+
     def test_minimizes_quadratic(self):
         p = ad.Var(np.array([5.0, -3.0]))
         opt = Adam([p], lr=0.1)
@@ -123,6 +167,83 @@ class TestBuildModel:
             model = build_model("lmgc", g, 3, 3, np.random.default_rng(7), heads=2)
             outs.append(model.forward(ad.Var(x)).value)
         np.testing.assert_array_equal(outs[0], outs[1])
+
+
+def leaky(a):
+    return np.where(a >= 0, a, 0.2 * a)
+
+
+def head_draws(rng, d, c, heads, v_len):
+    """The per-head (W_k, v_k) draws, in the order the models make them."""
+    w = [rng.uniform(-1 / np.sqrt(d), 1 / np.sqrt(d), (d, c)) for _ in range(heads)]
+    v = [rng.uniform(-1 / np.sqrt(v_len), 1 / np.sqrt(v_len), (v_len,)) for _ in range(heads)]
+    return w, v
+
+
+def scatter_rows(values, index, n):
+    out = np.zeros((n,) + values.shape[1:])
+    np.add.at(out, index, values)
+    return out
+
+
+def lmgc_per_head(x, e, w, v):
+    xws = [x @ wk for wk in w]
+    z = np.concatenate(xws, axis=1)
+    hidden = leaky(np.concatenate([z[e.dst], z[e.src]], axis=1))
+    return sum(
+        scatter_rows(np.tanh(hidden @ vk)[:, None] * xw[e.src], e.dst, e.n)
+        for xw, vk in zip(xws, v)
+    )
+
+
+def gatv2_per_head(x, e, w, v):
+    out = np.zeros((e.n, w[0].shape[1]))
+    for wk, vk in zip(w, v):
+        xw = x @ wk
+        scores = leaky(xw[e.dst] + xw[e.src]) @ vk
+        ex = np.exp(scores - np.maximum.reduceat(scores, e.offsets[:-1])[e.dst])
+        alpha = ex / np.bincount(e.dst, weights=ex, minlength=e.n)[e.dst]
+        out += scatter_rows(alpha[:, None] * xw[e.src], e.dst, e.n)
+    return out
+
+
+class TestStackedHeads:
+    """LMGC and GATv2 hold one W and one V with the per-head draws stacked."""
+
+    D, C, HEADS = 5, 3, 4
+
+    def instance(self):
+        g = generate_erdos_renyi(12, 0.3, seed=2)
+        x = np.random.default_rng(3).standard_normal((12, self.D))
+        return g, x
+
+    def test_lmgc_initial_parameters_stack_the_head_draws(self):
+        g, _ = self.instance()
+        model = build_model("lmgc", g, self.D, self.C, np.random.default_rng(5), heads=self.HEADS)
+        w, v = head_draws(np.random.default_rng(5), self.D, self.C, self.HEADS, 2 * self.HEADS * self.C)
+        assert len(model.params) == 2
+        assert model.params[0].value.tobytes() == np.concatenate(w, axis=1).tobytes()
+        assert model.params[1].value.shape == (2 * self.HEADS * self.C, self.HEADS)
+        assert model.params[1].value.tobytes() == np.stack(v, axis=1).tobytes()
+
+    def test_gatv2_initial_parameters_stack_the_head_draws(self):
+        g, _ = self.instance()
+        model = build_model("gatv2", g, self.D, self.C, np.random.default_rng(5), heads=self.HEADS)
+        w, v = head_draws(np.random.default_rng(5), self.D, self.C, self.HEADS, self.C)
+        assert len(model.params) == 2
+        assert model.params[0].value.tobytes() == np.concatenate(w, axis=1).tobytes()
+        assert model.params[1].value.shape == (self.HEADS, self.C, 1)
+        assert model.params[1].value.tobytes() == np.stack(v)[:, :, None].tobytes()
+
+    @pytest.mark.parametrize("method, reference", [("lmgc", lmgc_per_head), ("gatv2", gatv2_per_head)])
+    def test_forward_matches_per_head_reference(self, method, reference):
+        g, x = self.instance()
+        model = build_model(method, g, self.D, self.C, np.random.default_rng(6), heads=self.HEADS)
+        v_len = 2 * self.HEADS * self.C if method == "lmgc" else self.C
+        w, v = head_draws(np.random.default_rng(6), self.D, self.C, self.HEADS, v_len)
+        got = model.forward(ad.Var(x)).value
+        expected = reference(x, EdgeIndex(g), w, v)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 class TestFullModelGradients:

@@ -177,6 +177,12 @@ class TestIndependence:
         assert report.kind == "independence"
         assert report.min_separation > COLLISION_RTOL
 
+    def test_zero_multiset_is_excluded_like_scaling(self):
+        # this trial draws a multiset of zero vectors, whose output 0 is parallel to any
+        report = independence_trial(86, 2, 4, 4, 185, "fagcn_tanh")
+        assert report.violations == 0
+        assert report.min_separation > 0.0
+
     def test_requires_multiple_graphs(self):
         with pytest.raises(ValueError, match="requires K > 1"):
             independence_trial(1, k=1, d=2, c=2, seed=0)
