@@ -17,8 +17,6 @@ import numpy as np
 
 from .convolution import (
     FilterTensor,
-    WeightStack,
-    filter_response,
     gcn_as_mimo_stack,
     mimo_gc,
     mimo_gc_oracle,
@@ -129,10 +127,6 @@ def cmd_universality(args) -> int:
     return EXIT_OK
 
 
-def _response_series(stack: WeightStack, basis, pairs):
-    return [filter_response(stack, basis, p, q).response for p, q in pairs]
-
-
 def cmd_spectra(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -220,6 +214,25 @@ def _equivalence_suite(trials: int, seed: int):
     return rows, violations, worst
 
 
+def _write_report(path: Path, report) -> None:
+    """One results.csv row for an injectivity or independence TrialReport."""
+    _write_csv(
+        path,
+        ["trial_kind", "K", "d", "c", "pairs", "violations", "min_separation"],
+        [
+            (
+                report.kind,
+                report.k,
+                report.d,
+                report.c,
+                report.trials,
+                report.violations,
+                f"{report.min_separation:.3e}",
+            )
+        ],
+    )
+
+
 def cmd_verify(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -239,21 +252,7 @@ def cmd_verify(args) -> int:
             Variant.GATV2_SOFTMAX, args.seed
         )
         counter_collides = np.max(np.abs(counter_a - counter_b)) <= 1e-12
-        _write_csv(
-            out / "results.csv",
-            ["trial_kind", "K", "d", "c", "pairs", "violations", "min_separation"],
-            [
-                (
-                    report.kind,
-                    report.k,
-                    report.d,
-                    report.c,
-                    report.trials,
-                    report.violations,
-                    f"{report.min_separation:.3e}",
-                )
-            ],
-        )
+        _write_report(out / "results.csv", report)
         print(
             f"injectivity: {report.trials} pairs, {report.violations} violations, "
             f"softmax counterexample collides: {counter_collides}"
@@ -267,21 +266,7 @@ def cmd_verify(args) -> int:
         print("independence requires more than one computational graph (K > 1)", file=sys.stderr)
         return EXIT_USAGE
     report = independence_trial(args.pairs, args.k, args.d, args.c, args.seed)
-    _write_csv(
-        out / "results.csv",
-        ["trial_kind", "K", "d", "c", "pairs", "violations", "min_separation"],
-        [
-            (
-                report.kind,
-                report.k,
-                report.d,
-                report.c,
-                report.trials,
-                report.violations,
-                f"{report.min_separation:.3e}",
-            )
-        ],
-    )
+    _write_report(out / "results.csv", report)
     print(f"independence: {report.trials} pairs, {report.violations} violations")
     return EXIT_VIOLATION if report.violations else EXIT_OK
 

@@ -116,18 +116,18 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     )
 
 
-def _degree_checked(g: Graph):
+def inv_sqrt_degrees(g: Graph) -> np.ndarray:
+    """The diagonal of D^{-1/2}; raises on the first degree-zero node."""
     d = g.degrees
     if np.any(d < 1):
         bad = int(np.argmin(d))
         raise ValueError(f"isolated node {bad}: degree-zero nodes are not supported")
-    return d
+    return 1.0 / np.sqrt(d)
 
 
 def normalized_adjacency(g: Graph) -> np.ndarray:
     """D^{-1/2} A D^{-1/2}; requires every degree >= 1."""
-    d = _degree_checked(g)
-    inv_sqrt = 1.0 / np.sqrt(d)
+    inv_sqrt = inv_sqrt_degrees(g)
     return g.adjacency * np.outer(inv_sqrt, inv_sqrt)
 
 

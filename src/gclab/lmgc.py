@@ -4,6 +4,11 @@ A layer holds K weight matrices and a scheme that turns node features into
 one n x n coefficient matrix per k; the forward pass is
 sum_k A~^(k) X W^(k). Coefficients live only on edges of the underlying
 graph (plus the diagonal for the fixed-operator scheme).
+
+The learnable schemes (GATv2 softmax, FAGCN tanh gating, the eq. 14 gate)
+are defined once, as autodiff expressions over edge arrays; the trainable
+models in gclab.train call them on parameters, compute_coefficients on
+constant Vars holding the stacked weights and gating vectors.
 """
 
 from __future__ import annotations
@@ -14,7 +19,8 @@ from enum import Enum
 
 import numpy as np
 
-from .graph import Graph, laplacian, normalized_adjacency
+from . import autodiff as ad
+from .graph import Graph, inv_sqrt_degrees, laplacian, normalized_adjacency
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -112,8 +118,56 @@ class LmgcLayer:
         return self.weights.shape[2]
 
 
-def _leaky_relu(x, slope):
-    return np.where(x >= 0, x, slope * x)
+class EdgeIndex:
+    """Directed edge arrays of a graph in row (CSR) order, for edge-list schemes.
+
+    Edge e runs from neighbor src[e] = j into row dst[e] = i, in the order of
+    Graph.directed_edges, so offsets[i]:offsets[i + 1] is row i's block.
+    inv_sqrt_deg_pair is the (E, 1) column 1/sqrt(deg_i * deg_j). A graph
+    with a degree-zero node is rejected, as by normalized_adjacency.
+    """
+
+    def __init__(self, g: Graph):
+        inv_sqrt = inv_sqrt_degrees(g)
+        self.dst, self.src = g.directed_edges
+        counts = np.bincount(self.dst, minlength=g.n)
+        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
+        self.inv_sqrt_deg_pair = (inv_sqrt[self.dst] * inv_sqrt[self.src])[:, None]
+        self.n = g.n
+
+
+def gatv2_coefficients(hi, hj, v, offsets, slope=LEAKY_RELU_SLOPE):
+    """GATv2 attention: per head k, softmax over row i's edges of v_k . leaky(h_i + h_j).
+
+    hi and hj are the (E, H*c) projections x W gathered at the two ends of
+    each edge, head k in columns k*c:(k+1)*c; v is (H, c, 1), head k's score
+    vector in v[k, :, 0]. Returns the (E, H) coefficients.
+    """
+    edges, heads = hj.shape[0], v.shape[0]
+    hidden = ad.leaky_relu(ad.add(hi, hj), slope)
+    scores = ad.matmul(ad.reshape(hidden, (edges, heads, 1, -1)), v)
+    return ad.segment_softmax(ad.reshape(scores, (edges, heads)), offsets)
+
+
+def fagcn_coefficients(xi, xj, v, norm):
+    """FAGCN gating: tanh(v . [x_i, x_j]) / sqrt(deg_i * deg_j).
+
+    xi and xj are the (E, d) features gathered at the two ends of each edge,
+    v is (2d,) and norm is EdgeIndex.inv_sqrt_deg_pair. Returns (E, 1).
+    """
+    gate = ad.tanh(ad.matmul(ad.concat([xi, xj], axis=1), v))
+    return ad.mul(ad.reshape(gate, (-1, 1)), norm)
+
+
+def eq14_coefficients(zi, zj, v, slope=LEAKY_RELU_SLOPE):
+    """Eq. 14 gate: per head k, tanh(v_k . leaky([z_i, z_j])).
+
+    zi and zj are the (E, H*c) head projections x W gathered at the two ends
+    of each edge; v is (2*H*c, H), head k's gating vector in column k.
+    Returns the (E, H) coefficients.
+    """
+    hidden = ad.leaky_relu(ad.concat([zi, zj], axis=1), slope)
+    return ad.tanh(ad.matmul(hidden, v))
 
 
 def _check_features(x, g: Graph):
@@ -128,54 +182,43 @@ def compute_coefficients(
 ) -> ComputationalGraphSet:
     """Evaluate the scheme's coefficient matrices for features x on graph g."""
     x = _check_features(x, g)
-    n = g.n
-    mats = np.zeros((scheme.k, n, n))
-    # directed edges (i, j) in row order: i ascending, j ascending
-    src, dst = g.directed_edges
+    e = EdgeIndex(g)
+    mats = np.zeros((scheme.k, g.n, g.n))
+    rows, cols = e.dst, e.src
 
     if scheme.variant is Variant.GCN_NORM:
-        deg = g.degrees
-        inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-        mats[0] = g.adjacency * np.outer(inv_sqrt, inv_sqrt)
+        mats[0] = normalized_adjacency(g)
 
     elif scheme.variant is Variant.GATV2_SOFTMAX:
-        for k in range(scheme.k):
-            v = np.asarray(scheme.vectors[k], dtype=float)
-            xw = x @ weights[k]  # (n, c)
-            scores = _leaky_relu(xw[src] + xw[dst], scheme.leaky_slope) @ v
-            # softmax over each source's neighbors, shifted by that source's max
-            peak = np.full(n, -np.inf)
-            np.maximum.at(peak, src, scores)
-            e = np.exp(scores - peak[src])
-            mats[k, src, dst] = e / np.bincount(src, weights=e, minlength=n)[src]
+        z = x @ np.concatenate(weights, axis=1)  # (n, K*c)
+        v = ad.Var(np.stack(scheme.vectors)[:, :, None])
+        alpha = gatv2_coefficients(
+            ad.Var(z[rows]), ad.Var(z[cols]), v, e.offsets, scheme.leaky_slope
+        )
+        mats[:, rows, cols] = alpha.value.T
 
     elif scheme.variant is Variant.FAGCN_TANH:
-        v = np.asarray(scheme.vectors[0], dtype=float)
-        d = x.shape[1]
-        deg = g.degrees
-        inv_sqrt = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-        gate = np.tanh((x @ v[:d])[src] + (x @ v[d:])[dst])
-        mats[0, src, dst] = gate * inv_sqrt[src] * inv_sqrt[dst]
+        v, norm = ad.Var(scheme.vectors[0]), ad.Var(e.inv_sqrt_deg_pair)
+        alpha = fagcn_coefficients(ad.Var(x[rows]), ad.Var(x[cols]), v, norm)
+        mats[:, rows, cols] = alpha.value.T
 
     elif scheme.variant is Variant.ACM_FIXED:
         mats[0] = normalized_adjacency(g)
         mats[1] = laplacian(g)
         if scheme.include_identity:
-            mats[2] = np.eye(n)
+            mats[2] = np.eye(g.n)
         return ComputationalGraphSet(mats, g, allow_diagonal=True)
 
     elif scheme.variant is Variant.LMGC_EQ14:
-        xw = np.concatenate([x @ weights[m] for m in range(scheme.k)], axis=1)  # (n, K*c)
-        h = _leaky_relu(xw, scheme.leaky_slope)
-        kc = h.shape[1]
-        v = np.stack([np.asarray(vec, dtype=float) for vec in scheme.vectors])  # (K, 2*K*c)
-        # v_k . leaky([xw_i, xw_j]) splits into a source and a destination term
-        mats[:, src, dst] = np.tanh((h @ v[:, :kc].T)[src] + (h @ v[:, kc:].T)[dst]).T
+        z = x @ np.concatenate(weights, axis=1)  # (n, K*c)
+        v = ad.Var(np.stack(scheme.vectors, axis=1))
+        alpha = eq14_coefficients(ad.Var(z[rows]), ad.Var(z[cols]), v, scheme.leaky_slope)
+        mats[:, rows, cols] = alpha.value.T
 
     elif scheme.variant is Variant.RANDOM_IID:
         rng = np.random.default_rng(scheme.seed)
         for k in range(scheme.k):
-            mats[k, src, dst] = rng.standard_normal(len(src))
+            mats[k, rows, cols] = rng.standard_normal(len(rows))
 
     else:  # pragma: no cover
         raise ValueError(f"unknown variant {scheme.variant}")

@@ -1,9 +1,10 @@
 """Single-layer trainable models and the universality fitting experiment.
 
 Each method is a thin wrapper around the autodiff primitives exposing a
-parameter list and a forward pass X -> (n, c). The experiment fixes a
-connected random graph and Gaussian (X, Y), then minimizes the MSE of one
-message-passing layer with Adam and reports the minimum loss seen.
+parameter list and a forward pass X -> (n, c); the gatv2, fagcn and lmgc
+coefficients come from the scheme functions in gclab.lmgc. The experiment
+fixes a connected random graph and Gaussian (X, Y), then minimizes the MSE
+of one message-passing layer with Adam and reports the minimum loss seen.
 """
 
 from __future__ import annotations
@@ -15,11 +16,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
+from .lmgc import EdgeIndex, eq14_coefficients, fagcn_coefficients, gatv2_coefficients
 from .seeding import derive_seed
 
 METHODS = ("gatv2", "fagcn", "acm", "gin", "lmgc")
 DEFAULT_LR_GRID = (0.03, 0.01, 0.003)
-LEAKY_SLOPE = 0.2
 
 # Default instance seed for the target-fitting experiment. Sparse connected
 # graphs at p=0.1 routinely contain two leaves attached to the same hub and
@@ -61,19 +62,6 @@ class TrialResult:
     diverged: bool = False
 
 
-class EdgeIndex:
-    """Directed edge arrays in CSR-by-destination order for message passing."""
-
-    def __init__(self, g: Graph):
-        self.dst, self.src = g.directed_edges
-        counts = np.bincount(self.dst, minlength=g.n)
-        self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
-        deg = g.degrees
-        inv = 1.0 / np.sqrt(np.maximum(deg, 1.0))
-        self.inv_sqrt_deg_pair = (inv[self.dst] * inv[self.src])[:, None]
-        self.n = g.n
-
-
 def _uniform_init(rng, shape):
     fan_in = shape[0]
     bound = 1.0 / np.sqrt(fan_in)
@@ -105,12 +93,11 @@ class Gatv2Model(Model):
     """Multi-head GATv2 with the heads stacked into one parameter per role.
 
     W is (d, H*c), head k's weights in columns k*c:(k+1)*c; V is (H, c, 1),
-    head k's score vector in V[k, :, 0].
+    head k's score vector in V[k, :, 0], as lmgc.gatv2_coefficients takes them.
     """
 
     def __init__(self, edges: EdgeIndex, d, c, heads, rng):
         self.edges = edges
-        self.heads = heads
         w = [_uniform_init(rng, (d, c)) for _ in range(heads)]
         v = [_uniform_init(rng, (c,)) for _ in range(heads)]
         self.w = ad.Var(np.concatenate(w, axis=1))
@@ -122,11 +109,7 @@ class Gatv2Model(Model):
         e = self.edges
         z = ad.matmul(x, self.w)
         hj = ad.gather_rows(z, e.src)
-        hidden = ad.leaky_relu(ad.add(ad.gather_rows(z, e.dst), hj), LEAKY_SLOPE)
-        edges, heads = len(e.dst), self.heads
-        per_head = ad.reshape(hidden, (edges, heads, 1, -1))
-        scores = ad.reshape(ad.matmul(per_head, self.v), (edges, heads))
-        alpha = ad.segment_softmax(scores, e.offsets)
+        alpha = gatv2_coefficients(ad.gather_rows(z, e.dst), hj, self.v, e.offsets)
         return _head_messages(alpha, hj, self.rows, e.n)
 
 
@@ -141,9 +124,7 @@ class FagcnModel(Model):
     def forward(self, x):
         e = self.edges
         xi = ad.gather_rows(x, e.dst)
-        xj = ad.gather_rows(x, e.src)
-        gate = ad.tanh(ad.matmul(ad.concat([xi, xj], axis=1), self.v))
-        alpha = ad.mul(ad.reshape(gate, (-1, 1)), self.norm)
+        alpha = fagcn_coefficients(xi, ad.gather_rows(x, e.src), self.v, self.norm)
         msg = ad.mul(alpha, ad.gather_rows(ad.matmul(x, self.w), e.src))
         return ad.scatter_sum(msg, e.dst, e.n)
 
@@ -202,12 +183,11 @@ class LmgcModel(Model):
     """Multi-graph layer with tanh-gated coefficients over shared head weights.
 
     W is (d, H*c), head k's weights in columns k*c:(k+1)*c; V is (2*H*c, H),
-    head k's gating vector in column k.
+    head k's gating vector in column k, as lmgc.eq14_coefficients takes them.
     """
 
     def __init__(self, edges: EdgeIndex, d, c, heads, rng):
         self.edges = edges
-        self.heads = heads
         w = [_uniform_init(rng, (d, c)) for _ in range(heads)]
         v = [_uniform_init(rng, (2 * heads * c,)) for _ in range(heads)]
         self.w = ad.Var(np.concatenate(w, axis=1))
@@ -219,8 +199,7 @@ class LmgcModel(Model):
         e = self.edges
         z = ad.matmul(x, self.w)
         zj = ad.gather_rows(z, e.src)
-        hidden = ad.leaky_relu(ad.concat([ad.gather_rows(z, e.dst), zj], axis=1), LEAKY_SLOPE)
-        alpha = ad.tanh(ad.matmul(hidden, self.v))
+        alpha = eq14_coefficients(ad.gather_rows(z, e.dst), zj, self.v)
         return _head_messages(alpha, zj, self.rows, e.n)
 
 

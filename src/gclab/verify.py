@@ -16,7 +16,7 @@ import numpy as np
 
 from .convolution import sca_repeated_gcn
 from .graph import Graph, generate_erdos_renyi, laplacian
-from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
+from .lmgc import LEAKY_RELU_SLOPE, CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from .seeding import derive_seed, splitmix64
 from .spectral import eigendecompose_symmetric
 
@@ -124,7 +124,7 @@ class CoefficientSource:
             zj = np.concatenate([xj @ self.w[m] for m in range(self.k)])
             feat = np.concatenate([zi, zj])
             self._eq14_pair = (center, element)
-            self._eq14_feat = np.where(feat >= 0, feat, 0.2 * feat)
+            self._eq14_feat = np.where(feat >= 0, feat, LEAKY_RELU_SLOPE * feat)
         return self._eq14_feat
 
 
@@ -236,22 +236,9 @@ def parallel_control(k: int, d: int, c: int, seed: int, factor: int = 2):
     rng = np.random.default_rng(derive_seed(seed, 1))
     weights = np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
     base = sample_instance(rng, d)
-    scaled = MultisetInstance(
-        base.center, tuple(sorted(tuple(factor * v for v in e) for e in base.elements))
-    )
-    coeffs = CoefficientSource("random_iid", k, d, c, seed)
-    fa = np.zeros(c)
-    fb = np.zeros(c)
-    # apply the base instance's coefficient draws to both sides
-    for head in range(k):
-        s = np.zeros(d)
-        for element in base.elements:
-            s += coeffs.alpha(head, base.center, element) * (
-                np.array(element, dtype=float) * LATTICE_SCALE
-            )
-        fa += s @ weights[head]
-        fb += factor * (s @ weights[head])
-    return fa, fb
+    # the scaled multiset keeps the base instance's coefficient draws
+    fa = aggregate(base, CoefficientSource("random_iid", k, d, c, seed), weights)
+    return fa, factor * fa
 
 
 def multiset_counterexample_outputs(variant: Variant, seed: int):

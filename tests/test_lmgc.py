@@ -7,6 +7,7 @@ from gclab.graph import Graph, generate_erdos_renyi, laplacian, normalized_adjac
 from gclab.lmgc import (
     CoefficientScheme,
     ComputationalGraphSet,
+    EdgeIndex,
     LmgcLayer,
     Variant,
     compute_coefficients,
@@ -250,6 +251,27 @@ class TestEdgeArrayCoefficients:
         scheme = CoefficientScheme(Variant.RANDOM_IID, 3, seed=17)
         got = compute_coefficients(scheme, x, g, weights).matrices
         np.testing.assert_array_equal(got, per_edge_coefficients(scheme, x, g, weights))
+
+
+class TestIsolatedNodePolicy:
+    """Every scheme rejects a degree-zero node with graph's message."""
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    def test_every_variant_rejects_isolated_node(self, variant):
+        g = Graph.from_edges(3, [(0, 1)])
+        k = {Variant.GCN_NORM: 1, Variant.FAGCN_TANH: 1, Variant.ACM_FIXED: 2}.get(variant, 2)
+        vectors = {
+            Variant.GATV2_SOFTMAX: (np.ones(2),) * k,
+            Variant.FAGCN_TANH: (np.ones(4),),
+            Variant.LMGC_EQ14: (np.ones(2 * k * 2),) * k,
+        }.get(variant, ())
+        scheme = CoefficientScheme(variant, k, vectors)
+        with pytest.raises(ValueError, match="isolated node 2"):
+            compute_coefficients(scheme, np.ones((3, 2)), g, np.ones((k, 2, 2)))
+
+    def test_edge_index_rejects_isolated_node(self):
+        with pytest.raises(ValueError, match="isolated node 0"):
+            EdgeIndex(Graph.from_edges(3, [(1, 2)]))
 
 
 class TestLayerAndPairwise:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from gclab import autodiff as ad
+from gclab import lmgc
 from gclab.graph import Graph, generate_erdos_renyi
+from gclab.lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from gclab.optim import Adam
 from gclab.seeding import derive_seed
 from gclab.train import (
@@ -138,6 +140,10 @@ class TestEdgeIndex:
         )
 
 
+    def test_is_the_lmgc_edge_index(self):
+        assert EdgeIndex is lmgc.EdgeIndex
+
+
 def small_instance(seed=0, n=6, d=3, c=3):
     g = generate_erdos_renyi(n, 0.5, seed=seed)
     rng = np.random.default_rng(seed + 1)
@@ -159,6 +165,12 @@ class TestBuildModel:
             out = model.forward(ad.Var(x))
             assert out.value.shape == (6, 3), method
             assert len(model.params) > 0
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_isolated_node_rejected(self, method):
+        g = Graph.from_edges(3, [(0, 1)])
+        with pytest.raises(ValueError, match="isolated node 2"):
+            build_model(method, g, 2, 2, np.random.default_rng(0), heads=2)
 
     def test_deterministic_given_rng_seed(self):
         g, x, _ = small_instance()
@@ -244,6 +256,31 @@ class TestStackedHeads:
         got = model.forward(ad.Var(x)).value
         expected = reference(x, EdgeIndex(g), w, v)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def layer_from_model(method, model, d, c, heads):
+    """The LmgcLayer with the trained model's W and its gating vectors."""
+    w, v = model.w.value, model.v.value
+    if method == "fagcn":
+        return LmgcLayer(w[None], CoefficientScheme(Variant.FAGCN_TANH, 1, (v,)))
+    weights = w.reshape(d, heads, c).transpose(1, 0, 2)
+    if method == "gatv2":
+        return LmgcLayer(weights, CoefficientScheme(Variant.GATV2_SOFTMAX, heads, tuple(v[:, :, 0])))
+    return LmgcLayer(weights, CoefficientScheme(Variant.LMGC_EQ14, heads, tuple(v.T)))
+
+
+class TestTrainedModelIsAnLmgcLayer:
+    """A trained model's forward equals lmgc_forward on a layer holding its parameters."""
+
+    @pytest.mark.parametrize("method", ["gatv2", "fagcn", "lmgc"])
+    def test_forward_matches_layer(self, method):
+        cfg = ExperimentConfig()
+        g, x, y = experiment_data(cfg)
+        model = build_model(method, g, cfg.d, cfg.c, np.random.default_rng(12), heads=cfg.heads)
+        run_training(model, x, y, steps=20, lr=0.01)
+        layer = layer_from_model(method, model, cfg.d, cfg.c, cfg.heads)
+        expected = model.forward(ad.Var(x)).value
+        np.testing.assert_allclose(lmgc_forward(layer, x, g), expected, rtol=0, atol=1e-12)
 
 
 class TestFullModelGradients:
