@@ -1,18 +1,18 @@
 """Localized MIMO graph convolution layers with pluggable edge-coefficient schemes.
 
 A layer holds K weight matrices and a scheme that turns node features into
-one n x n coefficient matrix per k; the forward pass is
-sum_k A~^(k) X W^(k). Coefficients live only on edges of the underlying
-graph (plus the diagonal for the fixed-operator scheme).
-
-The learnable schemes (GATv2 softmax, FAGCN tanh gating, the eq. 14 gate)
-are defined once, as autodiff expressions over edge arrays; the trainable
-models in gclab.train call them on parameters, compute_coefficients on
-constant Vars holding the stacked weights and gating vectors.
+K coefficients per edge, plus a fixed diagonal weight per head (1 for ACM's
+Laplacian and identity channels); the forward pass is sum_k A~^(k) X W^(k).
+The schemes, edge_messages and the GIN layer are defined once, as autodiff
+expressions over edge arrays: the trainable models in gclab.train call them
+on parameters, lmgc_forward and gin_forward on constants. The dense
+(K, n, n) matrix form (compute_coefficients, ComputationalGraphSet,
+forward_from_coefficients, pairwise_transform) is kept as the oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -20,7 +20,7 @@ from enum import Enum
 import numpy as np
 
 from . import autodiff as ad
-from .graph import Graph, inv_sqrt_degrees, laplacian, normalized_adjacency
+from .graph import Graph, inv_sqrt_degrees
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -134,6 +134,8 @@ class EdgeIndex:
         self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         self.inv_sqrt_deg_pair = (inv_sqrt[self.dst] * inv_sqrt[self.src])[:, None]
         self.n = g.n
+        # head_rows(H): dst repeated H times, the row of each of edge_messages' E*H messages
+        self.head_rows = functools.cache(functools.partial(np.repeat, self.dst))
 
 
 def gatv2_coefficients(hi, hj, v, offsets, slope=LEAKY_RELU_SLOPE):
@@ -170,6 +172,22 @@ def eq14_coefficients(zi, zj, v, slope=LEAKY_RELU_SLOPE):
     return ad.tanh(ad.matmul(hidden, v))
 
 
+def edge_messages(alpha, hj, edges: EdgeIndex):
+    """Sum alpha[e, k] * hj[e, k*c:(k+1)*c] over edges e and heads k into row dst[e].
+
+    alpha is (E, H) and hj the (E, H*c) head projections gathered at the
+    source of each edge; the E*H messages are summed by one scatter.
+    """
+    n_edges, heads = alpha.shape
+    if heads == 1:
+        msg = ad.mul(alpha, hj)
+    else:
+        c = hj.shape[1] // heads
+        msg = ad.mul(ad.reshape(alpha, (n_edges, heads, 1)), ad.reshape(hj, (n_edges, heads, c)))
+        msg = ad.reshape(msg, (n_edges * heads, c))
+    return ad.scatter_sum(msg, edges.head_rows(heads), edges.n)
+
+
 def _check_features(x, g: Graph):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != g.n:
@@ -177,62 +195,63 @@ def _check_features(x, g: Graph):
     return x
 
 
+def edge_coefficients(scheme: CoefficientScheme, x: np.ndarray, edges: EdgeIndex, weights):
+    """The scheme's coefficients: alpha (E, K) on the edges dst[e] <- src[e], and diag (K,).
+
+    diag[k] is head k's weight on a node's own features: 1 for ACM's Laplacian
+    and identity channels, 0 elsewhere.
+    """
+    rows, cols, k = edges.dst, edges.src, scheme.k
+    diag = np.zeros(k)
+    if scheme.variant in (Variant.GATV2_SOFTMAX, Variant.LMGC_EQ14):
+        z = x @ np.concatenate(weights, axis=1)  # (n, K*c)
+        zi, zj = ad.Var(z[rows]), ad.Var(z[cols])
+
+    if scheme.variant is Variant.GCN_NORM:
+        alpha = edges.inv_sqrt_deg_pair
+    elif scheme.variant is Variant.GATV2_SOFTMAX:
+        v = ad.Var(np.stack(scheme.vectors)[:, :, None])
+        alpha = gatv2_coefficients(zi, zj, v, edges.offsets, scheme.leaky_slope).value
+    elif scheme.variant is Variant.FAGCN_TANH:
+        v, norm = ad.Var(scheme.vectors[0]), ad.Var(edges.inv_sqrt_deg_pair)
+        alpha = fagcn_coefficients(ad.Var(x[rows]), ad.Var(x[cols]), v, norm).value
+    elif scheme.variant is Variant.ACM_FIXED:
+        # normalized adjacency, Laplacian I - A~ and identity
+        alpha = edges.inv_sqrt_deg_pair * np.array([1.0, -1.0, 0.0][:k])
+        diag = np.array([0.0, 1.0, 1.0][:k])
+    elif scheme.variant is Variant.LMGC_EQ14:
+        v = ad.Var(np.stack(scheme.vectors, axis=1))
+        alpha = eq14_coefficients(zi, zj, v, scheme.leaky_slope).value
+    elif scheme.variant is Variant.RANDOM_IID:
+        alpha = np.random.default_rng(scheme.seed).standard_normal((k, len(rows))).T
+    else:  # pragma: no cover
+        raise ValueError(f"unknown variant {scheme.variant}")
+    return alpha, diag
+
+
 def compute_coefficients(
     scheme: CoefficientScheme, x: np.ndarray, g: Graph, weights: np.ndarray
 ) -> ComputationalGraphSet:
-    """Evaluate the scheme's coefficient matrices for features x on graph g."""
+    """The scheme's coefficient matrices: edge_coefficients scattered into (K, n, n)."""
     x = _check_features(x, g)
-    e = EdgeIndex(g)
+    edges = EdgeIndex(g)
+    alpha, diag = edge_coefficients(scheme, x, edges, weights)
     mats = np.zeros((scheme.k, g.n, g.n))
-    rows, cols = e.dst, e.src
-
-    if scheme.variant is Variant.GCN_NORM:
-        mats[0] = normalized_adjacency(g)
-
-    elif scheme.variant is Variant.GATV2_SOFTMAX:
-        z = x @ np.concatenate(weights, axis=1)  # (n, K*c)
-        v = ad.Var(np.stack(scheme.vectors)[:, :, None])
-        alpha = gatv2_coefficients(
-            ad.Var(z[rows]), ad.Var(z[cols]), v, e.offsets, scheme.leaky_slope
-        )
-        mats[:, rows, cols] = alpha.value.T
-
-    elif scheme.variant is Variant.FAGCN_TANH:
-        v, norm = ad.Var(scheme.vectors[0]), ad.Var(e.inv_sqrt_deg_pair)
-        alpha = fagcn_coefficients(ad.Var(x[rows]), ad.Var(x[cols]), v, norm)
-        mats[:, rows, cols] = alpha.value.T
-
-    elif scheme.variant is Variant.ACM_FIXED:
-        mats[0] = normalized_adjacency(g)
-        mats[1] = laplacian(g)
-        if scheme.include_identity:
-            mats[2] = np.eye(g.n)
-        return ComputationalGraphSet(mats, g, allow_diagonal=True)
-
-    elif scheme.variant is Variant.LMGC_EQ14:
-        z = x @ np.concatenate(weights, axis=1)  # (n, K*c)
-        v = ad.Var(np.stack(scheme.vectors, axis=1))
-        alpha = eq14_coefficients(ad.Var(z[rows]), ad.Var(z[cols]), v, scheme.leaky_slope)
-        mats[:, rows, cols] = alpha.value.T
-
-    elif scheme.variant is Variant.RANDOM_IID:
-        rng = np.random.default_rng(scheme.seed)
-        for k in range(scheme.k):
-            mats[k, rows, cols] = rng.standard_normal(len(rows))
-
-    else:  # pragma: no cover
-        raise ValueError(f"unknown variant {scheme.variant}")
-
-    return ComputationalGraphSet(mats, g)
+    mats[:, edges.dst, edges.src] = alpha.T
+    mats[:, np.arange(g.n), np.arange(g.n)] = diag[:, None]
+    return ComputationalGraphSet(mats, g, allow_diagonal=bool(diag.any()))
 
 
 def lmgc_forward(layer: LmgcLayer, x: np.ndarray, g: Graph) -> np.ndarray:
-    """Matrix-form forward pass sum_k A~^(k) X W^(k)."""
+    """Forward pass sum_k A~^(k) X W^(k) over the edge arrays, as the trained models run it."""
     x = _check_features(x, g)
     if x.shape[1] != layer.d:
         raise ValueError(f"features have {x.shape[1]} channels, layer expects {layer.d}")
-    cgs = compute_coefficients(layer.scheme, x, g, layer.weights)
-    return forward_from_coefficients(layer, cgs, x)
+    edges = EdgeIndex(g)
+    alpha, diag = edge_coefficients(layer.scheme, x, edges, layer.weights)
+    z = x @ np.concatenate(layer.weights, axis=1)  # (n, K*c)
+    out = edge_messages(ad.Var(alpha), ad.Var(z[edges.src]), edges).value
+    return out + np.einsum("k,nkc->nc", diag, z.reshape(g.n, layer.k, layer.c))
 
 
 def forward_from_coefficients(
@@ -261,18 +280,25 @@ def pairwise_transform(
     return out
 
 
-def gin_forward(x: np.ndarray, g: Graph, mlp, eps: float = 0.0) -> np.ndarray:
-    """Sum aggregation followed by a shared two-layer ReLU MLP.
+def gin_aggregation(g: Graph, eps: float = 0.0) -> np.ndarray:
+    """GIN's sum aggregator (1 + eps) I + A as a dense operator."""
+    return (1.0 + eps) * np.eye(g.n) + g.adjacency
 
-    mlp is (W1, b1, W2, b2) applied row-wise: relu(h W1 + b1) W2 + b2
-    with h = (1 + eps) x_i + sum of neighbor features.
-    """
+
+def gin_layer(agg, x, w1, b1, w2, b2):
+    """GIN: relu((agg x) W1 + b1) W2 + b2, agg from gin_aggregation."""
+    h = ad.matmul(agg, x)
+    h = ad.relu(ad.add(ad.matmul(h, w1), b1))
+    return ad.add(ad.matmul(h, w2), b2)
+
+
+def gin_forward(x: np.ndarray, g: Graph, mlp, eps: float = 0.0) -> np.ndarray:
+    """gin_layer on constants; mlp is (W1, b1, W2, b2)."""
     x = _check_features(x, g)
-    w1, b1, w2, b2 = (np.asarray(m, dtype=float) for m in mlp)
-    if x.shape[1] != w1.shape[0]:
+    mlp = [ad.Var(m) for m in mlp]
+    if x.shape[1] != mlp[0].shape[0]:
         raise ValueError("MLP input width does not match the features")
-    h = (1.0 + eps) * x + g.adjacency @ x
-    return np.maximum(h @ w1 + b1, 0.0) @ w2 + b2
+    return gin_layer(ad.Var(gin_aggregation(g, eps)), ad.Var(x), *mlp).value
 
 
 def serialize_layer(layer: LmgcLayer) -> str:

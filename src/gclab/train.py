@@ -1,10 +1,12 @@
 """Single-layer trainable models and the universality fitting experiment.
 
 Each method is a thin wrapper around the autodiff primitives exposing a
-parameter list and a forward pass X -> (n, c); the gatv2, fagcn and lmgc
-coefficients come from the scheme functions in gclab.lmgc. The experiment
-fixes a connected random graph and Gaussian (X, Y), then minimizes the MSE
-of one message-passing layer with Adam and reports the minimum loss seen.
+parameter list and a forward pass X -> (n, c); gatv2, fagcn, lmgc and gin
+run gclab.lmgc's definitions (scheme functions, edge_messages, gin_layer)
+on their parameters, as lmgc_forward and gin_forward do on constants.
+The experiment fixes a connected random graph and Gaussian (X, Y), then
+minimizes the MSE of one message-passing layer with Adam and reports the
+minimum loss seen.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
-from .lmgc import EdgeIndex, eq14_coefficients, fagcn_coefficients, gatv2_coefficients
+from .lmgc import EdgeIndex, edge_messages, eq14_coefficients, fagcn_coefficients
+from .lmgc import gatv2_coefficients, gin_aggregation, gin_layer
 from .seeding import derive_seed
 
 METHODS = ("gatv2", "fagcn", "acm", "gin", "lmgc")
@@ -77,18 +80,6 @@ class Model:
         raise NotImplementedError
 
 
-def _head_messages(alpha, hj, rows, n):
-    """Sum alpha[e, k] * hj[e, k*c:(k+1)*c] over edges e and heads k into row dst[e].
-
-    alpha is (E, H), hj is (E, H*c) and rows is dst repeated H times, so the
-    E*H messages are summed by one scatter.
-    """
-    edges, heads = alpha.shape
-    c = hj.shape[1] // heads
-    msg = ad.mul(ad.reshape(alpha, (edges, heads, 1)), ad.reshape(hj, (edges, heads, c)))
-    return ad.scatter_sum(ad.reshape(msg, (edges * heads, c)), rows, n)
-
-
 class Gatv2Model(Model):
     """Multi-head GATv2 with the heads stacked into one parameter per role.
 
@@ -103,14 +94,13 @@ class Gatv2Model(Model):
         self.w = ad.Var(np.concatenate(w, axis=1))
         self.v = ad.Var(np.stack(v)[:, :, None])
         self.params = [self.w, self.v]
-        self.rows = np.repeat(edges.dst, heads)
 
     def forward(self, x):
         e = self.edges
         z = ad.matmul(x, self.w)
         hj = ad.gather_rows(z, e.src)
         alpha = gatv2_coefficients(ad.gather_rows(z, e.dst), hj, self.v, e.offsets)
-        return _head_messages(alpha, hj, self.rows, e.n)
+        return edge_messages(alpha, hj, e)
 
 
 class FagcnModel(Model):
@@ -125,8 +115,7 @@ class FagcnModel(Model):
         e = self.edges
         xi = ad.gather_rows(x, e.dst)
         alpha = fagcn_coefficients(xi, ad.gather_rows(x, e.src), self.v, self.norm)
-        msg = ad.mul(alpha, ad.gather_rows(ad.matmul(x, self.w), e.src))
-        return ad.scatter_sum(msg, e.dst, e.n)
+        return edge_messages(alpha, ad.gather_rows(ad.matmul(x, self.w), e.src), e)
 
 
 class AcmModel(Model):
@@ -166,17 +155,12 @@ class AcmModel(Model):
 class GinModel(Model):
     def __init__(self, g: Graph, d, c, rng, hidden=None, eps=0.0):
         hidden = hidden or d
-        self.agg = ad.Var((1.0 + eps) * np.eye(g.n) + g.adjacency)
-        self.w1 = ad.Var(_uniform_init(rng, (d, hidden)))
-        self.b1 = ad.Var(np.zeros(hidden))
-        self.w2 = ad.Var(_uniform_init(rng, (hidden, c)))
-        self.b2 = ad.Var(np.zeros(c))
-        self.params = [self.w1, self.b1, self.w2, self.b2]
+        self.agg = ad.Var(gin_aggregation(g, eps))
+        w1, w2 = _uniform_init(rng, (d, hidden)), _uniform_init(rng, (hidden, c))
+        self.params = [ad.Var(m) for m in (w1, np.zeros(hidden), w2, np.zeros(c))]
 
     def forward(self, x):
-        h = ad.matmul(self.agg, x)
-        h = ad.relu(ad.add(ad.matmul(h, self.w1), self.b1))
-        return ad.add(ad.matmul(h, self.w2), self.b2)
+        return gin_layer(self.agg, x, *self.params)
 
 
 class LmgcModel(Model):
@@ -193,14 +177,13 @@ class LmgcModel(Model):
         self.w = ad.Var(np.concatenate(w, axis=1))
         self.v = ad.Var(np.stack(v, axis=1))
         self.params = [self.w, self.v]
-        self.rows = np.repeat(edges.dst, heads)
 
     def forward(self, x):
         e = self.edges
         z = ad.matmul(x, self.w)
         zj = ad.gather_rows(z, e.src)
         alpha = eq14_coefficients(ad.gather_rows(z, e.dst), zj, self.v)
-        return _head_messages(alpha, zj, self.rows, e.n)
+        return edge_messages(alpha, zj, e)
 
 
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:

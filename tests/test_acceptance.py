@@ -50,6 +50,7 @@ MASTER_SEED = 20260823
 
 def report(number, ok, detail=""):
     print(f"CRITERION {number}: {'PASS' if ok else 'FAIL'}")
+    print(f"  {detail}")
     assert ok, f"criterion {number}: {detail}"
 
 

@@ -253,6 +253,37 @@ class TestEdgeArrayCoefficients:
         np.testing.assert_array_equal(got, per_edge_coefficients(scheme, x, g, weights))
 
 
+class TestForwardMatchesDenseOracle:
+    """lmgc_forward runs on edge arrays; the dense (K, n, n) matrix form is its oracle."""
+
+    CASES = [(v, False) for v in Variant] + [(Variant.ACM_FIXED, True)]
+
+    @pytest.mark.parametrize("n, p", [(16, 0.25), (40, 0.1), (128, 0.05)])
+    @pytest.mark.parametrize("variant, identity", CASES)
+    def test_matches_dense_forward(self, n, p, variant, identity, monkeypatch):
+        d, c = 4, 3
+        k = {Variant.GCN_NORM: 1, Variant.FAGCN_TANH: 1, Variant.ACM_FIXED: 2}.get(variant, 3)
+        k += identity
+        g = generate_erdos_renyi(n, p, seed=n)
+        rng = np.random.default_rng(n + 1)
+        x = rng.standard_normal((n, d))
+        vectors = {
+            Variant.GATV2_SOFTMAX: tuple(rng.standard_normal(c) for _ in range(k)),
+            Variant.FAGCN_TANH: (rng.standard_normal(2 * d),),
+            Variant.LMGC_EQ14: tuple(rng.standard_normal(2 * k * c) for _ in range(k)),
+        }.get(variant, ())
+        scheme = CoefficientScheme(variant, k, vectors, seed=n, include_identity=identity)
+        layer = LmgcLayer(rng.standard_normal((k, d, c)), scheme)
+        ref = forward_from_coefficients(layer, compute_coefficients(scheme, x, g, layer.weights), x)
+
+        def refuse(self):
+            raise AssertionError("lmgc_forward built a ComputationalGraphSet")
+
+        monkeypatch.setattr(ComputationalGraphSet, "__post_init__", refuse)
+        out = lmgc_forward(layer, x, g)
+        assert np.max(np.abs(out - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
 class TestIsolatedNodePolicy:
     """Every scheme rejects a degree-zero node with graph's message."""
 
@@ -266,8 +297,11 @@ class TestIsolatedNodePolicy:
             Variant.LMGC_EQ14: (np.ones(2 * k * 2),) * k,
         }.get(variant, ())
         scheme = CoefficientScheme(variant, k, vectors)
+        x, weights = np.ones((3, 2)), np.ones((k, 2, 2))
         with pytest.raises(ValueError, match="isolated node 2"):
-            compute_coefficients(scheme, np.ones((3, 2)), g, np.ones((k, 2, 2)))
+            compute_coefficients(scheme, x, g, weights)
+        with pytest.raises(ValueError, match="isolated node 2"):
+            lmgc_forward(LmgcLayer(weights, scheme), x, g)
 
     def test_edge_index_rejects_isolated_node(self):
         with pytest.raises(ValueError, match="isolated node 0"):

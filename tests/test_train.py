@@ -143,6 +143,11 @@ class TestEdgeIndex:
     def test_is_the_lmgc_edge_index(self):
         assert EdgeIndex is lmgc.EdgeIndex
 
+    def test_head_rows_built_once_per_head_count(self):
+        e = EdgeIndex(Graph.from_edges(3, [(0, 1), (1, 2)]))
+        np.testing.assert_array_equal(e.head_rows(3), np.repeat(e.dst, 3))
+        assert e.head_rows(3) is e.head_rows(3)
+
 
 def small_instance(seed=0, n=6, d=3, c=3):
     g = generate_erdos_renyi(n, 0.5, seed=seed)
@@ -281,6 +286,16 @@ class TestTrainedModelIsAnLmgcLayer:
         layer = layer_from_model(method, model, cfg.d, cfg.c, cfg.heads)
         expected = model.forward(ad.Var(x)).value
         np.testing.assert_allclose(lmgc_forward(layer, x, g), expected, rtol=0, atol=1e-12)
+
+
+class TestTrainedGinIsGinForward:
+    def test_gin_model_is_gin_forward(self):
+        cfg = ExperimentConfig()
+        g, x, y = experiment_data(cfg)
+        model = build_model("gin", g, cfg.d, cfg.c, np.random.default_rng(12))
+        run_training(model, x, y, steps=20, lr=0.01)
+        mlp = [p.value for p in model.params]
+        np.testing.assert_array_equal(lmgc.gin_forward(x, g, mlp), model.forward(ad.Var(x)).value)
 
 
 class TestFullModelGradients:
