@@ -17,7 +17,6 @@ import numpy as np
 
 from .convolution import (
     FilterTensor,
-    gcn_as_mimo_stack,
     mimo_gc,
     mimo_gc_oracle,
     mimo_gc_pairwise,

@@ -30,6 +30,7 @@ class Variant(Enum):
     GATV2_SOFTMAX = "gatv2_softmax"
     FAGCN_TANH = "fagcn_tanh"
     ACM_FIXED = "acm_fixed"
+    """The linear A~/L filterbank A~ X W0 + L X W1 (+ X W2); train.AcmModel is the nonlinear ACM."""
     LMGC_EQ14 = "lmgc_eq14"
     RANDOM_IID = "random_iid"
 

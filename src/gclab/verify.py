@@ -2,21 +2,24 @@
 
 Multiset instances are drawn from a rational lattice (integer vectors in
 [-5, 5]^d scaled by 1/3) so that distinctness and integer-scaling checks
-are exact. Edge coefficients are realized as a deterministic pseudo-random
-function of the endpoint features, which models one fixed "almost every"
-draw: identical instances always receive identical coefficients.
+are exact. Edge coefficients are a fixed function of the endpoint features,
+one "almost every" draw: a keyed Gaussian (random_iid) or lmgc's own fagcn
+and eq14 gates, run over chunks of PAIRS_PER_CHUNK pairs. Identical instances
+get identical coefficients, exactly for random_iid and up to rounding for the
+tanh sources, whose matrix products round with an instance's place in a chunk.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff as ad
 from .convolution import sca_repeated_gcn
 from .graph import Graph, generate_erdos_renyi, laplacian
-from .lmgc import LEAKY_RELU_SLOPE, CoefficientScheme, LmgcLayer, Variant, lmgc_forward
+from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
+from .lmgc import eq14_coefficients, fagcn_coefficients
 from .seeding import derive_seed, splitmix64
 from .spectral import eigendecompose_symmetric
 
@@ -26,6 +29,7 @@ COLLISION_RTOL = 1e-9
 COEFFICIENT_SOURCES = ("random_iid", "fagcn_tanh", "lmgc_eq14")
 _FEATURE_SEPARATOR = 0x5EA0_5EA0_5EA0_5EA0  # between center and element coordinates
 _UNIT = 2.0**-53
+PAIRS_PER_CHUNK = 256  # pairs evaluated per batch, so memory stays bounded for any pair count
 
 
 @dataclass(frozen=True)
@@ -66,26 +70,25 @@ def sample_instance(rng, d: int, max_size: int = 5) -> MultisetInstance:
     return MultisetInstance(center, tuple(sorted(elems)))
 
 
-def _coefficient(seed: int, k: int, center: tuple, element: tuple) -> float:
-    """One draw of the fixed random coefficient function alpha_k(x_i, x_j).
+def _iid_keys(seed: int, k: int, centers: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """(K, E) keys derive_seed(seed, k, *center, separator, *element) of E lattice pairs.
 
-    The key mixes every coordinate through splitmix64, and two further
-    splitmix64 outputs become one standard normal by Box-Muller.
+    The chain runs over uint64 arrays, where a negative coordinate enters as
+    its two's complement, the value idx & MASK gives for a Python int.
     """
-    key = derive_seed(seed, k, *center, _FEATURE_SEPARATOR, *element)
-    a = splitmix64(key)
-    b = splitmix64(a)
-    u1 = ((a >> 11) + 1) * _UNIT  # (0, 1], keeps the log finite
-    u2 = (b >> 11) * _UNIT
-    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    cols = np.concatenate([centers, elements], axis=1).astype(np.int64).view(np.uint64).T
+    d = centers.shape[1]
+    heads = np.arange(k, dtype=np.uint64)[:, None]
+    return derive_seed(seed, heads, *cols[:d], _FEATURE_SEPARATOR, *cols[d:])
 
 
 class CoefficientSource:
-    """Maps (head, center, element) to a coefficient, deterministically per seed.
+    """Maps (center, element) lattice pairs to K coefficients, deterministically per seed.
 
-    random_iid draws an independent Gaussian per (head, feature pair);
-    the tanh sources evaluate a gating function with Gaussian parameters
-    drawn once per source, mirroring the feature-dependent schemes.
+    random_iid draws an independent Gaussian per (head, feature pair); the
+    tanh sources run lmgc's fagcn and eq14 gates with Gaussian parameters
+    drawn once per source: gate[k] is head k's gating vector, and eq14
+    projects the features with w (K, d, c).
     """
 
     def __init__(self, kind: str, k: int, d: int, c: int, seed: int):
@@ -100,50 +103,84 @@ class CoefficientSource:
         elif kind == "lmgc_eq14":
             self.w = rng.standard_normal((k, d, c))
             self.gate = rng.standard_normal((k, 2 * k * c))
-            self._eq14_pair = None
+
+    def alphas(self, centers, elements) -> np.ndarray:
+        """(E, K) coefficients of E pairs; centers and elements are (E, d) integer lattice rows."""
+        centers, elements = np.asarray(centers), np.asarray(elements)
+        if self.kind == "random_iid":  # two splitmix64 outputs per key -> Box-Muller normal
+            a = splitmix64(_iid_keys(self.seed, self.k, centers, elements))
+            b = splitmix64(a)
+            u1 = ((a >> 11) + 1) * _UNIT  # (0, 1], keeps the log finite
+            u2 = (b >> 11) * _UNIT
+            return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).T
+        xi, xj = centers * LATTICE_SCALE, elements * LATTICE_SCALE
+        if self.kind == "fagcn_tanh":
+            ones = ad.Var(np.ones((len(xi), 1)))
+            heads = [fagcn_coefficients(ad.Var(xi), ad.Var(xj), ad.Var(v), ones) for v in self.gate]
+            return np.concatenate([h.value for h in heads], axis=1)
+        w = np.concatenate(self.w, axis=1)  # (d, K*c), head k in columns k*c:(k+1)*c
+        return eq14_coefficients(ad.Var(xi @ w), ad.Var(xj @ w), ad.Var(self.gate.T)).value
 
     def alpha(self, head: int, center: tuple, element: tuple) -> float:
-        if self.kind == "random_iid":
-            return _coefficient(self.seed, head, center, element)
-        if self.kind == "fagcn_tanh":
-            xi = np.array(center, dtype=float) * LATTICE_SCALE
-            xj = np.array(element, dtype=float) * LATTICE_SCALE
-            return float(np.tanh(self.gate[head] @ np.concatenate([xi, xj])))
-        return float(np.tanh(self.gate[head] @ self._eq14_features(center, element)))
+        return float(self.alphas([center], [element])[0, head])
 
-    def _eq14_features(self, center: tuple, element: tuple) -> np.ndarray:
-        """leaky_relu([z_i, z_j]) with z the K head projections, shared by all heads.
 
-        The last pair is kept, so a caller that asks for every head of one
-        pair in a row projects each feature once.
-        """
-        if self._eq14_pair != (center, element):
-            xi = np.array(center, dtype=float) * LATTICE_SCALE
-            xj = np.array(element, dtype=float) * LATTICE_SCALE
-            zi = np.concatenate([xi @ self.w[m] for m in range(self.k)])
-            zj = np.concatenate([xj @ self.w[m] for m in range(self.k)])
-            feat = np.concatenate([zi, zj])
-            self._eq14_pair = (center, element)
-            self._eq14_feat = np.where(feat >= 0, feat, LEAKY_RELU_SLOPE * feat)
-        return self._eq14_feat
+def _outputs(instances, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
+    """aggregate of P instances as (P, c), from one alphas call; heads sum elements in order."""
+    counts = [len(inst.elements) for inst in instances]
+    centers = np.repeat([inst.center for inst in instances], counts, axis=0)
+    elements = np.array([e for inst in instances for e in inst.elements])
+    alpha = source.alphas(centers, elements)  # (E, K)
+    terms = alpha[:, :, None] * (elements * LATTICE_SCALE)[:, None, :]  # (E, K, d)
+    sums = np.add.reduceat(terms, np.cumsum([0] + counts[:-1]), axis=0)  # (P, K, d)
+    return np.einsum("pkd,kdc->pc", sums, weights)
 
 
 def aggregate(instance: MultisetInstance, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
-    """f(x_p, X_p) = sum_k (sum_j alpha_k x_j) W^(k), an output row in R^c.
+    """f(x_p, X_p) = sum_k (sum_j alpha_k x_j) W^(k), an output row in R^c."""
+    return _outputs([instance], source, weights)[0]
 
-    Heads run innermost, so every head's coefficient for one element is
-    asked for in a row; each head still sums its elements in order.
+
+def _draw_pair(rng, d: int, independence: bool):
+    """Two distinct instances; for independence, outside the scaling family (0 * b included)."""
+    a = sample_instance(rng, d)
+    while independence and not np.any(a.elements):
+        a = sample_instance(rng, d)
+    b = sample_instance(rng, d)
+    while b == a or independence and (
+        not np.any(b.elements) or is_integer_scaling(a.elements, b.elements)
+    ):
+        b = sample_instance(rng, d)
+    return a, b
+
+
+def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport:
+    """Draw pairs one by one and evaluate them PAIRS_PER_CHUNK at a time.
+
+    Injectivity scores a pair by |fa - fb| / max(|fa|, |fb|) and independence
+    by smin / smax of [fa; fb]; either violates at COLLISION_RTOL.
     """
-    heads = range(weights.shape[0])
-    s = [np.zeros(weights.shape[1]) for _ in heads]
-    for element in instance.elements:
-        xj = np.array(element, dtype=float) * LATTICE_SCALE
-        for k in heads:
-            s[k] += source.alpha(k, instance.center, element) * xj
-    out = np.zeros(weights.shape[2])
-    for k in heads:
-        out += s[k] @ weights[k]
-    return out
+    independence = kind == "independence"
+    rng = np.random.default_rng(derive_seed(seed, 1))
+    weights = np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
+    coeffs = CoefficientSource(source, k, d, c, seed)
+    violations, min_score = 0, np.inf
+    for start in range(0, num_pairs, PAIRS_PER_CHUNK):
+        size = min(PAIRS_PER_CHUNK, num_pairs - start)
+        pairs = [_draw_pair(rng, d, independence) for _ in range(size)]
+        out = _outputs([inst for pair in pairs for inst in pair], coeffs, weights)
+        fa, fb = out[0::2], out[1::2]
+        if independence:
+            s = np.linalg.svd(np.stack([fa, fb], axis=1), compute_uv=False)
+            score = s[:, 1] / np.maximum(s[:, 0], 1e-300)
+            violated = score < COLLISION_RTOL
+        else:
+            norms = np.linalg.norm(np.stack([fa, fb]), axis=2)
+            score = np.linalg.norm(fa - fb, axis=1) / np.maximum(norms.max(axis=0), 1e-300)
+            violated = score <= COLLISION_RTOL
+        violations += int(np.count_nonzero(violated))
+        min_score = min(min_score, float(score.min()))
+    return TrialReport(kind, k, d, c, num_pairs, violations, min_score)
 
 
 def injectivity_trial(
@@ -152,24 +189,7 @@ def injectivity_trial(
     """Sample distinct instance pairs and count aggregated-output collisions."""
     if k < 1:
         raise ValueError("need at least one computational graph")
-    rng = np.random.default_rng(derive_seed(seed, 1))
-    weights = np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
-    coeffs = CoefficientSource(source, k, d, c, seed)
-    violations = 0
-    min_sep = np.inf
-    for _ in range(num_pairs):
-        a = sample_instance(rng, d)
-        b = sample_instance(rng, d)
-        while b == a:
-            b = sample_instance(rng, d)
-        fa = aggregate(a, coeffs, weights)
-        fb = aggregate(b, coeffs, weights)
-        scale_ab = max(np.linalg.norm(fa), np.linalg.norm(fb), 1e-300)
-        sep = np.linalg.norm(fa - fb) / scale_ab
-        min_sep = min(min_sep, sep)
-        if sep <= COLLISION_RTOL:
-            violations += 1
-    return TrialReport("injectivity", k, d, c, num_pairs, violations, min_sep)
+    return _trial("injectivity", num_pairs, k, d, c, seed, source)
 
 
 def _as_scaled(ms1: tuple, ms2: tuple) -> bool:
@@ -194,11 +214,6 @@ def is_integer_scaling(ms1: tuple, ms2: tuple) -> bool:
     return _as_scaled(ms1, ms2) or _as_scaled(ms2, ms1)
 
 
-def _is_zero(ms: tuple) -> bool:
-    """True for a multiset of zero vectors, whose output 0 = 0 * f(b) is parallel to any."""
-    return not any(any(e) for e in ms)
-
-
 def independence_trial(
     num_pairs: int, k: int, d: int, c: int, seed: int, source: str = "random_iid"
 ) -> TrialReport:
@@ -209,26 +224,7 @@ def independence_trial(
     """
     if k <= 1:
         raise ValueError("linear independence requires K > 1")
-    rng = np.random.default_rng(derive_seed(seed, 1))
-    weights = np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
-    coeffs = CoefficientSource(source, k, d, c, seed)
-    violations = 0
-    min_ratio = np.inf
-    for _ in range(num_pairs):
-        a = sample_instance(rng, d)
-        while _is_zero(a.elements):
-            a = sample_instance(rng, d)
-        b = sample_instance(rng, d)
-        while b == a or _is_zero(b.elements) or is_integer_scaling(a.elements, b.elements):
-            b = sample_instance(rng, d)
-        fa = aggregate(a, coeffs, weights)
-        fb = aggregate(b, coeffs, weights)
-        smax, smin = np.linalg.svd(np.stack([fa, fb]), compute_uv=False)
-        ratio = smin / max(smax, 1e-300)
-        min_ratio = min(min_ratio, ratio)
-        if ratio < COLLISION_RTOL:
-            violations += 1
-    return TrialReport("independence", k, d, c, num_pairs, violations, min_ratio)
+    return _trial("independence", num_pairs, k, d, c, seed, source)
 
 
 def parallel_control(k: int, d: int, c: int, seed: int, factor: int = 2):

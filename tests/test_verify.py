@@ -1,15 +1,24 @@
 """Randomized multiset property checks, controls, and dominance reports."""
 
+import math
+
 import numpy as np
 import pytest
 
-from gclab.lmgc import Variant
+import gclab.verify
+from gclab.autodiff import Var
+from gclab.lmgc import Variant, eq14_coefficients, fagcn_coefficients
+from gclab.seeding import derive_seed, splitmix64
 from gclab.verify import (
+    _FEATURE_SEPARATOR,
+    COEFFICIENT_SOURCES,
     COLLISION_RTOL,
     LATTICE_RANGE,
     LATTICE_SCALE,
     CoefficientSource,
     MultisetInstance,
+    _iid_keys,
+    _outputs,
     aggregate,
     independence_trial,
     injectivity_trial,
@@ -96,25 +105,80 @@ class TestCoefficientSource:
         assert len(np.unique(vals)) == len(vals)
         assert abs(vals.mean()) < 0.05 and abs(vals.std() - 1.0) < 0.05
 
-    def test_eq14_shared_projection_matches_per_call_formula(self):
+    def test_tanh_sources_run_lmgc_gates(self):
+        # the same rows through lmgc's scheme functions give the same bits
         k, d, c = 4, 3, 2
-        src = CoefficientSource("lmgc_eq14", k, d, c, seed=11)
         rng = np.random.default_rng(12)
-        for _ in range(30):
-            inst = sample_instance(rng, d)
-            xi = np.array(inst.center, dtype=float) * LATTICE_SCALE
-            for element in inst.elements:
-                xj = np.array(element, dtype=float) * LATTICE_SCALE
-                zi = np.concatenate([xi @ src.w[m] for m in range(k)])
-                zj = np.concatenate([xj @ src.w[m] for m in range(k)])
-                feat = np.concatenate([zi, zj])
-                feat = np.where(feat >= 0, feat, 0.2 * feat)
-                for head in range(k):
-                    expected = np.tanh(src.gate[head] @ feat)
-                    assert abs(src.alpha(head, inst.center, element) - expected) <= 1e-15
+        centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (40, d))
+        elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (40, d))
+        xi, xj = centers * LATTICE_SCALE, elements * LATTICE_SCALE
+        eq14 = CoefficientSource("lmgc_eq14", k, d, c, seed=11)
+        w = np.concatenate(eq14.w, axis=1)
+        expected = eq14_coefficients(Var(xi @ w), Var(xj @ w), Var(eq14.gate.T)).value
+        np.testing.assert_array_equal(eq14.alphas(centers, elements), expected)
+        fagcn = CoefficientSource("fagcn_tanh", k, d, c, seed=11)
+        ones = Var(np.ones((40, 1)))
+        for head, v in enumerate(fagcn.gate):
+            expected = fagcn_coefficients(Var(xi), Var(xj), Var(v), ones).value[:, 0]
+            np.testing.assert_array_equal(fagcn.alphas(centers, elements)[:, head], expected)
+
+    def test_random_iid_array_keys_equal_scalar_chain(self):
+        rng = np.random.default_rng(13)
+        lattice = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (2, 60, 4))
+        centers = np.vstack([[[1, 2, 3, 4]] * 2, lattice[0]])
+        elements = np.vstack([[[-1, 3, 0, 0], [-2, 3, 0, 0]], lattice[1]])  # hash(-1) == hash(-2)
+        keys = _iid_keys(7, 3, centers, elements)
+        assert keys.dtype == np.uint64 and keys.shape == (3, 62)
+        for head in range(3):
+            for e, (center, element) in enumerate(zip(centers.tolist(), elements.tolist())):
+                scalar = derive_seed(7, head, *center, _FEATURE_SEPARATOR, *element)
+                assert int(keys[head, e]) == scalar
+
+    def test_random_iid_draws_match_scalar_box_muller(self):
+        # np.log may differ from math.log by 1 ulp; the square root and the
+        # product carry that to at most 2 ulps of the draw
+        rng = np.random.default_rng(14)
+        centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (2000, 3))
+        elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (2000, 3))
+        got = CoefficientSource("random_iid", 2, 3, 3, seed=15).alphas(centers, elements)
+        for head in range(2):
+            for e, (center, element) in enumerate(zip(centers.tolist(), elements.tolist())):
+                a = splitmix64(derive_seed(15, head, *center, _FEATURE_SEPARATOR, *element))
+                b = splitmix64(a)
+                u1, u2 = ((a >> 11) + 1) * 2.0**-53, (b >> 11) * 2.0**-53
+                ref = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+                assert abs(got[e, head] - ref) <= 2 * np.spacing(abs(ref))
+
+
+def loop_aggregate(inst, src, weights):
+    """The per-element reference: each head sums alpha * x_j in order, then applies W^(k)."""
+    out = np.zeros(weights.shape[2])
+    for k, wk in enumerate(weights):
+        s = np.zeros(weights.shape[1])
+        for element in inst.elements:
+            s += src.alpha(k, inst.center, element) * np.array(element, dtype=float) * LATTICE_SCALE
+        out += s @ wk
+    return out
 
 
 class TestAggregate:
+    @pytest.mark.parametrize("k", [1, 4])
+    @pytest.mark.parametrize("kind", COEFFICIENT_SOURCES)
+    def test_batched_outputs_match_per_element_loop(self, kind, k):
+        # one einsum sums the heads in another order than the loop, so outputs
+        # move at ulp level (here 1.2e-14 absolute, 3.4e-15 relative); the tanh
+        # gates' products also round with an instance's place in the batch,
+        # which moved outputs by up to 1.8e-14 over 600 instances
+        src = CoefficientSource(kind, k, 4, 4, seed=21)
+        weights = np.random.default_rng(22).standard_normal((k, 4, 4))
+        rng = np.random.default_rng(23)
+        instances = [sample_instance(rng, 4) for _ in range(80)]
+        ref = np.array([loop_aggregate(inst, src, weights) for inst in instances])
+        one_by_one = [aggregate(inst, src, weights) for inst in instances]
+        for got in (_outputs(instances, src, weights), np.array(one_by_one)):
+            gap = np.linalg.norm(got - ref, axis=1)
+            assert np.all(gap <= 1e-13 * np.linalg.norm(ref, axis=1))
+
     def test_hand_computed_single_head(self):
         src = CoefficientSource("random_iid", 1, 2, 2, seed=9)
         weights = np.random.default_rng(5).standard_normal((1, 2, 2))
@@ -148,6 +212,17 @@ class TestInjectivity:
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="at least one computational graph"):
             injectivity_trial(1, k=0, d=2, c=2, seed=0)
+
+
+@pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
+@pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
+def test_chunk_boundaries_keep_the_trial(monkeypatch, trial, source):
+    # chunks of 7 split 50 pairs 7 * 7 + 1; only the tanh sources' rounding may move
+    whole = trial(50, 2, 4, 4, 31, source)
+    monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", 7)
+    split = trial(50, 2, 4, 4, 31, source)
+    assert split.violations == whole.violations
+    assert abs(split.min_separation - whole.min_separation) <= 1e-13 * whole.min_separation
 
 
 class TestIntegerScaling:
