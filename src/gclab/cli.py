@@ -27,7 +27,7 @@ from .convolution import (
 from .graph import generate_erdos_renyi, laplacian, load_edge_list
 from .lmgc import Variant
 from .seeding import derive_seed
-from .spectral import eigendecompose_symmetric
+from .spectral import eigendecompose_symmetric, symmetric_spectrum
 from .svgplot import line_plot_svg
 from .train import (
     DEFAULT_LR_GRID,
@@ -134,10 +134,10 @@ def cmd_spectra(args) -> int:
     else:
         n, p = int(args.er[0]), float(args.er[1])
         g = generate_erdos_renyi(n, p, derive_seed(args.seed, 0))
-    basis = eigendecompose_symmetric(laplacian(g))
-    lam = basis.eigenvalues
-    mu = basis.adjacency_eigenvalues()
-    n = basis.n
+    spectrum = symmetric_spectrum(laplacian(g))
+    lam = spectrum.eigenvalues
+    mu = spectrum.adjacency_eigenvalues()
+    n = spectrum.n
 
     _write_csv(
         out / "spectrum.csv",
@@ -178,7 +178,7 @@ def cmd_spectra(args) -> int:
     rep_labels = []
     for depth in (2, 4, 16):
         w = rng.standard_normal(depth)
-        rep_series.append(sca_repeated_gcn(w, basis).response)
+        rep_series.append(sca_repeated_gcn(w, spectrum).response)
         rep_labels.append(f"k={depth}")
     dump("repeated_gcn", "Repeated first-order filters", rep_series, rep_labels)
     return EXIT_OK

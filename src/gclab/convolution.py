@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralBasis, graph_fourier, inverse_fourier
+from .spectral import SpectralBasis, Spectrum, graph_fourier, inverse_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
 
@@ -273,11 +273,14 @@ def filter_response(stack: WeightStack, basis: SpectralBasis, in_channel: int, o
     )
 
 
-def sca_repeated_gcn(weights, basis: SpectralBasis) -> SpectralResponse:
-    """Composed response of k first-order filters: prod_i (w_i mu_j) per component."""
+def sca_repeated_gcn(weights, spectrum: Spectrum) -> SpectralResponse:
+    """Composed response of k first-order filters: prod_i (w_i mu_j) per component.
+
+    Only the eigenvalues are read, so a SpectralBasis or a Spectrum will do.
+    """
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) < 1:
         raise ValueError("need at least one filter weight")
-    mu = basis.adjacency_eigenvalues()
+    mu = spectrum.adjacency_eigenvalues()
     response = np.prod(weights) * mu ** len(weights)
-    return SpectralResponse(basis.eigenvalues.copy(), response)
+    return SpectralResponse(spectrum.eigenvalues.copy(), response)

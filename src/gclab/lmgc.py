@@ -3,16 +3,16 @@
 A layer holds K weight matrices and a scheme that turns node features into
 K coefficients per edge, plus a fixed diagonal weight per head (1 for ACM's
 Laplacian and identity channels); the forward pass is sum_k A~^(k) X W^(k).
-The schemes, edge_messages and the GIN layer are defined once, as autodiff
-expressions over edge arrays: the trainable models in gclab.train call them
-on parameters, lmgc_forward and gin_forward on constants. The dense
+The schemes and the GIN layer are defined once, as autodiff expressions (the
+schemes one fused block each, over node rows and edge arrays): the trainable
+models in gclab.train call them and autodiff.edge_messages on parameters,
+lmgc_forward and gin_forward on constants. The dense
 (K, n, n) matrix form (compute_coefficients, ComputationalGraphSet,
 forward_from_coefficients, pairwise_transform) is kept as the oracle.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -123,9 +123,11 @@ class EdgeIndex:
     """Directed edge arrays of a graph in row (CSR) order, for edge-list schemes.
 
     Edge e runs from neighbor src[e] = j into row dst[e] = i, in the order of
-    Graph.directed_edges, so offsets[i]:offsets[i + 1] is row i's block.
+    Graph.directed_edges, so offsets[i]:offsets[i + 1] is row i's block, and
+    edge reverse[e] runs the other way, from i into j.
     inv_sqrt_deg_pair is the (E, 1) column 1/sqrt(deg_i * deg_j). A graph
-    with a degree-zero node is rejected, as by normalized_adjacency.
+    with a degree-zero node is rejected, as by normalized_adjacency. All
+    arrays are read-only; EdgeIndex.of(g) builds them once per graph.
     """
 
     def __init__(self, g: Graph):
@@ -134,59 +136,47 @@ class EdgeIndex:
         counts = np.bincount(self.dst, minlength=g.n)
         self.offsets = np.concatenate([[0], np.cumsum(counts)]).astype(np.intp)
         self.inv_sqrt_deg_pair = (inv_sqrt[self.dst] * inv_sqrt[self.src])[:, None]
+        self.reverse = np.lexsort((self.dst, self.src))  # edge reverse[e] is src[e] <- dst[e]
+        for a in (self.offsets, self.inv_sqrt_deg_pair, self.reverse):
+            a.setflags(write=False)
         self.n = g.n
-        # head_rows(H): dst repeated H times, the row of each of edge_messages' E*H messages
-        self.head_rows = functools.cache(functools.partial(np.repeat, self.dst))
+
+    @classmethod
+    def of(cls, g: Graph) -> "EdgeIndex":
+        """g's EdgeIndex, cached with the graph like Graph.directed_edges."""
+        if "edge_index" not in g._cache:
+            g._cache["edge_index"] = cls(g)
+        return g._cache["edge_index"]
 
 
-def gatv2_coefficients(hi, hj, v, offsets, slope=LEAKY_RELU_SLOPE):
-    """GATv2 attention: per head k, softmax over row i's edges of v_k . leaky(h_i + h_j).
+def gatv2_coefficients(z, v, edges: EdgeIndex, slope=LEAKY_RELU_SLOPE):
+    """GATv2 attention: per head k, softmax over row i's edges of v_k . leaky(z_i + z_j).
 
-    hi and hj are the (E, H*c) projections x W gathered at the two ends of
-    each edge, head k in columns k*c:(k+1)*c; v is (H, c, 1), head k's score
-    vector in v[k, :, 0]. Returns the (E, H) coefficients.
+    z is the (n, H*c) projection x W, head k in columns k*c:(k+1)*c; v is
+    (H, c, 1), head k's score vector in v[k, :, 0]. Returns the (E, H)
+    coefficients, one autodiff.gatv2_attention node.
     """
-    edges, heads = hj.shape[0], v.shape[0]
-    hidden = ad.leaky_relu(ad.add(hi, hj), slope)
-    scores = ad.matmul(ad.reshape(hidden, (edges, heads, 1, -1)), v)
-    return ad.segment_softmax(ad.reshape(scores, (edges, heads)), offsets)
+    return ad.gatv2_attention(z, v, edges.dst, edges.src, edges.offsets, edges.reverse, slope)
 
 
-def fagcn_coefficients(xi, xj, v, norm):
-    """FAGCN gating: tanh(v . [x_i, x_j]) / sqrt(deg_i * deg_j).
+def fagcn_coefficients(x, v, dst, src, norm=None):
+    """FAGCN gating: tanh(v . [x_i, x_j]) / sqrt(deg_i * deg_j) on the edges dst[e] <- src[e].
 
-    xi and xj are the (E, d) features gathered at the two ends of each edge,
-    v is (2d,) and norm is EdgeIndex.inv_sqrt_deg_pair. Returns (E, 1).
+    x is the (n, d) node features and v is (2d,), or (2d, K) for K gates;
+    norm is EdgeIndex.inv_sqrt_deg_pair, or None for the bare gate. Returns
+    (E, 1), or (E, K); one autodiff.tanh_gate node.
     """
-    gate = ad.tanh(ad.matmul(ad.concat([xi, xj], axis=1), v))
-    return ad.mul(ad.reshape(gate, (-1, 1)), norm)
+    return ad.tanh_gate(x, v, dst, src, norm)
 
 
-def eq14_coefficients(zi, zj, v, slope=LEAKY_RELU_SLOPE):
-    """Eq. 14 gate: per head k, tanh(v_k . leaky([z_i, z_j])).
+def eq14_coefficients(z, v, dst, src, slope=LEAKY_RELU_SLOPE):
+    """Eq. 14 gate: per head k, tanh(v_k . leaky([z_i, z_j])) on the edges dst[e] <- src[e].
 
-    zi and zj are the (E, H*c) head projections x W gathered at the two ends
-    of each edge; v is (2*H*c, H), head k's gating vector in column k.
-    Returns the (E, H) coefficients.
+    z is the (n, H*c) head projections x W; v is (2*H*c, H), head k's gating
+    vector in column k. leaky acts on each half, so it runs on the n node
+    rows before the gate. Returns the (E, H) coefficients.
     """
-    hidden = ad.leaky_relu(ad.concat([zi, zj], axis=1), slope)
-    return ad.tanh(ad.matmul(hidden, v))
-
-
-def edge_messages(alpha, hj, edges: EdgeIndex):
-    """Sum alpha[e, k] * hj[e, k*c:(k+1)*c] over edges e and heads k into row dst[e].
-
-    alpha is (E, H) and hj the (E, H*c) head projections gathered at the
-    source of each edge; the E*H messages are summed by one scatter.
-    """
-    n_edges, heads = alpha.shape
-    if heads == 1:
-        msg = ad.mul(alpha, hj)
-    else:
-        c = hj.shape[1] // heads
-        msg = ad.mul(ad.reshape(alpha, (n_edges, heads, 1)), ad.reshape(hj, (n_edges, heads, c)))
-        msg = ad.reshape(msg, (n_edges * heads, c))
-    return ad.scatter_sum(msg, edges.head_rows(heads), edges.n)
+    return ad.tanh_gate(ad.leaky_relu(z, slope), v, dst, src)
 
 
 def _check_features(x, g: Graph):
@@ -196,33 +186,30 @@ def _check_features(x, g: Graph):
     return x
 
 
-def edge_coefficients(scheme: CoefficientScheme, x: np.ndarray, edges: EdgeIndex, weights):
+def edge_coefficients(scheme: CoefficientScheme, x: np.ndarray, z: np.ndarray, edges: EdgeIndex):
     """The scheme's coefficients: alpha (E, K) on the edges dst[e] <- src[e], and diag (K,).
 
+    z is the (n, K*c) head projections x W, head k in columns k*c:(k+1)*c.
     diag[k] is head k's weight on a node's own features: 1 for ACM's Laplacian
     and identity channels, 0 elsewhere.
     """
     rows, cols, k = edges.dst, edges.src, scheme.k
     diag = np.zeros(k)
-    if scheme.variant in (Variant.GATV2_SOFTMAX, Variant.LMGC_EQ14):
-        z = x @ np.concatenate(weights, axis=1)  # (n, K*c)
-        zi, zj = ad.Var(z[rows]), ad.Var(z[cols])
-
     if scheme.variant is Variant.GCN_NORM:
         alpha = edges.inv_sqrt_deg_pair
     elif scheme.variant is Variant.GATV2_SOFTMAX:
         v = ad.Var(np.stack(scheme.vectors)[:, :, None])
-        alpha = gatv2_coefficients(zi, zj, v, edges.offsets, scheme.leaky_slope).value
+        alpha = gatv2_coefficients(ad.Var(z), v, edges, scheme.leaky_slope).value
     elif scheme.variant is Variant.FAGCN_TANH:
-        v, norm = ad.Var(scheme.vectors[0]), ad.Var(edges.inv_sqrt_deg_pair)
-        alpha = fagcn_coefficients(ad.Var(x[rows]), ad.Var(x[cols]), v, norm).value
+        v = ad.Var(scheme.vectors[0])
+        alpha = fagcn_coefficients(ad.Var(x), v, rows, cols, edges.inv_sqrt_deg_pair).value
     elif scheme.variant is Variant.ACM_FIXED:
         # normalized adjacency, Laplacian I - A~ and identity
         alpha = edges.inv_sqrt_deg_pair * np.array([1.0, -1.0, 0.0][:k])
         diag = np.array([0.0, 1.0, 1.0][:k])
     elif scheme.variant is Variant.LMGC_EQ14:
         v = ad.Var(np.stack(scheme.vectors, axis=1))
-        alpha = eq14_coefficients(zi, zj, v, scheme.leaky_slope).value
+        alpha = eq14_coefficients(ad.Var(z), v, rows, cols, scheme.leaky_slope).value
     elif scheme.variant is Variant.RANDOM_IID:
         alpha = np.random.default_rng(scheme.seed).standard_normal((k, len(rows))).T
     else:  # pragma: no cover
@@ -235,8 +222,8 @@ def compute_coefficients(
 ) -> ComputationalGraphSet:
     """The scheme's coefficient matrices: edge_coefficients scattered into (K, n, n)."""
     x = _check_features(x, g)
-    edges = EdgeIndex(g)
-    alpha, diag = edge_coefficients(scheme, x, edges, weights)
+    edges = EdgeIndex.of(g)
+    alpha, diag = edge_coefficients(scheme, x, x @ np.concatenate(weights, axis=1), edges)
     mats = np.zeros((scheme.k, g.n, g.n))
     mats[:, edges.dst, edges.src] = alpha.T
     mats[:, np.arange(g.n), np.arange(g.n)] = diag[:, None]
@@ -248,10 +235,10 @@ def lmgc_forward(layer: LmgcLayer, x: np.ndarray, g: Graph) -> np.ndarray:
     x = _check_features(x, g)
     if x.shape[1] != layer.d:
         raise ValueError(f"features have {x.shape[1]} channels, layer expects {layer.d}")
-    edges = EdgeIndex(g)
-    alpha, diag = edge_coefficients(layer.scheme, x, edges, layer.weights)
+    edges = EdgeIndex.of(g)
     z = x @ np.concatenate(layer.weights, axis=1)  # (n, K*c)
-    out = edge_messages(ad.Var(alpha), ad.Var(z[edges.src]), edges).value
+    alpha, diag = edge_coefficients(layer.scheme, x, z, edges)
+    out = ad.edge_messages(ad.Var(alpha), ad.Var(z), edges.dst, edges.src).value
     return out + np.einsum("k,nkc->nc", diag, z.reshape(g.n, layer.k, layer.c))
 
 

@@ -15,7 +15,22 @@ SYMMETRY_TOL = 1e-10
 
 
 @dataclass(frozen=True)
-class SpectralBasis:
+class Spectrum:
+    """Eigenvalues (ascending) of a symmetric matrix, without eigenvectors."""
+
+    eigenvalues: np.ndarray
+
+    @property
+    def n(self) -> int:
+        return len(self.eigenvalues)
+
+    def adjacency_eigenvalues(self) -> np.ndarray:
+        """Spectrum of A_sym when these are the eigenvalues of L_sym: mu = 1 - lambda."""
+        return 1.0 - self.eigenvalues
+
+
+@dataclass(frozen=True)
+class SpectralBasis(Spectrum):
     """Eigenvalues (ascending) and orthonormal eigenvectors, column k per pair.
 
     The sign of each eigenvector is fixed so that its first component with
@@ -23,12 +38,7 @@ class SpectralBasis:
     for simple spectra.
     """
 
-    eigenvalues: np.ndarray
     eigenvectors: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return len(self.eigenvalues)
 
     @property
     def basis_id(self) -> str:
@@ -37,9 +47,25 @@ class SpectralBasis:
         h.update(self.eigenvectors.tobytes())
         return h.hexdigest()[:16]
 
-    def adjacency_eigenvalues(self) -> np.ndarray:
-        """Spectrum of A_sym when this basis diagonalizes L_sym: mu = 1 - lambda."""
-        return 1.0 - self.eigenvalues
+
+def _symmetrized(m) -> np.ndarray:
+    """0.5 (m + m^T) of a finite square matrix that is symmetric within SYMMETRY_TOL."""
+    m = np.asarray(m, dtype=float)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError("input must be a square matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError("input matrix has non-finite entries")
+    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
+        raise ValueError("input matrix is not symmetric within 1e-10")
+    return 0.5 * (m + m.T)
+
+
+def symmetric_spectrum(m: np.ndarray) -> Spectrum:
+    """Eigenvalues only, ascending, via LAPACK (numpy.linalg.eigvalsh).
+
+    The input checks and symmetrization are eigendecompose_symmetric's.
+    """
+    return Spectrum(np.linalg.eigvalsh(_symmetrized(m)))
 
 
 def eigendecompose_symmetric(m: np.ndarray) -> SpectralBasis:
@@ -49,15 +75,7 @@ def eigendecompose_symmetric(m: np.ndarray) -> SpectralBasis:
     stable ascending order and each eigenvector's first entry with absolute
     value above 1e-10 is made positive.
     """
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("input must be a square matrix")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("input matrix has non-finite entries")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-        raise ValueError("input matrix is not symmetric within 1e-10")
-
-    eigenvalues, vectors = np.linalg.eigh(0.5 * (m + m.T))
+    eigenvalues, vectors = np.linalg.eigh(_symmetrized(m))
     order = np.argsort(eigenvalues, kind="stable")
     eigenvalues = eigenvalues[order]
     vectors = vectors[:, order]

@@ -2,8 +2,9 @@
 
 Each method is a thin wrapper around the autodiff primitives exposing a
 parameter list and a forward pass X -> (n, c); gatv2, fagcn, lmgc and gin
-run gclab.lmgc's definitions (scheme functions, edge_messages, gin_layer)
-on their parameters, as lmgc_forward and gin_forward do on constants.
+run gclab.lmgc's definitions (scheme functions, gin_layer) and
+autodiff.edge_messages on their parameters, as lmgc_forward and gin_forward
+do on constants.
 The experiment fixes a connected random graph and Gaussian (X, Y), then
 minimizes the MSE of one message-passing layer with Adam and reports the
 minimum loss seen.
@@ -18,8 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
-from .lmgc import EdgeIndex, edge_messages, eq14_coefficients, fagcn_coefficients
-from .lmgc import gatv2_coefficients, gin_aggregation, gin_layer
+from .lmgc import EdgeIndex, eq14_coefficients, fagcn_coefficients, gatv2_coefficients
+from .lmgc import gin_aggregation, gin_layer
 from .seeding import derive_seed
 
 METHODS = ("gatv2", "fagcn", "acm", "gin", "lmgc")
@@ -98,9 +99,7 @@ class Gatv2Model(Model):
     def forward(self, x):
         e = self.edges
         z = ad.matmul(x, self.w)
-        hj = ad.gather_rows(z, e.src)
-        alpha = gatv2_coefficients(ad.gather_rows(z, e.dst), hj, self.v, e.offsets)
-        return edge_messages(alpha, hj, e)
+        return ad.edge_messages(gatv2_coefficients(z, self.v, e), z, e.dst, e.src)
 
 
 class FagcnModel(Model):
@@ -108,48 +107,40 @@ class FagcnModel(Model):
         self.edges = edges
         self.w = ad.Var(_uniform_init(rng, (d, c)))
         self.v = ad.Var(_uniform_init(rng, (2 * d,)))
-        self.norm = ad.Var(edges.inv_sqrt_deg_pair)
         self.params = [self.w, self.v]
 
     def forward(self, x):
         e = self.edges
-        xi = ad.gather_rows(x, e.dst)
-        alpha = fagcn_coefficients(xi, ad.gather_rows(x, e.src), self.v, self.norm)
-        return edge_messages(alpha, ad.gather_rows(ad.matmul(x, self.w), e.src), e)
+        alpha = fagcn_coefficients(x, self.v, e.dst, e.src, e.inv_sqrt_deg_pair)
+        return ad.edge_messages(alpha, ad.matmul(x, self.w), e.dst, e.src)
 
 
 class AcmModel(Model):
     """Adaptive channel mixing: low-pass and high-pass filterbanks with ReLU
-    channel filters and a learned per-node softmax mix over the channels."""
+    channel filters and a learned per-node softmax mix over the channels.
+
+    The C channels are stacked: one (C, n, n) operator, W (C, d, c) and
+    V (C, c, 1), channel k's score vector in V[k].
+    """
 
     def __init__(self, g: Graph, d, c, rng, include_identity=False):
         mats = [normalized_adjacency(g), laplacian(g)]
         if include_identity:
             mats.append(np.eye(g.n))
-        self.graphs = [ad.Var(m) for m in mats]
+        self.graphs = ad.Var(np.stack(mats))
         count = len(mats)
-        self.w = [ad.Var(_uniform_init(rng, (d, c))) for _ in range(count)]
-        self.v = [ad.Var(_uniform_init(rng, (c, 1))) for _ in range(count)]
-        self.params = self.w + self.v
-        n = g.n
-        self.offsets = np.arange(n + 1, dtype=np.intp) * count
-        self.selectors = [
-            ad.Var(np.eye(count)[:, k : k + 1]) for k in range(count)
-        ]
+        w = [_uniform_init(rng, (d, c)) for _ in range(count)]
+        v = [_uniform_init(rng, (c, 1)) for _ in range(count)]
+        self.w, self.v = ad.Var(np.stack(w)), ad.Var(np.stack(v))
+        self.params = [self.w, self.v]
+        self.channels = np.array([0, count])  # one softmax segment: all channels of a node
 
     def forward(self, x):
-        channels = [
-            ad.relu(ad.matmul(g_mat, ad.matmul(x, w)))
-            for g_mat, w in zip(self.graphs, self.w)
-        ]
-        scores = ad.concat([ad.matmul(h, v) for h, v in zip(channels, self.v)], axis=1)
-        flat = ad.reshape(scores, (-1,))
-        alpha = ad.reshape(ad.segment_softmax(flat, self.offsets), (-1, len(channels)))
-        out = None
-        for h, sel in zip(channels, self.selectors):
-            contrib = ad.mul(ad.matmul(alpha, sel), h)
-            out = contrib if out is None else ad.add(out, contrib)
-        return out
+        h = ad.relu(ad.matmul(self.graphs, ad.matmul(x, self.w)))  # (C, n, c)
+        alpha = ad.segment_softmax(ad.matmul(h, self.v), self.channels)  # (C, n, 1)
+        count, n, c = h.shape
+        mixed = ad.scatter_sum(ad.mul(alpha, h), np.zeros(count, dtype=np.intp), 1)
+        return ad.reshape(mixed, (n, c))
 
 
 class GinModel(Model):
@@ -181,14 +172,12 @@ class LmgcModel(Model):
     def forward(self, x):
         e = self.edges
         z = ad.matmul(x, self.w)
-        zj = ad.gather_rows(z, e.src)
-        alpha = eq14_coefficients(ad.gather_rows(z, e.dst), zj, self.v)
-        return edge_messages(alpha, zj, e)
+        return ad.edge_messages(eq14_coefficients(z, self.v, e.dst, e.src), z, e.dst, e.src)
 
 
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:
     method = method.lower()
-    edges = EdgeIndex(g)
+    edges = EdgeIndex.of(g)
     if method == "gatv2":
         return Gatv2Model(edges, d, c, heads, rng)
     if method == "fagcn":

@@ -113,13 +113,15 @@ class CoefficientSource:
             u1 = ((a >> 11) + 1) * _UNIT  # (0, 1], keeps the log finite
             u2 = (b >> 11) * _UNIT
             return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).T
-        xi, xj = centers * LATTICE_SCALE, elements * LATTICE_SCALE
+        # pair e is an edge from "node" E + e, its element, into node e, its center
+        rows = np.concatenate([centers, elements]) * LATTICE_SCALE
+        dst = np.arange(len(centers))
+        src = dst + len(centers)
+        gate = ad.Var(self.gate.T)  # head k's gating vector in column k
         if self.kind == "fagcn_tanh":
-            ones = ad.Var(np.ones((len(xi), 1)))
-            heads = [fagcn_coefficients(ad.Var(xi), ad.Var(xj), ad.Var(v), ones) for v in self.gate]
-            return np.concatenate([h.value for h in heads], axis=1)
+            return fagcn_coefficients(ad.Var(rows), gate, dst, src).value
         w = np.concatenate(self.w, axis=1)  # (d, K*c), head k in columns k*c:(k+1)*c
-        return eq14_coefficients(ad.Var(xi @ w), ad.Var(xj @ w), ad.Var(self.gate.T)).value
+        return eq14_coefficients(ad.Var(rows @ w), gate, dst, src).value
 
     def alpha(self, head: int, center: tuple, element: tuple) -> float:
         return float(self.alphas([center], [element])[0, head])

@@ -5,6 +5,7 @@ stdout doubles as a checklist. Budgets (trial counts, tolerances, wall-time
 limits) are stated inline next to each criterion.
 """
 
+import inspect
 import multiprocessing
 import os
 import time
@@ -28,7 +29,7 @@ from gclab.convolution import (
     weight_stack_from_filter,
 )
 from gclab.graph import generate_erdos_renyi, laplacian, normalized_adjacency
-from gclab.lmgc import Variant
+from gclab.lmgc import EdgeIndex, Variant
 from gclab.seeding import derive_seed
 from gclab.spectral import eigendecompose_symmetric, graph_fourier
 from gclab.train import (
@@ -278,11 +279,28 @@ def _max_rel_gap(build, arrays):
     return worst
 
 
-def test_criterion_8_gradient_checks():
-    """Every differentiation primitive passes a central-difference check at
-    1e-4, and the full forward pass of every method passes at 1e-3 on a
-    configuration with at most 200 parameters."""
-    rng = np.random.default_rng(derive_seed(MASTER_SEED, 8))
+# autodiff functions that walk or reset the tape rather than add a node to it
+TAPE_FUNCTIONS = ("backward", "zero_grads")
+
+
+def autodiff_primitives() -> set:
+    """Public functions defined in gclab.autodiff that add a node to the tape."""
+    return {
+        name
+        for name, obj in vars(ad).items()
+        if inspect.isfunction(obj)
+        and obj.__module__ == ad.__name__
+        and not name.startswith("_")
+        and name not in TAPE_FUNCTIONS
+    }
+
+
+def primitive_cases(rng):
+    """(name, build, arrays): one central-difference case per autodiff primitive.
+
+    The generic primitives draw from rng; the fused message blocks draw from
+    their own stream, on a small graph, so rng's later draws do not move.
+    """
     t34 = rng.standard_normal((3, 4))
     offsets = np.array([0, 3, 5, 7])
     cases = [
@@ -313,6 +331,38 @@ def test_criterion_8_gradient_checks():
          [rng.standard_normal(7)]),
         ("mse", lambda a: ad.mse(a, t34), [rng.standard_normal((3, 4))]),
     ]
+    fused = np.random.default_rng(derive_seed(MASTER_SEED, 8, 3))
+    e = EdgeIndex.of(generate_erdos_renyi(5, 0.6, seed=derive_seed(MASTER_SEED, 8, 4)))
+    t_nodes, t_edges = fused.standard_normal((5, 2)), fused.standard_normal((len(e.dst), 2))
+    return cases + [
+        ("edge_messages",
+         lambda a, z: ad.mse(ad.edge_messages(a, z, e.dst, e.src), t_nodes),
+         [fused.standard_normal((len(e.dst), 2)), fused.standard_normal((5, 4))]),
+        ("tanh_gate",
+         lambda h, v: ad.mse(ad.tanh_gate(h, v, e.dst, e.src, e.inv_sqrt_deg_pair), t_edges),
+         [fused.standard_normal((5, 3)), fused.standard_normal((6, 2))]),
+        ("gatv2_attention",
+         lambda z, v: ad.mse(ad.gatv2_attention(z, v, e.dst, e.src, e.offsets, e.reverse, 0.2), t_edges),
+         [fused.standard_normal((5, 4)), fused.standard_normal((2, 2, 1))]),
+    ]
+
+
+def test_criterion_8_lists_every_primitive():
+    """Every public autodiff primitive has a case in criterion 8, so none skips
+    the central-difference check; leaving any one out is caught."""
+    names = [name for name, _, _ in primitive_cases(np.random.default_rng(0))]
+    assert len(names) == len(set(names))
+    assert autodiff_primitives() - set(names) == set()
+    for left_out in names:
+        assert autodiff_primitives() - (set(names) - {left_out}) == {left_out}
+
+
+def test_criterion_8_gradient_checks():
+    """Every differentiation primitive passes a central-difference check at
+    1e-4, and the full forward pass of every method passes at 1e-3 on a
+    configuration with at most 200 parameters."""
+    rng = np.random.default_rng(derive_seed(MASTER_SEED, 8))
+    cases = primitive_cases(rng)
     ok = True
     details = []
     for name, build, arrays in cases:

@@ -1,9 +1,13 @@
-"""Finite-difference validation of every autodiff primitive."""
+"""Finite-difference validation of every autodiff primitive, and of the fused
+message blocks against the generic primitives they replace."""
 
 import numpy as np
 import pytest
 
 from gclab import autodiff as ad
+from gclab.graph import Graph
+from gclab.lmgc import EdgeIndex
+from gclab.train import ExperimentConfig, experiment_data
 
 FD_EPS = 1e-5
 FD_RTOL = 1e-4
@@ -146,6 +150,36 @@ class TestPrimitiveGradients:
         check_grads(lambda x: ad.mse(x, t), [a])
 
 
+SMALL = EdgeIndex(Graph.from_edges(5, [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (1, 4)]))
+
+
+class TestFusedPrimitiveGradients:
+    E = len(SMALL.dst)
+
+    @pytest.mark.parametrize("heads", [1, 3])
+    def test_edge_messages(self, heads):
+        alpha, z = RNG.standard_normal((self.E, heads)), RNG.standard_normal((5, 2 * heads))
+        t = RNG.standard_normal((5, 2))
+        e = SMALL
+        check_grads(lambda a, h: ad.mse(ad.edge_messages(a, h, e.dst, e.src), t), [alpha, z])
+
+    @pytest.mark.parametrize("v_shape", [(6,), (6, 2)])
+    def test_tanh_gate_with_scale(self, v_shape):
+        h, v = RNG.standard_normal((5, 3)), RNG.standard_normal(v_shape)
+        t = RNG.standard_normal((self.E, 1 if len(v_shape) == 1 else 2))
+        e = SMALL
+        check_grads(lambda a, b: ad.mse(ad.tanh_gate(a, b, e.dst, e.src, e.inv_sqrt_deg_pair), t), [h, v])
+
+    def test_gatv2_attention(self):
+        z, v = RNG.standard_normal((5, 6)), RNG.standard_normal((2, 3, 1))
+        t = RNG.standard_normal((self.E, 2))
+        e = SMALL
+        check_grads(
+            lambda a, b: ad.mse(ad.gatv2_attention(a, b, e.dst, e.src, e.offsets, e.reverse, 0.2), t),
+            [z, v],
+        )
+
+
 def add_at_reference(values, index, size):
     acc = np.zeros((size,) + values.shape[1:])
     np.add.at(acc, index, values)
@@ -260,3 +294,144 @@ class TestBackwardMechanics:
         loss = ad.mse(node, np.array(0.0))
         ad.backward(loss)
         assert np.isclose(x.grad, 2.0 * 1.0)
+
+
+# ---------------------------------------------------------------- fused blocks
+
+
+def composed_edge_messages(alpha, z, e):
+    """edge_messages from mul, reshape and scatter_sum: E*H messages summed by one scatter."""
+    n_edges, heads = alpha.shape
+    zj = ad.gather_rows(z, e.src)
+    if heads == 1:
+        return ad.scatter_sum(ad.mul(alpha, zj), e.dst, e.n)
+    c = zj.shape[1] // heads
+    msg = ad.mul(ad.reshape(alpha, (n_edges, heads, 1)), ad.reshape(zj, (n_edges, heads, c)))
+    return ad.scatter_sum(ad.reshape(msg, (n_edges * heads, c)), np.repeat(e.dst, heads), e.n)
+
+
+def composed_tanh_gate(h, v, dst, src, scale=None):
+    """tanh(concat(h[dst], h[src]) @ v) over the (E, 2m) gathered rows."""
+    gate = ad.tanh(ad.matmul(ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src)], axis=1), v))
+    if v.value.ndim == 1:
+        gate = ad.reshape(gate, (-1, 1))
+    return gate if scale is None else ad.mul(gate, ad.Var(scale))
+
+
+def composed_gatv2_attention(z, v, e, slope):
+    """add, leaky_relu, an (E, H, 1, c) @ (H, c, 1) matmul and segment_softmax."""
+    n_edges, heads = len(e.dst), v.shape[0]
+    hidden = ad.leaky_relu(ad.add(ad.gather_rows(z, e.dst), ad.gather_rows(z, e.src)), slope)
+    scores = ad.matmul(ad.reshape(hidden, (n_edges, heads, 1, -1)), v)
+    return ad.segment_softmax(ad.reshape(scores, (n_edges, heads)), e.offsets)
+
+
+INSTANCES = {
+    "reference": ExperimentConfig(),
+    "fit-wide": ExperimentConfig(n=128, d=32, c=32, p=0.05),
+}
+
+
+def instance(name):
+    cfg = INSTANCES[name]
+    g, x, y = experiment_data(cfg)
+    return EdgeIndex.of(g), x, y, cfg.c
+
+
+def rel_gap(got, ref):
+    return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
+
+
+def assert_same_value_and_grads(fused, composed, arrays, target, rtol=1e-12):
+    """fused(*vars) and composed(*vars) agree in value and in every input's gradient."""
+    outs, grads = [], []
+    for build in (fused, composed):
+        variables = [ad.Var(a) for a in arrays]
+        out = build(*variables)
+        ad.backward(ad.mse(out, target))
+        outs.append(out.value)
+        grads.append([var.grad for var in variables])
+    assert outs[0].shape == outs[1].shape
+    assert rel_gap(outs[0], outs[1]) <= rtol
+    for idx, (got, ref) in enumerate(zip(*grads)):
+        assert got.shape == ref.shape, f"input {idx}"
+        assert rel_gap(got, ref) <= rtol, f"input {idx}"
+
+
+@pytest.mark.parametrize("heads", [1, 4])
+@pytest.mark.parametrize("name", list(INSTANCES))
+class TestFusedMatchesComposed:
+    """Each fused block equals the generic primitives it replaces to 1e-12 relative."""
+
+    def test_edge_messages(self, name, heads):
+        e, x, y, c = instance(name)
+        rng = np.random.default_rng(heads)
+        alpha, z = rng.standard_normal((len(e.dst), heads)), rng.standard_normal((e.n, heads * c))
+        assert_same_value_and_grads(
+            lambda a, h: ad.edge_messages(a, h, e.dst, e.src),
+            lambda a, h: composed_edge_messages(a, h, e),
+            [alpha, z],
+            y,
+        )
+
+    def test_eq14_gate(self, name, heads):
+        e, x, y, c = instance(name)
+        rng = np.random.default_rng(10 + heads)
+        z = rng.standard_normal((e.n, heads * c))
+        v = rng.uniform(-1, 1, (2 * heads * c, heads)) / np.sqrt(2 * heads * c)
+        target = rng.standard_normal((len(e.dst), heads))
+        assert_same_value_and_grads(
+            lambda h, w: ad.tanh_gate(ad.leaky_relu(h, 0.2), w, e.dst, e.src),
+            lambda h, w: composed_tanh_gate(ad.leaky_relu(h, 0.2), w, e.dst, e.src),
+            [z, v],
+            target,
+        )
+
+    def test_fagcn_gate(self, name, heads):
+        e, x, y, c = instance(name)
+        rng = np.random.default_rng(20 + heads)
+        d = x.shape[1]
+        v = rng.uniform(-1, 1, (2 * d,) if heads == 1 else (2 * d, heads)) / np.sqrt(2 * d)
+        target = rng.standard_normal((len(e.dst), heads))
+        norm = e.inv_sqrt_deg_pair
+        assert_same_value_and_grads(
+            lambda h, w: ad.tanh_gate(h, w, e.dst, e.src, norm),
+            lambda h, w: composed_tanh_gate(h, w, e.dst, e.src, norm),
+            [x, v],
+            target,
+        )
+
+    def test_gatv2_attention(self, name, heads):
+        e, x, y, c = instance(name)
+        rng = np.random.default_rng(30 + heads)
+        z = rng.standard_normal((e.n, heads * c))
+        v = rng.uniform(-1, 1, (heads, c, 1)) / np.sqrt(c)
+        target = rng.standard_normal((len(e.dst), heads))
+        assert_same_value_and_grads(
+            lambda h, w: ad.gatv2_attention(h, w, e.dst, e.src, e.offsets, e.reverse, 0.2),
+            lambda h, w: composed_gatv2_attention(h, w, e, 0.2),
+            [z, v],
+            target,
+        )
+
+
+def test_tanh_gate_on_pair_rows():
+    """verify's layout: E pairs as rows e (center) and E + e (element) of one array."""
+    rng = np.random.default_rng(40)
+    rows, v = rng.standard_normal((2 * 50, 4)), rng.standard_normal((8, 3))
+    dst, src = np.arange(50), np.arange(50, 100)
+    assert_same_value_and_grads(
+        lambda h, w: ad.tanh_gate(h, w, dst, src),
+        lambda h, w: composed_tanh_gate(h, w, dst, src),
+        [rows, v],
+        rng.standard_normal((50, 3)),
+    )
+
+
+def test_backward_releases_the_tape():
+    a = ad.Var(RNG.standard_normal((3, 2)))
+    hidden = ad.tanh(a)
+    loss = ad.mse(hidden, np.zeros((3, 2)))
+    ad.backward(loss)
+    assert hidden.grad is not None and a.grad is not None
+    assert loss._parents == () and hidden._backward is None

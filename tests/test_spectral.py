@@ -7,12 +7,15 @@ from hypothesis import strategies as st
 
 from gclab.graph import generate_erdos_renyi, laplacian
 from gclab.train import ExperimentConfig, experiment_data
+from gclab.convolution import sca_repeated_gcn
 from gclab.spectral import (
+    Spectrum,
     eigendecompose_symmetric,
     graph_fourier,
     inverse_fourier,
     min_eigengap,
     rank_one_graph,
+    symmetric_spectrum,
 )
 
 
@@ -110,6 +113,40 @@ class TestEigendecomposition:
         np.testing.assert_allclose(
             u @ np.diag(basis.eigenvalues) @ u.T, m, atol=1e-10
         )
+
+
+class TestSpectrumOnly:
+    """symmetric_spectrum: eigvalsh's eigenvalues with eigendecompose_symmetric's checks."""
+
+    @pytest.mark.parametrize("n, p, seed", [(16, 0.25, 1), (128, 0.05, 2)])
+    def test_eigenvalues_match_full_decomposition(self, n, p, seed):
+        m = laplacian(generate_erdos_renyi(n, p, seed))
+        spectrum = symmetric_spectrum(m)
+        assert type(spectrum) is Spectrum and spectrum.n == n
+        assert np.all(np.diff(spectrum.eigenvalues) >= 0)
+        np.testing.assert_allclose(
+            spectrum.eigenvalues, eigendecompose_symmetric(m).eigenvalues, rtol=0, atol=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (np.array([[0.0, 1.0], [0.0, 0.0]]), "not symmetric"),
+            (np.zeros((2, 3)), "square"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+        ],
+    )
+    def test_same_input_checks(self, m, message):
+        for solve in (symmetric_spectrum, eigendecompose_symmetric):
+            with pytest.raises(ValueError, match=message):
+                solve(m)
+
+    def test_repeated_gcn_reads_only_eigenvalues(self):
+        m = laplacian(generate_erdos_renyi(12, 0.4, 3))
+        w = [0.5, -2.0, 1.5]
+        full = sca_repeated_gcn(w, eigendecompose_symmetric(m))
+        only = sca_repeated_gcn(w, symmetric_spectrum(m))
+        np.testing.assert_allclose(only.response, full.response, rtol=0, atol=1e-12)
 
 
 class TestBasisProperties:

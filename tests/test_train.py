@@ -5,7 +5,7 @@ import pytest
 
 from gclab import autodiff as ad
 from gclab import lmgc
-from gclab.graph import Graph, generate_erdos_renyi
+from gclab.graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
 from gclab.lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from gclab.optim import Adam
 from gclab.seeding import derive_seed
@@ -143,10 +143,29 @@ class TestEdgeIndex:
     def test_is_the_lmgc_edge_index(self):
         assert EdgeIndex is lmgc.EdgeIndex
 
-    def test_head_rows_built_once_per_head_count(self):
-        e = EdgeIndex(Graph.from_edges(3, [(0, 1), (1, 2)]))
-        np.testing.assert_array_equal(e.head_rows(3), np.repeat(e.dst, 3))
-        assert e.head_rows(3) is e.head_rows(3)
+    def test_reverse_flips_each_edge(self):
+        e = EdgeIndex(generate_erdos_renyi(12, 0.3, seed=2))
+        np.testing.assert_array_equal(e.dst[e.reverse], e.src)
+        np.testing.assert_array_equal(e.src[e.reverse], e.dst)
+
+    def test_built_once_per_graph_and_read_only(self, monkeypatch):
+        g = generate_erdos_renyi(10, 0.4, seed=3)
+        e = EdgeIndex.of(g)
+        assert EdgeIndex.of(g) is e
+        for a in (e.dst, e.src, e.offsets, e.inv_sqrt_deg_pair, e.reverse):
+            assert not a.flags.writeable
+
+        def refuse(self, graph):
+            raise AssertionError("EdgeIndex rebuilt for a cached graph")
+
+        # build_model, lmgc_forward and compute_coefficients share the cached instance
+        monkeypatch.setattr(EdgeIndex, "__init__", refuse)
+        x = np.random.default_rng(4).standard_normal((10, 3))
+        for method in ("gatv2", "fagcn", "lmgc"):
+            assert build_model(method, g, 3, 3, np.random.default_rng(5), heads=2).edges is e
+        layer = LmgcLayer(np.ones((1, 3, 2)), CoefficientScheme(Variant.GCN_NORM, 1))
+        lmgc_forward(layer, x, g)
+        lmgc.compute_coefficients(layer.scheme, x, g, layer.weights)
 
 
 def small_instance(seed=0, n=6, d=3, c=3):
@@ -260,6 +279,38 @@ class TestStackedHeads:
         w, v = head_draws(np.random.default_rng(6), self.D, self.C, self.HEADS, v_len)
         got = model.forward(ad.Var(x)).value
         expected = reference(x, EdgeIndex(g), w, v)
+        assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
+def acm_per_channel(g, x, w, v):
+    """ACM with one (n, n) operator, W_k and v_k per channel: softmax over channels per node."""
+    ops = [normalized_adjacency(g), laplacian(g)]
+    h = [np.maximum(op @ x @ wk, 0.0) for op, wk in zip(ops, w)]
+    scores = np.concatenate([hk @ vk for hk, vk in zip(h, v)], axis=1)  # (n, C)
+    ex = np.exp(scores - scores.max(axis=1, keepdims=True))
+    alpha = ex / ex.sum(axis=1, keepdims=True)
+    return sum(alpha[:, k : k + 1] * hk for k, hk in enumerate(h))
+
+
+class TestStackedChannels:
+    """AcmModel holds one operator bank, one W and one V with the channels stacked."""
+
+    def test_initial_parameters_stack_the_channel_draws(self):
+        g = generate_erdos_renyi(12, 0.3, seed=2)
+        model = build_model("acm", g, 5, 3, np.random.default_rng(5))
+        rng = np.random.default_rng(5)
+        w = [rng.uniform(-1 / np.sqrt(5), 1 / np.sqrt(5), (5, 3)) for _ in range(2)]
+        v = [rng.uniform(-1 / np.sqrt(3), 1 / np.sqrt(3), (3, 1)) for _ in range(2)]
+        assert [p.shape for p in model.params] == [(2, 5, 3), (2, 3, 1)]
+        assert model.params[0].value.tobytes() == np.stack(w).tobytes()
+        assert model.params[1].value.tobytes() == np.stack(v).tobytes()
+
+    def test_forward_matches_per_channel_reference(self):
+        g = generate_erdos_renyi(12, 0.3, seed=2)
+        x = np.random.default_rng(3).standard_normal((12, 5))
+        model = build_model("acm", g, 5, 3, np.random.default_rng(6))
+        got = model.forward(ad.Var(x)).value
+        expected = acm_per_channel(g, x, model.w.value, model.v.value)
         assert np.max(np.abs(got - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 

@@ -111,16 +111,16 @@ class TestCoefficientSource:
         rng = np.random.default_rng(12)
         centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (40, d))
         elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (40, d))
-        xi, xj = centers * LATTICE_SCALE, elements * LATTICE_SCALE
+        # pair e as an edge from row 40 + e (its element) into row e (its center)
+        rows = np.concatenate([centers, elements]) * LATTICE_SCALE
+        dst, src = np.arange(40), np.arange(40, 80)
         eq14 = CoefficientSource("lmgc_eq14", k, d, c, seed=11)
         w = np.concatenate(eq14.w, axis=1)
-        expected = eq14_coefficients(Var(xi @ w), Var(xj @ w), Var(eq14.gate.T)).value
+        expected = eq14_coefficients(Var(rows @ w), Var(eq14.gate.T), dst, src).value
         np.testing.assert_array_equal(eq14.alphas(centers, elements), expected)
         fagcn = CoefficientSource("fagcn_tanh", k, d, c, seed=11)
-        ones = Var(np.ones((40, 1)))
-        for head, v in enumerate(fagcn.gate):
-            expected = fagcn_coefficients(Var(xi), Var(xj), Var(v), ones).value[:, 0]
-            np.testing.assert_array_equal(fagcn.alphas(centers, elements)[:, head], expected)
+        expected = fagcn_coefficients(Var(rows), Var(fagcn.gate.T), dst, src).value
+        np.testing.assert_array_equal(fagcn.alphas(centers, elements), expected)
 
     def test_random_iid_array_keys_equal_scalar_chain(self):
         rng = np.random.default_rng(13)
