@@ -214,10 +214,15 @@ def _equivalence_suite(trials: int, seed: int):
 
 
 def _write_report(path: Path, report) -> None:
-    """One results.csv row for an injectivity or independence TrialReport."""
+    """One results.csv row for an injectivity or independence TrialReport.
+
+    The witness columns replay the pair behind min_separation: its index in
+    the pair stream, and each instance as the Python literal (center, elements).
+    """
     _write_csv(
         path,
-        ["trial_kind", "K", "d", "c", "pairs", "violations", "min_separation"],
+        ["trial_kind", "K", "d", "c", "pairs", "violations", "min_separation",
+         "witness_pair", "witness_a", "witness_b"],
         [
             (
                 report.kind,
@@ -227,6 +232,9 @@ def _write_report(path: Path, report) -> None:
                 report.trials,
                 report.violations,
                 f"{report.min_separation:.3e}",
+                report.witness_pair,
+                repr((report.witness_a.center, report.witness_a.elements)),
+                repr((report.witness_b.center, report.witness_b.elements)),
             )
         ],
     )
@@ -299,8 +307,8 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--kind", choices=["injectivity", "independence", "equivalence"], required=True)
     p_ver.add_argument("--pairs", type=positive_int, default=1000)
     p_ver.add_argument("--k", type=int, default=None)
-    p_ver.add_argument("--d", type=int, default=4)
-    p_ver.add_argument("--c", type=int, default=4)
+    p_ver.add_argument("--d", type=positive_int, default=4)
+    p_ver.add_argument("--c", type=positive_int, default=4)
     p_ver.add_argument("--out", required=True)
     return parser
 

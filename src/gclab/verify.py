@@ -7,10 +7,15 @@ one "almost every" draw: a keyed Gaussian (random_iid) or lmgc's own fagcn
 and eq14 gates, run over chunks of PAIRS_PER_CHUNK pairs. Identical instances
 get identical coefficients, exactly for random_iid and up to rounding for the
 tanh sources, whose matrix products round with an instance's place in a chunk.
+
+The suites read their Generator through _LatticeWords: raw 32-bit words in
+blocks, decoded by numpy's own bounded-integer rule, so they draw the same
+pair stream as sample_instance calls on the bare Generator.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,6 +30,7 @@ from .spectral import eigendecompose_symmetric
 
 LATTICE_RANGE = 5
 LATTICE_SCALE = 1.0 / 3.0
+MAX_ELEMENTS = 5  # most elements of a sampled multiset, repetitions counted
 COLLISION_RTOL = 1e-9
 COEFFICIENT_SOURCES = ("random_iid", "fagcn_tanh", "lmgc_eq14")
 _FEATURE_SEPARATOR = 0x5EA0_5EA0_5EA0_5EA0  # between center and element coordinates
@@ -55,19 +61,90 @@ class TrialReport:
     trials: int
     violations: int
     min_separation: float
+    witness_pair: int  # index in the pair stream of the pair scoring min_separation
+    witness_a: MultisetInstance
+    witness_b: MultisetInstance
 
     def ok(self) -> bool:
         return self.violations == 0
 
 
-def sample_instance(rng, d: int, max_size: int = 5) -> MultisetInstance:
-    center = tuple(int(v) for v in rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d))
-    size = int(rng.integers(1, max_size + 1))
-    elems = [
-        tuple(int(v) for v in rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d))
-        for _ in range(size)
-    ]
-    return MultisetInstance(center, tuple(sorted(elems)))
+class _LatticeWords:
+    """Generator.integers over ranges up to 2^32, decoded from bulk 32-bit words.
+
+    For such a range numpy reads the Generator's next_uint32 words one at a
+    time by Lemire's rule (arXiv:1805.10941): a word u gives m = u * span, is
+    redrawn while m mod 2^32 < 2^32 mod span, and yields low + (m >> 32); a
+    range of width 1 reads no word. rng.integers(0, 2**32, n, dtype=np.uint32)
+    reads the same words, so decoding them by that rule gives the Generator's
+    own draws, as lists. Each block is decoded once per range with array ops,
+    and the scalar rule runs only across rejected words and block ends. The
+    reader holds words it has not returned yet, so it must be rng's only user.
+    """
+
+    def __init__(self, rng: np.random.Generator, block: int):
+        self._rng, self._block = rng, block
+        self._words = np.empty(0, dtype=np.uint64)
+        self._pos = 0
+        self._decoded = {}  # (low, high) -> (draw of every word, positions of rejected words)
+
+    def _next_word(self) -> int:
+        if self._pos == len(self._words):
+            self._words = self._rng.integers(0, 2**32, self._block, dtype=np.uint32).astype(np.uint64)
+            self._pos = 0
+            self._decoded = {}
+        self._pos += 1
+        return int(self._words[self._pos - 1])
+
+    def _decode(self, low: int, high: int):
+        span = high - low
+        if not 1 < span <= 2**32:
+            raise ValueError(f"integers range of width {span} is outside (1, 2^32]")
+        m = self._words * np.uint64(span)
+        draws = ((m >> np.uint64(32)).astype(np.int64) + low).tolist()
+        rejected = np.flatnonzero(m & np.uint64(0xFFFF_FFFF) < 2**32 % span).tolist()
+        self._decoded[low, high] = draws, rejected
+        return draws, rejected
+
+    def _draw(self, low: int, span: int) -> int:
+        m = self._next_word() * span
+        while m & 0xFFFF_FFFF < 2**32 % span:
+            m = self._next_word() * span
+        return low + (m >> 32)
+
+    def integers(self, low: int, high: int, size=None):
+        """Generator.integers(low, high, size).tolist() for size None, n or (rows, n)."""
+        if isinstance(size, tuple):
+            rows, n = size
+            flat = self._take(low, high, rows * n)
+            return [flat[i : i + n] for i in range(0, rows * n, n)]
+        flat = self._take(low, high, 1 if size is None else size)
+        return flat[0] if size is None else flat
+
+    def _take(self, low: int, high: int, count: int) -> list:
+        """The next count draws from [low, high), flat."""
+        if high - low == 1:
+            return [low] * count
+        draws, rejected = self._decoded.get((low, high)) or self._decode(low, high)
+        start = self._pos
+        end = start + count
+        if end > len(draws) or rejected and bisect_left(rejected, start) != bisect_left(rejected, end):
+            return [self._draw(low, high - low) for _ in range(count)]
+        self._pos = end
+        return draws[start:end]
+
+
+def sample_instance(rng, d: int, max_size: int = MAX_ELEMENTS) -> MultisetInstance:
+    """d center draws, one size draw, then the elements as one (size, d) draw.
+
+    rng is a Generator or a _LatticeWords over one; both give the same instances.
+    """
+    center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d)
+    size = rng.integers(1, max_size + 1)
+    elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (int(size), d))
+    if not isinstance(rng, _LatticeWords):
+        center, elements = center.tolist(), elements.tolist()
+    return MultisetInstance(tuple(center), tuple(sorted(map(tuple, elements))))
 
 
 def _iid_keys(seed: int, k: int, centers: np.ndarray, elements: np.ndarray) -> np.ndarray:
@@ -146,43 +223,61 @@ def aggregate(instance: MultisetInstance, source: CoefficientSource, weights: np
 def _draw_pair(rng, d: int, independence: bool):
     """Two distinct instances; for independence, outside the scaling family (0 * b included)."""
     a = sample_instance(rng, d)
-    while independence and not np.any(a.elements):
+    while independence and not any(map(any, a.elements)):
         a = sample_instance(rng, d)
     b = sample_instance(rng, d)
     while b == a or independence and (
-        not np.any(b.elements) or is_integer_scaling(a.elements, b.elements)
+        not any(map(any, b.elements)) or is_integer_scaling(a.elements, b.elements)
     ):
         b = sample_instance(rng, d)
     return a, b
 
 
+def _pair_words(seed: int, d: int) -> _LatticeWords:
+    """A trial's reader; one chunk's pairs read at most a block, unless some are redrawn or rejected."""
+    block = PAIRS_PER_CHUNK * 2 * (d + 1 + MAX_ELEMENTS * d)
+    return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), block)
+
+
+def _weights(seed: int, k: int, d: int, c: int) -> np.ndarray:
+    """The (K, d, c) head weights of a trial's seed."""
+    return np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
+
+
+def _scores(fa: np.ndarray, fb: np.ndarray, independence: bool) -> np.ndarray:
+    """Separation of output rows (P, c): smin / smax of [fa; fb], else |fa - fb| / max(|fa|, |fb|)."""
+    if independence:
+        s = np.linalg.svd(np.stack([fa, fb], axis=1), compute_uv=False)
+        return s[:, 1] / np.maximum(s[:, 0], 1e-300)
+    norms = np.linalg.norm(np.stack([fa, fb]), axis=2)
+    return np.linalg.norm(fa - fb, axis=1) / np.maximum(norms.max(axis=0), 1e-300)
+
+
 def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport:
     """Draw pairs one by one and evaluate them PAIRS_PER_CHUNK at a time.
 
-    Injectivity scores a pair by |fa - fb| / max(|fa|, |fb|) and independence
-    by smin / smax of [fa; fb]; either violates at COLLISION_RTOL.
+    A pair violates when its _scores value is below COLLISION_RTOL, or for
+    injectivity equal to it. The report keeps the pair with the least score.
     """
+    for name, value in (("num_pairs", num_pairs), ("d", d), ("c", c)):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     independence = kind == "independence"
-    rng = np.random.default_rng(derive_seed(seed, 1))
-    weights = np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
+    words = _pair_words(seed, d)
+    weights = _weights(seed, k, d, c)
     coeffs = CoefficientSource(source, k, d, c, seed)
-    violations, min_score = 0, np.inf
+    violations, min_score, witness = 0, np.inf, (-1, None, None)
     for start in range(0, num_pairs, PAIRS_PER_CHUNK):
         size = min(PAIRS_PER_CHUNK, num_pairs - start)
-        pairs = [_draw_pair(rng, d, independence) for _ in range(size)]
+        pairs = [_draw_pair(words, d, independence) for _ in range(size)]
         out = _outputs([inst for pair in pairs for inst in pair], coeffs, weights)
-        fa, fb = out[0::2], out[1::2]
-        if independence:
-            s = np.linalg.svd(np.stack([fa, fb], axis=1), compute_uv=False)
-            score = s[:, 1] / np.maximum(s[:, 0], 1e-300)
-            violated = score < COLLISION_RTOL
-        else:
-            norms = np.linalg.norm(np.stack([fa, fb]), axis=2)
-            score = np.linalg.norm(fa - fb, axis=1) / np.maximum(norms.max(axis=0), 1e-300)
-            violated = score <= COLLISION_RTOL
+        score = _scores(out[0::2], out[1::2], independence)
+        violated = score < COLLISION_RTOL if independence else score <= COLLISION_RTOL
         violations += int(np.count_nonzero(violated))
-        min_score = min(min_score, float(score.min()))
-    return TrialReport(kind, k, d, c, num_pairs, violations, min_score)
+        best = int(np.argmin(score))
+        if score[best] < min_score:
+            min_score, witness = float(score[best]), (start + best, *pairs[best])
+    return TrialReport(kind, k, d, c, num_pairs, violations, min_score, *witness)
 
 
 def injectivity_trial(
@@ -198,18 +293,13 @@ def _as_scaled(ms1: tuple, ms2: tuple) -> bool:
     """True when ms1 == m * ms2 elementwise (as sorted multisets) for integer m >= 1."""
     if len(ms1) != len(ms2):
         return False
-    flat1 = np.array(ms1, dtype=np.int64)
-    flat2 = np.array(ms2, dtype=np.int64)
-    if np.all(flat1 == 0) and np.all(flat2 == 0):
-        return True
-    nz = flat2 != 0
-    if not np.any(nz):
-        return np.all(flat1 == 0)
-    ratios = flat1[nz] // flat2[nz]
-    m = ratios.flat[0]
-    if m < 1:
-        return False
-    return np.array_equal(flat1, m * flat2)
+    flat1 = [v for element in ms1 for v in element]
+    flat2 = [v for element in ms2 for v in element]
+    first = next((i for i, v in enumerate(flat2) if v), None)
+    if first is None:  # ms2 is all zeros, a multiple only of zeros
+        return not any(flat1)
+    m = flat1[first] // flat2[first]
+    return m >= 1 and flat1 == [m * v for v in flat2]
 
 
 def is_integer_scaling(ms1: tuple, ms2: tuple) -> bool:
@@ -231,9 +321,8 @@ def independence_trial(
 
 def parallel_control(k: int, d: int, c: int, seed: int, factor: int = 2):
     """Excluded-case inversion: same coefficients, scaled multiset -> parallel outputs."""
-    rng = np.random.default_rng(derive_seed(seed, 1))
-    weights = np.random.default_rng(derive_seed(seed, 2)).standard_normal((k, d, c))
-    base = sample_instance(rng, d)
+    base = sample_instance(np.random.default_rng(derive_seed(seed, 1)), d)
+    weights = _weights(seed, k, d, c)
     # the scaled multiset keeps the base instance's coefficient draws
     fa = aggregate(base, CoefficientSource("random_iid", k, d, c, seed), weights)
     return fa, factor * fa

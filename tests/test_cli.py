@@ -1,11 +1,15 @@
 """CLI subcommands: artifacts, determinism, and exit-code mapping."""
 
+import ast
 import csv
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import pytest
+
 from gclab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from gclab.graph import generate_erdos_renyi, save_edge_list
+from gclab.verify import MultisetInstance, injectivity_trial
 
 
 def read_csv(path: Path):
@@ -162,6 +166,16 @@ class TestVerify:
         rows = read_csv(out / "results.csv")
         assert rows[1][0] == "injectivity" and rows[1][5] == "0"
 
+    def test_report_names_the_witness_pair(self, tmp_path):
+        out = tmp_path / "inj"
+        assert main(["--seed", "5", "verify", "--kind", "injectivity", "--pairs", "300", "--out", str(out)]) == EXIT_OK
+        header, row = read_csv(out / "results.csv")
+        assert header[7:] == ["witness_pair", "witness_a", "witness_b"]
+        report = injectivity_trial(300, 1, 4, 4, 5)
+        assert int(row[7]) == report.witness_pair
+        assert MultisetInstance(*ast.literal_eval(row[8])) == report.witness_a
+        assert MultisetInstance(*ast.literal_eval(row[9])) == report.witness_b
+
     def test_independence_passes(self, tmp_path):
         out = tmp_path / "ind"
         code = main(
@@ -214,6 +228,14 @@ class TestUsageErrors:
         )
         assert code == EXIT_USAGE
         assert "--pairs: must be at least 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--d", "--c"])
+    def test_zero_dimension_is_usage_error(self, tmp_path, capsys, flag):
+        code = main(
+            ["verify", "--kind", "injectivity", flag, "0", "--pairs", "5", "--out", str(tmp_path / "o")]
+        )
+        assert code == EXIT_USAGE
+        assert f"{flag}: must be at least 1" in capsys.readouterr().err
 
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE

@@ -15,10 +15,17 @@ from gclab.verify import (
     COLLISION_RTOL,
     LATTICE_RANGE,
     LATTICE_SCALE,
+    MAX_ELEMENTS,
     CoefficientSource,
     MultisetInstance,
+    _as_scaled,
+    _draw_pair,
     _iid_keys,
+    _LatticeWords,
     _outputs,
+    _pair_words,
+    _scores,
+    _weights,
     aggregate,
     independence_trial,
     injectivity_trial,
@@ -28,6 +35,8 @@ from gclab.verify import (
     sample_instance,
     sca_dominance_report,
 )
+
+LATTICE = (-LATTICE_RANGE, LATTICE_RANGE + 1)
 
 
 class TestSampling:
@@ -40,6 +49,19 @@ class TestSampling:
             for vec in (inst.center, *inst.elements):
                 assert all(-LATTICE_RANGE <= v <= LATTICE_RANGE for v in vec)
 
+    def test_generator_draws_the_per_row_instances(self):
+        # one (size, d) element draw reads the same words as size draws of d
+        def per_row(rng, d, max_size=MAX_ELEMENTS):
+            center = tuple(int(v) for v in rng.integers(*LATTICE, d))
+            size = int(rng.integers(1, max_size + 1))
+            elements = [tuple(int(v) for v in rng.integers(*LATTICE, d)) for _ in range(size)]
+            return MultisetInstance(center, tuple(sorted(elements)))
+
+        for d in (1, 4, 7):
+            rng, ref = np.random.default_rng(d), np.random.default_rng(d)
+            for _ in range(500):
+                assert sample_instance(rng, d) == per_row(ref, d)
+
     def test_elements_sorted_for_canonical_equality(self):
         rng = np.random.default_rng(1)
         inst = sample_instance(rng, d=3)
@@ -51,6 +73,77 @@ class TestSampling:
         np.testing.assert_allclose(
             inst.element_features(), np.array([[0, 2], [1, 1]]) * LATTICE_SCALE
         )
+
+
+class TestLatticeWords:
+    def assert_same_draws(self, seed, block, calls):
+        words = _LatticeWords(np.random.default_rng(seed), block)
+        rng = np.random.default_rng(seed)
+        for low, high, size in calls:
+            assert words.integers(low, high, size) == rng.integers(low, high, size).tolist()
+
+    @pytest.mark.parametrize("block", [1, 3, 7, 64, 4096])
+    def test_lattice_ranges_equal_the_generator(self, block):
+        # blocks shorter than a draw make every call cross a refill
+        pick = np.random.default_rng(40)
+        calls = []
+        for _ in range(600):
+            size = [None, int(pick.integers(1, 9)), (int(pick.integers(1, 6)), int(pick.integers(1, 8)))]
+            max_size = int(pick.integers(1, MAX_ELEMENTS + 1))  # 1 is the zero-width range
+            calls += [(*LATTICE, size[pick.integers(3)]), (1, max_size + 1, None)]
+        self.assert_same_draws(41, block, calls)
+
+    def test_zero_and_full_width_ranges(self):
+        words = _LatticeWords(np.random.default_rng(42), 5)
+        rng = np.random.default_rng(42)
+        assert words.integers(1, 2) == rng.integers(1, 2).tolist() == 1
+        assert words.integers(3, 4, (2, 3)) == rng.integers(3, 4, (2, 3)).tolist()
+        assert words.integers(0, 2**32) == rng.integers(0, 2**32).tolist()
+        with pytest.raises(ValueError, match="outside"):
+            words.integers(0, 2**32 + 1)
+
+    @pytest.mark.parametrize("block", [1, 2, 5, 64])
+    def test_heavy_rejection_range_equals_the_generator(self, block):
+        # a span of 3 * 2^30 rejects every word u = 0 mod 4, a quarter of them,
+        # so numpy's own draws check the scalar redraw loop here
+        span = 3 * 2**30
+        raw = np.random.default_rng(43).integers(0, 2**32, 400, dtype=np.uint32).astype(np.uint64)
+        assert np.count_nonzero(raw * np.uint64(span) % 2**32 < 2**32 % span) > 50
+        pick = np.random.default_rng(44)
+        calls = [(7, 7 + span, [None, int(pick.integers(1, 6))][pick.integers(2)]) for _ in range(300)]
+        self.assert_same_draws(43, block, calls)
+
+    @pytest.mark.parametrize("max_size", [1, MAX_ELEMENTS])
+    @pytest.mark.parametrize("d", [1, 3, 4, 7])
+    @pytest.mark.parametrize("block", [13, None])
+    def test_instances_equal_consecutive_generator_calls(self, d, max_size, block):
+        rng = np.random.default_rng(derive_seed(45, 1))
+        if block is None:
+            words = _pair_words(45, d)
+        else:
+            words = _LatticeWords(np.random.default_rng(derive_seed(45, 1)), block)
+        for _ in range(2000):
+            assert sample_instance(words, d, max_size) == sample_instance(rng, d, max_size)
+
+
+@pytest.mark.parametrize("chunk", [3, 256])
+@pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
+def test_trial_draws_each_instance_through_sample_instance(monkeypatch, trial, chunk):
+    # the bench span on verify.sample_instance counts one call per drawn instance,
+    # and the instances are the bare Generator's stream, across refills too
+    drawn = []
+
+    def recording(rng, d, max_size=MAX_ELEMENTS):
+        assert isinstance(rng, _LatticeWords)
+        drawn.append(sample_instance(rng, d, max_size))
+        return drawn[-1]
+
+    monkeypatch.setattr(gclab.verify, "sample_instance", recording)
+    monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", chunk)
+    report = trial(200, 2, 3, 3, 46)
+    assert len(drawn) >= 2 * report.trials
+    rng = np.random.default_rng(derive_seed(46, 1))
+    assert drawn == [sample_instance(rng, 3) for _ in drawn]
 
 
 class TestCoefficientSource:
@@ -214,6 +307,33 @@ class TestInjectivity:
             injectivity_trial(1, k=0, d=2, c=2, seed=0)
 
 
+@pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
+@pytest.mark.parametrize(
+    "name, counts", [("num_pairs", (0, 4, 4)), ("d", (5, 0, 4)), ("c", (5, 4, -1))]
+)
+def test_counts_below_one_rejected(trial, name, counts):
+    num_pairs, d, c = counts
+    with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        trial(num_pairs, 2, d, c, 0)
+
+
+@pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
+@pytest.mark.parametrize(
+    "trial, k", [(injectivity_trial, 1), (injectivity_trial, 4), (independence_trial, 2)]
+)
+def test_witness_replays_min_separation(trial, k, source):
+    report = trial(300, k, 4, 4, 48, source)
+    independence = report.kind == "independence"
+    weights, coeffs = _weights(48, k, 4, 4), CoefficientSource(source, k, 4, 4, 48)
+    fa, fb = (aggregate(inst, coeffs, weights)[None] for inst in (report.witness_a, report.witness_b))
+    score = _scores(fa, fb, independence)[0]
+    assert abs(score - report.min_separation) <= 1e-12 * report.min_separation
+    # the witness is the pair at its index in the trial's pair stream
+    words = _pair_words(48, 4)
+    pairs = [_draw_pair(words, 4, independence) for _ in range(report.witness_pair + 1)]
+    assert pairs[-1] == (report.witness_a, report.witness_b)
+
+
 @pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
 @pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
 def test_chunk_boundaries_keep_the_trial(monkeypatch, trial, source):
@@ -225,7 +345,52 @@ def test_chunk_boundaries_keep_the_trial(monkeypatch, trial, source):
     assert abs(split.min_separation - whole.min_separation) <= 1e-13 * whole.min_separation
 
 
+def numpy_as_scaled(ms1: tuple, ms2: tuple) -> bool:
+    """The array form of verify._as_scaled, the reference for its truth table."""
+    if len(ms1) != len(ms2):
+        return False
+    flat1 = np.array(ms1, dtype=np.int64)
+    flat2 = np.array(ms2, dtype=np.int64)
+    if np.all(flat1 == 0) and np.all(flat2 == 0):
+        return True
+    nz = flat2 != 0
+    if not np.any(nz):
+        return np.all(flat1 == 0)
+    ratios = flat1[nz] // flat2[nz]
+    m = ratios.flat[0]
+    if m < 1:
+        return False
+    return np.array_equal(flat1, m * flat2)
+
+
+def random_multiset(rng, d: int) -> tuple:
+    """Sorted lattice elements, zero vectors and all-zero multisets made common."""
+    size = int(rng.integers(1, 4))
+    bound = int(rng.choice([0, 1, 2, LATTICE_RANGE]))
+    elements = rng.integers(-bound, bound + 1, (size, d)) * (rng.random((size, 1)) < 0.8)
+    return tuple(sorted(map(tuple, elements.tolist())))
+
+
 class TestIntegerScaling:
+    def test_plain_checks_match_the_array_version(self):
+        rng = np.random.default_rng(47)
+        cases = {"multiple": 0, "zero": 0, "negative": 0}
+        for _ in range(4000):
+            d = int(rng.integers(1, 4))
+            a = random_multiset(rng, d)
+            b = random_multiset(rng, d)
+            if rng.random() < 0.5:  # an integer multiple, the factor may be negative or zero
+                m = int(rng.integers(-3, 4))
+                b = tuple(sorted(tuple(m * v for v in e) for e in a))
+            for x, y in ((a, b), (b, a), (a, a)):
+                want = bool(numpy_as_scaled(x, y))
+                assert _as_scaled(x, y) is want, (x, y)
+                cases["multiple"] += want and x != y
+            cases["zero"] += not any(map(any, a))
+            cases["negative"] += any(v < 0 for e in a for v in e)
+            assert (not any(map(any, a))) == (not np.any(a))
+        assert min(cases.values()) > 100, cases
+
     def test_detects_scaling_both_directions(self):
         a = ((1, 2), (0, 3))
         b = ((2, 4), (0, 6))
