@@ -167,15 +167,30 @@ def mimo_gc_vectorized_oracle(theta: FilterTensor, x: np.ndarray, basis: Spectra
     _check_basis(theta, basis)
     x = _check_channels(x, theta.d)
     n, c, d = theta.n, theta.c, theta.d
-    hat = np.einsum("ik,icd->kcd", basis.eigenvectors, theta.values)
+    u = basis.eigenvectors
+    hat = np.einsum("ik,icd->kcd", u, theta.values)
+    k = np.arange(n)
+    rows = np.arange(c)[:, None, None] * n + k  # entry (q, p, k) sits at (q n + k, p n + k)
+    cols = np.arange(d)[None, :, None] * n + k
     big = np.zeros((n * c, n * d))
-    for q in range(c):
-        for p in range(d):
-            big[q * n : (q + 1) * n, p * n : (p + 1) * n] = np.diag(hat[:, q, p])
-    left = np.kron(np.eye(c), basis.eigenvectors)
-    right = np.kron(np.eye(d), basis.eigenvectors.T)
-    vec = left @ (big @ (right @ x.reshape(-1, order="F")))
+    big[rows, cols] = hat.transpose(1, 2, 0)
+    vec = _kron_eye(c, u) @ (big @ (_kron_eye(d, u.T) @ x.reshape(-1, order="F")))
     return vec.reshape((n, c), order="F")
+
+
+def _kron_eye(count: int, block: np.ndarray) -> np.ndarray:
+    """I_count kron block, written block by block into zeros.
+
+    I_1 kron block is the block itself, in its own memory layout as np.kron
+    leaves it, so the products keep np.kron's summation order bit for bit.
+    """
+    if count == 1:
+        return block
+    m = block.shape[0]
+    out = np.zeros((count * m, count * m))
+    for q in range(count):
+        out[q * m : (q + 1) * m, q * m : (q + 1) * m] = block
+    return out
 
 
 def pairwise_weight(stack: WeightStack, basis: SpectralBasis, i: int, j: int) -> np.ndarray:

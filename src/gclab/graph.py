@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -15,7 +16,8 @@ class Graph:
 
     Edges are stored as a frozenset of unordered pairs (i, j) with i < j.
     The dense 0/1 adjacency matrix and neighbor lists are derived lazily
-    and cached; the object is immutable after construction.
+    and cached; the degrees are the adjacency's row sums. The object is
+    immutable after construction.
     """
 
     n: int
@@ -38,14 +40,21 @@ class Graph:
         canon = frozenset((min(i, j), max(i, j)) for i, j in edges)
         return Graph(n, canon)
 
+    def _dense(self):
+        """The cached 0/1 adjacency, filled in one assignment from the edge arrays."""
+        if "A" not in self._cache:
+            flat = chain.from_iterable(self.edges)
+            ij = np.fromiter(flat, dtype=np.intp, count=2 * len(self.edges))
+            i, j = ij[0::2], ij[1::2]
+            a = np.zeros((self.n, self.n))
+            a[np.concatenate((i, j)), np.concatenate((j, i))] = 1.0
+            a.setflags(write=False)
+            self._cache["A"] = a
+        return self._cache["A"]
+
     @property
     def adjacency(self):
-        if "A" not in self._cache:
-            a = np.zeros((self.n, self.n))
-            for i, j in self.edges:
-                a[i, j] = a[j, i] = 1.0
-            self._cache["A"] = a
-        return self._cache["A"].copy()
+        return self._dense().copy()
 
     @property
     def neighbors(self):
@@ -64,7 +73,7 @@ class Graph:
         The arrays are cached and read-only.
         """
         if "directed" not in self._cache:
-            rows, cols = np.nonzero(self.adjacency)
+            rows, cols = np.nonzero(self._dense())
             rows.setflags(write=False)
             cols.setflags(write=False)
             self._cache["directed"] = (rows, cols)
@@ -72,7 +81,8 @@ class Graph:
 
     @property
     def degrees(self):
-        return np.array([len(v) for v in self.neighbors], dtype=float)
+        """Row sums of the adjacency: each node's neighbor count, as floats."""
+        return self._dense().sum(axis=1)
 
 
 def is_connected(g: Graph) -> bool:

@@ -5,10 +5,16 @@ import csv
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
+import numpy as np
 import pytest
+import reference_writers as ref
 
-from gclab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
-from gclab.graph import generate_erdos_renyi, save_edge_list
+from gclab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from gclab.convolution import sca_repeated_gcn
+from gclab.graph import generate_erdos_renyi, laplacian, save_edge_list
+from gclab.seeding import derive_seed
+from gclab.spectral import symmetric_spectrum
+from gclab.train import ExperimentConfig, experiment_data
 from gclab.verify import MultisetInstance, injectivity_trial
 
 
@@ -119,7 +125,47 @@ class TestUniversality:
         assert [r[5] for r in rows[1:]] == ["1"]
 
 
+def reference_spectra(g, seed):
+    """The nine files of `gclab --seed <seed> spectra` for g, written one value at a time."""
+    spectrum = symmetric_spectrum(laplacian(g))
+    lam, mu, n = spectrum.eigenvalues, spectrum.adjacency_eigenvalues(), spectrum.n
+    rng = np.random.default_rng(derive_seed(seed, 1))
+    random = [rng.standard_normal(n) for _ in range(3)]
+    cheb = [np.polynomial.chebyshev.chebval(mu, rng.standard_normal(k + 1)) for k in (2, 8, 16)]
+    gcn = [w * mu for w in (4.0, 0.1, -1.0)]
+    rep = [sca_repeated_gcn(rng.standard_normal(k), spectrum).response for k in (2, 4, 16)]
+    plots = [
+        ("random_filter", "Random spectral filters", random, ["r1", "r2", "r3"]),
+        ("chebyshev_filter", "Chebyshev polynomial filters", cheb, ["K=2", "K=8", "K=16"]),
+        ("gcn_filter", "First-order filters w*mu", gcn, ["w=4", "w=0.1", "w=-1"]),
+        ("repeated_gcn", "Repeated first-order filters", rep, ["k=2", "k=4", "k=16"]),
+    ]
+    files = {"spectrum.csv": ref.spectrum_csv(lam)}
+    for name, title, series, labels in plots:
+        files[f"{name}.csv"] = ref.series_csv(lam, series, labels)
+        files[f"{name}.svg"] = ref.line_plot_svg(lam, series, title=title, labels=labels)
+    return files
+
+
 class TestSpectra:
+    @pytest.mark.parametrize("case", ["er-2-1.0", "reference-graph-file", "er-40-0.1"])
+    def test_files_match_the_per_element_writers(self, tmp_path, case):
+        seed = 7
+        if case == "reference-graph-file":  # its Laplacian has a repeated eigenvalue
+            g = experiment_data(ExperimentConfig())[0]
+            save_edge_list(g, tmp_path / "g.txt")
+            source = ["--graph-file", str(tmp_path / "g.txt")]
+        else:
+            n, p = case.split("-")[1:]
+            g = generate_erdos_renyi(int(n), float(p), derive_seed(seed, 0))
+            source = ["--er", n, p]
+        out = tmp_path / "spec"
+        assert main(["--seed", str(seed), "spectra", *source, "--out", str(out)]) == EXIT_OK
+        expected = reference_spectra(g, seed)
+        assert sorted(f.name for f in out.iterdir()) == sorted(expected)
+        for name, text in expected.items():
+            assert (out / name).read_bytes() == text.encode("utf-8"), name
+
     def test_er_graph_artifacts(self, tmp_path):
         out = tmp_path / "spec"
         code = main(["spectra", "--er", "10", "0.4", "--out", str(out)])
@@ -256,3 +302,33 @@ class TestUsageErrors:
             )
             == EXIT_USAGE
         )
+
+
+class TestSharedParser:
+    CALLS = [
+        ("usage", ["spectra"]),  # no graph source
+        ("injectivity", ["verify", "--kind", "injectivity", "--pairs", "40"]),  # default --k
+        ("independence", ["verify", "--kind", "independence", "--pairs", "40"]),
+        ("spectra", ["--seed", "2", "spectra", "--er", "12", "0.3"]),
+    ]
+
+    @staticmethod
+    def run(argv, out):
+        code = main([*argv, "--out", str(out)])
+        files = {f.name: f.read_bytes() for f in out.iterdir()} if out.exists() else {}
+        return code, files
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_interleaved_calls_match_calls_alone(self, tmp_path):
+        alone = {}
+        for name, argv in self.CALLS:
+            build_parser.cache_clear()  # a fresh parser, as in a new process
+            alone[name] = self.run(argv, tmp_path / "alone" / name)
+        build_parser.cache_clear()
+        for name, argv in self.CALLS:
+            assert self.run(argv, tmp_path / "shared" / name) == alone[name], name
+        assert [alone[name][0] for name, _ in self.CALLS] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
+        assert read_csv(tmp_path / "shared" / "independence" / "results.csv")[1][1] == "2"
+        assert read_csv(tmp_path / "shared" / "injectivity" / "results.csv")[1][1] == "1"

@@ -101,6 +101,28 @@ class TestMimoRoutes:
             ):
                 np.testing.assert_allclose(ref, other, atol=1e-9)
 
+    @staticmethod
+    def kron_oracle(theta, x, basis):
+        """The Kronecker route built with np.kron and np.diag blocks."""
+        n, c, d = theta.n, theta.c, theta.d
+        hat = np.einsum("ik,icd->kcd", basis.eigenvectors, theta.values)
+        big = np.zeros((n * c, n * d))
+        for q in range(c):
+            for p in range(d):
+                big[q * n : (q + 1) * n, p * n : (p + 1) * n] = np.diag(hat[:, q, p])
+        left = np.kron(np.eye(c), basis.eigenvectors)
+        right = np.kron(np.eye(d), basis.eigenvectors.T)
+        return (left @ (big @ (right @ x.reshape(-1, order="F")))).reshape((n, c), order="F")
+
+    @pytest.mark.parametrize("n, c, d", [(16, 3, 5), (40, 5, 2), (16, 1, 4), (40, 2, 1)])
+    def test_vectorized_oracle_equals_np_kron_bit_for_bit(self, n, c, d):
+        rng = np.random.default_rng(n + 10 * c + d)
+        _, basis = make_basis(n, p=0.3, seed=n)
+        theta = FilterTensor(rng.standard_normal((n, c, d)), basis.basis_id)
+        x = rng.standard_normal((n, d))
+        got = mimo_gc_vectorized_oracle(theta, x, basis)
+        assert got.tobytes() == self.kron_oracle(theta, x, basis).tobytes()
+
     def test_stack_filter_roundtrip(self):
         theta, _, basis = self.random_instance(3)
         stack = weight_stack_from_filter(theta, basis)

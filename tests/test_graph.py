@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from gclab.graph import (
     Graph,
     generate_erdos_renyi,
+    inv_sqrt_degrees,
     is_connected,
     laplacian,
     load_edge_list,
@@ -58,6 +59,35 @@ class TestConstruction:
         g = Graph.from_edges(4, [(0, 3), (0, 1), (1, 2)])
         assert g.neighbors == [[1, 3], [0, 2], [1], [0]]
         assert np.array_equal(g.degrees, [2.0, 2.0, 1.0, 1.0])
+
+
+def loop_adjacency(g):
+    """The adjacency filled one edge at a time."""
+    a = np.zeros((g.n, g.n))
+    for i, j in g.edges:
+        a[i, j] = a[j, i] = 1.0
+    return a
+
+
+def bits_equal(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestDenseArrays:
+    SIZES = [(2, 1.0), (9, 0.5), (30, 0.2), (64, 0.08)] * 5
+    GRAPHS = [generate_erdos_renyi(n, p, seed=s) for s, (n, p) in enumerate(SIZES)]
+    EDGE_CASES = [Graph(1, frozenset()), Graph.from_edges(3, [(0, 1)]), Graph(4, frozenset())]
+
+    @pytest.mark.parametrize("g", GRAPHS + EDGE_CASES)
+    def test_adjacency_and_degrees_match_the_loop_forms(self, g):
+        assert bits_equal(g.adjacency, loop_adjacency(g))
+        assert bits_equal(g.degrees, np.array([len(v) for v in g.neighbors], dtype=float))
+
+    def test_isolated_node_message_unchanged(self):
+        with pytest.raises(ValueError, match=r"^isolated node 2: degree-zero nodes are not supported$"):
+            inv_sqrt_degrees(Graph.from_edges(3, [(0, 1)]))
+        with pytest.raises(ValueError, match=r"^isolated node 0: "):
+            inv_sqrt_degrees(Graph(1, frozenset()))
 
 
 class TestDirectedEdges:
