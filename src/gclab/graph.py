@@ -155,7 +155,12 @@ def save_edge_list(g: Graph, path) -> None:
 
 
 def load_edge_list(path) -> Graph:
-    """Inverse of save_edge_list; raises on malformed lines with the line number."""
+    """Inverse of save_edge_list; raises on malformed lines with the line number.
+
+    The body is parsed as whole lists: every line split, then every token
+    converted at once. Only a file that fails is read again line by line, to
+    name its first bad line.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -164,16 +169,18 @@ def load_edge_list(path) -> Graph:
         n = int(lines[0])
     except ValueError:
         raise ValueError(f"{path}:1: expected node count, got {lines[0]!r}") from None
-    edges = set()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split()
-        try:
-            i, j = (int(x) for x in parts)
-        except ValueError:
-            raise ValueError(
-                f"{path}:{lineno}: expected two integers, got {line!r}"
-            ) from None
-        edges.add((min(i, j), max(i, j)))
-    return Graph(n, frozenset(edges))
+    fields = list(map(str.split, lines[1:]))  # a blank line has no fields
+    try:
+        if not set(map(len, fields)) <= {0, 2}:
+            raise ValueError("a line without two fields")
+        values = list(map(int, chain.from_iterable(fields)))
+    except ValueError:
+        for lineno, (line, parts) in enumerate(zip(lines[1:], fields), start=2):
+            try:
+                if parts:
+                    i, j = map(int, parts)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: expected two integers, got {line!r}") from None
+        raise
+    i, j = values[0::2], values[1::2]
+    return Graph(n, frozenset(zip(map(min, i, j), map(max, i, j))))

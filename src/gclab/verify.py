@@ -10,12 +10,13 @@ tanh sources, whose matrix products round with an instance's place in a chunk.
 
 The suites read their Generator through _LatticeWords: raw 32-bit words in
 blocks, decoded by numpy's own bounded-integer rule, so they draw the same
-pair stream as sample_instance calls on the bare Generator.
+pair stream as sample_instance calls on the bare Generator. A chunk's pairs
+are decoded from the words as arrays (_decode_chunk); the scalar _draw_pair
+runs only for a pair that is redrawn or reads a rejected word.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 
 import numpy as np
@@ -70,43 +71,40 @@ class TrialReport:
 
 
 class _LatticeWords:
-    """Generator.integers over ranges up to 2^32, decoded from bulk 32-bit words.
+    """Generator.integers over ranges up to 2^32, read from bulk 32-bit words.
 
     For such a range numpy reads the Generator's next_uint32 words one at a
     time by Lemire's rule (arXiv:1805.10941): a word u gives m = u * span, is
     redrawn while m mod 2^32 < 2^32 mod span, and yields low + (m >> 32); a
     range of width 1 reads no word. rng.integers(0, 2**32, n, dtype=np.uint32)
     reads the same words, so decoding them by that rule gives the Generator's
-    own draws, as lists. Each block is decoded once per range with array ops,
-    and the scalar rule runs only across rejected words and block ends. The
-    reader holds words it has not returned yet, so it must be rng's only user.
+    own draws. integers() decodes a word at a time; _decode_chunk decodes the
+    block as arrays and moves pos past the words it used. The reader holds
+    words it has not returned yet, so it must be rng's only user.
     """
 
     def __init__(self, rng: np.random.Generator, block: int):
         self._rng, self._block = rng, block
-        self._words = np.empty(0, dtype=np.uint64)
-        self._pos = 0
-        self._decoded = {}  # (low, high) -> (draw of every word, positions of rejected words)
+        self.words = np.empty(0, dtype=np.uint64)
+        self.pos = 0
+        self.lattice = None  # _decode_block(words), kept until the next refill
+
+    def reserve(self, count: int) -> None:
+        """Hold at least count unread words, appending a block to the unread ones if needed."""
+        if len(self.words) - self.pos < count:
+            fresh = self._rng.integers(0, 2**32, max(self._block, count), dtype=np.uint32)
+            self.words = np.concatenate([self.words[self.pos :], fresh.astype(np.uint64)])
+            self.pos = 0
+            self.lattice = None
 
     def _next_word(self) -> int:
-        if self._pos == len(self._words):
-            self._words = self._rng.integers(0, 2**32, self._block, dtype=np.uint32).astype(np.uint64)
-            self._pos = 0
-            self._decoded = {}
-        self._pos += 1
-        return int(self._words[self._pos - 1])
-
-    def _decode(self, low: int, high: int):
-        span = high - low
-        if not 1 < span <= 2**32:
-            raise ValueError(f"integers range of width {span} is outside (1, 2^32]")
-        m = self._words * np.uint64(span)
-        draws = ((m >> np.uint64(32)).astype(np.int64) + low).tolist()
-        rejected = np.flatnonzero(m & np.uint64(0xFFFF_FFFF) < 2**32 % span).tolist()
-        self._decoded[low, high] = draws, rejected
-        return draws, rejected
+        self.reserve(1)
+        self.pos += 1
+        return int(self.words[self.pos - 1])
 
     def _draw(self, low: int, span: int) -> int:
+        if span == 1:
+            return low
         m = self._next_word() * span
         while m & 0xFFFF_FFFF < 2**32 % span:
             m = self._next_word() * span
@@ -114,24 +112,15 @@ class _LatticeWords:
 
     def integers(self, low: int, high: int, size=None):
         """Generator.integers(low, high, size).tolist() for size None, n or (rows, n)."""
+        span = high - low
+        if not 1 <= span <= 2**32:
+            raise ValueError(f"integers range of width {span} is outside [1, 2^32]")
+        if size is None:
+            return self._draw(low, span)
         if isinstance(size, tuple):
             rows, n = size
-            flat = self._take(low, high, rows * n)
-            return [flat[i : i + n] for i in range(0, rows * n, n)]
-        flat = self._take(low, high, 1 if size is None else size)
-        return flat[0] if size is None else flat
-
-    def _take(self, low: int, high: int, count: int) -> list:
-        """The next count draws from [low, high), flat."""
-        if high - low == 1:
-            return [low] * count
-        draws, rejected = self._decoded.get((low, high)) or self._decode(low, high)
-        start = self._pos
-        end = start + count
-        if end > len(draws) or rejected and bisect_left(rejected, start) != bisect_left(rejected, end):
-            return [self._draw(low, high - low) for _ in range(count)]
-        self._pos = end
-        return draws[start:end]
+            return [[self._draw(low, span) for _ in range(n)] for _ in range(rows)]
+        return [self._draw(low, span) for _ in range(size)]
 
 
 def sample_instance(rng, d: int, max_size: int = MAX_ELEMENTS) -> MultisetInstance:
@@ -204,20 +193,37 @@ class CoefficientSource:
         return float(self.alphas([center], [element])[0, head])
 
 
-def _outputs(instances, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
-    """aggregate of P instances as (P, c), from one alphas call; heads sum elements in order."""
-    counts = [len(inst.elements) for inst in instances]
-    centers = np.repeat([inst.center for inst in instances], counts, axis=0)
-    elements = np.array([e for inst in instances for e in inst.elements])
-    alpha = source.alphas(centers, elements)  # (E, K)
+def _outputs(centers, counts, elements, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
+    """aggregate of P instances as (P, c), from one alphas call; heads sum elements in order.
+
+    centers is (P, d) and counts (P,); elements (E, d) holds each instance's
+    counts[p] elements in turn.
+    """
+    alpha = source.alphas(np.repeat(centers, counts, axis=0), elements)  # (E, K)
     terms = alpha[:, :, None] * (elements * LATTICE_SCALE)[:, None, :]  # (E, K, d)
-    sums = np.add.reduceat(terms, np.cumsum([0] + counts[:-1]), axis=0)  # (P, K, d)
+    sums = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=0)  # (P, K, d)
     return np.einsum("pkd,kdc->pc", sums, weights)
+
+
+def _as_arrays(instances):
+    """The (centers, counts, elements) arrays of _outputs for a sequence of instances."""
+    return (
+        np.array([inst.center for inst in instances]),
+        np.array([len(inst.elements) for inst in instances]),
+        np.array([e for inst in instances for e in inst.elements]),
+    )
+
+
+def _instance(centers, counts, elements, i: int) -> MultisetInstance:
+    """Instance i of the arrays, with Python int coordinates."""
+    first = int(counts[:i].sum())
+    rows = elements[first : first + counts[i]].tolist()
+    return MultisetInstance(tuple(centers[i].tolist()), tuple(map(tuple, rows)))
 
 
 def aggregate(instance: MultisetInstance, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
     """f(x_p, X_p) = sum_k (sum_j alpha_k x_j) W^(k), an output row in R^c."""
-    return _outputs([instance], source, weights)[0]
+    return _outputs(*_as_arrays([instance]), source, weights)[0]
 
 
 def _draw_pair(rng, d: int, independence: bool):
@@ -233,8 +239,106 @@ def _draw_pair(rng, d: int, independence: bool):
     return a, b
 
 
+def _decode_block(words: np.ndarray):
+    """Lattice and size draws of every word of a block, and the words either range rejects.
+
+    The size draws are bytes, which the scan over instance starts indexes
+    fastest. A word is rejected if either range rejects it, wherever it sits.
+    """
+    low = np.uint64(0xFFFF_FFFF)
+    span = 2 * LATTICE_RANGE + 1
+    m = words * np.uint64(span)
+    m_size = words * np.uint64(MAX_ELEMENTS)
+    draws = (m >> np.uint64(32)).astype(np.int64) - LATTICE_RANGE
+    sizes = (m_size >> np.uint64(32)).astype(np.uint8) + 1
+    rejected = (m & low < 2**32 % span) | (m_size & low < 2**32 % MAX_ELEMENTS)
+    return draws, sizes.tobytes(), np.flatnonzero(rejected)
+
+
+def _lattice_instances(draws: np.ndarray, starts: list, d: int):
+    """Instances read from draws[starts[i]:starts[i + 1]], elements sorted within each.
+
+    Returns centers (P, d), counts (P,), elements (E, d) and each instance's
+    elements zero-padded to one flat row (P, MAX_ELEMENTS * d).
+    """
+    starts = np.array(starts)
+    counts = (np.diff(starts) - 1) // d - 1
+    heads = starts[:-1, None] + np.arange(d + 1)  # the center words, then the size word
+    centers = draws[heads[:, :d]]
+    body = np.ones(starts[-1] - starts[0], dtype=bool)
+    body[(heads - starts[0]).ravel()] = False
+    elements = draws[starts[0] : starts[-1]][body].reshape(-1, d)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    # keys of the smallest integer types, which lexsort sorts by radix
+    keys = (*elements.T[::-1].astype(np.int8), owner.astype(np.min_scalar_type(len(counts))))
+    elements = elements[np.lexsort(keys)]
+    padded = np.zeros((len(counts), MAX_ELEMENTS, d), dtype=np.int64)
+    padded[owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)] = elements
+    return centers, counts, elements, padded.reshape(len(counts), -1)
+
+
+def _scaled(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """_as_scaled(x[p], y[p]) of flat rows of equal size; a row where y[p] is all zero reads False."""
+    rows = np.arange(len(y))
+    first = np.argmax(y != 0, axis=1)
+    pivot = y[rows, first]
+    m = x[rows, first] // np.where(pivot == 0, 1, pivot)
+    return (m >= 1) & np.all(x == m[:, None] * y, axis=1)
+
+
+def _redrawn(centers, counts, padded, independence: bool) -> np.ndarray:
+    """Which pairs (instances 2p, 2p + 1) _draw_pair would redraw an instance of."""
+    same_size = counts[0::2] == counts[1::2]
+    a, b = padded[0::2], padded[1::2]
+    redraw = same_size & np.all(centers[0::2] == centers[1::2], axis=1) & np.all(a == b, axis=1)
+    if independence:
+        zero = ~np.any(padded, axis=1)
+        redraw |= zero[0::2] | zero[1::2] | same_size & (_scaled(a, b) | _scaled(b, a))
+    return redraw
+
+
+def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
+    """The next pairs of _draw_pair(words, d, independence), as arrays.
+
+    Returns the centers, counts and sorted elements of the instances a, b of
+    each pair in turn, as _outputs takes them. Pairs are decoded from the
+    words as arrays up to the first that needs a redraw or touches a rejected
+    word. _draw_pair draws that pair from its first word, and the decoding
+    resumes after it.
+    """
+    parts = []
+    while pairs:
+        words.reserve(2 * pairs * (d + 1 + MAX_ELEMENTS * d))  # the most words the pairs read without a redraw
+        if words.lattice is None:
+            words.lattice = _decode_block(words.words)
+        draws, sizes, rejected = words.lattice
+        start = words.pos
+        i = np.searchsorted(rejected, start)
+        end = int(rejected[i]) if i < len(rejected) else len(draws)  # words before end decode as drawn
+        starts = [start]
+        for _ in range(2 * pairs):
+            if start + d >= end:
+                break
+            start += d + 1 + sizes[start + d] * d
+            if start > end:
+                break
+            starts.append(start)
+        fits = (len(starts) - 1) // 2
+        if fits:
+            centers, counts, elements, padded = _lattice_instances(draws, starts[: 2 * fits + 1], d)
+            redraw = np.flatnonzero(_redrawn(centers, counts, padded, independence))
+            taken = int(redraw[0]) if len(redraw) else fits
+            parts.append((centers[: 2 * taken], counts[: 2 * taken], elements[: counts[: 2 * taken].sum()]))
+            words.pos = starts[2 * taken]
+            pairs -= taken
+        if pairs:
+            parts.append(_as_arrays(_draw_pair(words, d, independence)))
+            pairs -= 1
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+
+
 def _pair_words(seed: int, d: int) -> _LatticeWords:
-    """A trial's reader; one chunk's pairs read at most a block, unless some are redrawn or rejected."""
+    """A trial's reader, refilled by blocks of the most words a chunk's pairs read without a redraw."""
     block = PAIRS_PER_CHUNK * 2 * (d + 1 + MAX_ELEMENTS * d)
     return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), block)
 
@@ -254,7 +358,7 @@ def _scores(fa: np.ndarray, fb: np.ndarray, independence: bool) -> np.ndarray:
 
 
 def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport:
-    """Draw pairs one by one and evaluate them PAIRS_PER_CHUNK at a time.
+    """Decode and evaluate pairs PAIRS_PER_CHUNK at a time.
 
     A pair violates when its _scores value is below COLLISION_RTOL, or for
     injectivity equal to it. The report keeps the pair with the least score.
@@ -269,14 +373,15 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     violations, min_score, witness = 0, np.inf, (-1, None, None)
     for start in range(0, num_pairs, PAIRS_PER_CHUNK):
         size = min(PAIRS_PER_CHUNK, num_pairs - start)
-        pairs = [_draw_pair(words, d, independence) for _ in range(size)]
-        out = _outputs([inst for pair in pairs for inst in pair], coeffs, weights)
+        chunk = _decode_chunk(words, d, size, independence)
+        out = _outputs(*chunk, coeffs, weights)
         score = _scores(out[0::2], out[1::2], independence)
         violated = score < COLLISION_RTOL if independence else score <= COLLISION_RTOL
         violations += int(np.count_nonzero(violated))
         best = int(np.argmin(score))
         if score[best] < min_score:
-            min_score, witness = float(score[best]), (start + best, *pairs[best])
+            pair = _instance(*chunk, 2 * best), _instance(*chunk, 2 * best + 1)
+            min_score, witness = float(score[best]), (start + best, *pair)
     return TrialReport(kind, k, d, c, num_pairs, violations, min_score, *witness)
 
 

@@ -239,3 +239,11 @@ class TestEdgeListIO:
         path.write_text("4\n0 1\n2 x\n")
         with pytest.raises(ValueError, match=":3:"):
             load_edge_list(path)
+
+    def test_bad_line_after_blank_lines_keeps_its_line_number(self, tmp_path):
+        # blank lines count toward the number; the first bad line is named, not a later one
+        path = tmp_path / "bad.txt"
+        path.write_text("4\n0 1\n\n   \n1 2 3\n2 x\n")
+        with pytest.raises(ValueError) as err:
+            load_edge_list(path)
+        assert str(err.value) == f"{path}:5: expected two integers, got '1 2 3'"

@@ -18,9 +18,12 @@ from gclab.verify import (
     MAX_ELEMENTS,
     CoefficientSource,
     MultisetInstance,
+    _as_arrays,
     _as_scaled,
+    _decode_chunk,
     _draw_pair,
     _iid_keys,
+    _instance,
     _LatticeWords,
     _outputs,
     _pair_words,
@@ -126,24 +129,118 @@ class TestLatticeWords:
             assert sample_instance(words, d, max_size) == sample_instance(rng, d, max_size)
 
 
+def decoded_pairs(chunk):
+    """The instance pairs of a _decode_chunk result."""
+    return [(_instance(*chunk, 2 * p), _instance(*chunk, 2 * p + 1)) for p in range(len(chunk[1]) // 2)]
+
+
 @pytest.mark.parametrize("chunk", [3, 256])
 @pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
-def test_trial_draws_each_instance_through_sample_instance(monkeypatch, trial, chunk):
-    # the bench span on verify.sample_instance counts one call per drawn instance,
-    # and the instances are the bare Generator's stream, across refills too
-    drawn = []
-
-    def recording(rng, d, max_size=MAX_ELEMENTS):
-        assert isinstance(rng, _LatticeWords)
-        drawn.append(sample_instance(rng, d, max_size))
-        return drawn[-1]
-
-    monkeypatch.setattr(gclab.verify, "sample_instance", recording)
+def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
+    # a trial's chunks are the bare Generator's _draw_pair stream, across refills
+    # too; d = 1 makes redrawn pairs common, for independence most of all
     monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", chunk)
-    report = trial(200, 2, 3, 3, 46)
-    assert len(drawn) >= 2 * report.trials
-    rng = np.random.default_rng(derive_seed(46, 1))
-    assert drawn == [sample_instance(rng, 3) for _ in drawn]
+    independence = trial is independence_trial
+    for d in (1, 4):
+        words = _pair_words(46, d)
+        rng = np.random.default_rng(derive_seed(46, 1))
+        for _ in range(-(-600 // chunk)):
+            want = [_draw_pair(rng, d, independence) for _ in range(chunk)]
+            assert decoded_pairs(_decode_chunk(words, d, chunk, independence)) == want
+
+
+def scalar_trial(trial, num_pairs, k, d, c, seed, source):
+    """_trial's report from _draw_pair on the bare Generator, the per-pair reference."""
+    independence = trial is independence_trial
+    rng = np.random.default_rng(derive_seed(seed, 1))
+    weights, coeffs = _weights(seed, k, d, c), CoefficientSource(source, k, d, c, seed)
+    violations, min_score, witness = 0, np.inf, None
+    for start in range(0, num_pairs, gclab.verify.PAIRS_PER_CHUNK):
+        size = min(gclab.verify.PAIRS_PER_CHUNK, num_pairs - start)
+        pairs = [_draw_pair(rng, d, independence) for _ in range(size)]
+        out = _outputs(*_as_arrays([inst for pair in pairs for inst in pair]), coeffs, weights)
+        score = _scores(out[0::2], out[1::2], independence)
+        violations += int(np.sum(score < COLLISION_RTOL if independence else score <= COLLISION_RTOL))
+        best = int(np.argmin(score))
+        if score[best] < min_score:
+            min_score, witness = float(score[best]), (start + best, *pairs[best])
+    return violations, min_score, *witness
+
+
+@pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
+@pytest.mark.parametrize("trial, k", [(injectivity_trial, 1), (injectivity_trial, 2), (injectivity_trial, 4),
+                                      (independence_trial, 2), (independence_trial, 4)])
+def test_trial_reports_equal_the_scalar_stream(trial, k, source):
+    for seed, d in ((50, 4), (51, 4), (52, 3), (53, 1)):
+        report = trial(600, k, d, 3, seed, source)
+        want = scalar_trial(trial, 600, k, d, 3, seed, source)
+        assert (report.violations, report.min_separation, report.witness_pair,
+                report.witness_a, report.witness_b) == want
+        # plain ints, so results.csv prints the witnesses as before
+        witnesses = report.witness_a, report.witness_b
+        assert type(report.witness_pair) is int
+        assert all(type(v) is int for inst in witnesses for v in (*inst.center, *sum(inst.elements, ())))
+
+
+class CraftedWords:
+    """A Generator stand-in whose 32-bit words are a given prefix, then a real Generator's."""
+
+    def __init__(self, prefix):
+        tail = np.random.default_rng(49).integers(0, 2**32, 20_000, dtype=np.uint32)
+        self.words = np.concatenate([np.array(prefix, dtype=np.uint32), tail])
+        self.pos = 0
+
+    def integers(self, low, high, size, dtype):
+        assert (low, high, dtype) == (0, 2**32, np.uint32)
+        self.pos += size
+        return self.words[self.pos - size : self.pos]
+
+
+def word(draw, low, high):
+    """A word that Lemire's rule accepts and decodes to draw in [low, high)."""
+    span = high - low
+    return ((2 * (draw - low) + 1) << 32) // (2 * span)
+
+
+def instance_words(center, elements):
+    """The words sample_instance reads for this instance, none of them rejected."""
+    coords = [*center, *(v for e in elements for v in e)]
+    lattice = [word(v, *LATTICE) for v in coords]
+    return lattice[: len(center)] + [word(len(elements), 1, MAX_ELEMENTS + 1)] + lattice[len(center) :]
+
+
+REJECTED = 0  # 0 * span = 0 falls below 2^32 mod span for the lattice and size spans alike
+A = ((1, -2), ((-1, 2), (0, 1)))
+B = ((4, 4), ((2, -1),))
+SCALED = ((-3, 0), ((-2, 4), (0, 2)))  # 2 * A's elements, so not independent of A
+ZERO = ((2, 1), ((0, 0), (0, 0), (0, 0)))
+CLEAN = instance_words(*A) + instance_words(*B)
+CRAFTED = {  # (independence, words that _draw_pair reads as the pair (A, B))
+    "rejected center": (False, instance_words(*A)[:1] + [REJECTED] + instance_words(*A)[1:] + instance_words(*B)),
+    "rejected size": (False, instance_words(*A)[:2] + [REJECTED] + instance_words(*A)[2:] + instance_words(*B)),
+    "rejected element": (False, instance_words(*A)[:5] + [REJECTED] + instance_words(*A)[5:] + instance_words(*B)),
+    "b equals a": (False, instance_words(*A) + CLEAN),
+    "zero a": (True, instance_words(*ZERO) + CLEAN),
+    "zero b": (True, instance_words(*A) + instance_words(*ZERO) + instance_words(*B)),
+    "scaled b": (True, instance_words(*A) + instance_words(*SCALED) + instance_words(*B)),
+}
+
+
+@pytest.mark.parametrize("case", CRAFTED)
+def test_crafted_fallbacks_equal_the_scalar_reader(case):
+    # three clean pairs, the crafted pair, then clean pairs and the Generator's
+    # words; the scalar reader redraws across the crafted words, and the chunk
+    # decoder must do the same
+    independence, crafted = CRAFTED[case]
+    prefix = 3 * CLEAN + crafted + 2 * CLEAN
+    d, count = 2, 12
+    sources = CraftedWords(prefix), CraftedWords(prefix)
+    scalar, words = (_LatticeWords(source, 64) for source in sources)
+    want = [_draw_pair(scalar, d, independence) for _ in range(count)]
+    assert want[:6] == [(MultisetInstance(*A), MultisetInstance(*B))] * 6
+    assert decoded_pairs(_decode_chunk(words, d, count, independence)) == want
+    read = [source.pos - len(reader.words) + reader.pos for source, reader in zip(sources, (scalar, words))]
+    assert read[0] == read[1]
 
 
 class TestCoefficientSource:
@@ -268,7 +365,7 @@ class TestAggregate:
         instances = [sample_instance(rng, 4) for _ in range(80)]
         ref = np.array([loop_aggregate(inst, src, weights) for inst in instances])
         one_by_one = [aggregate(inst, src, weights) for inst in instances]
-        for got in (_outputs(instances, src, weights), np.array(one_by_one)):
+        for got in (_outputs(*_as_arrays(instances), src, weights), np.array(one_by_one)):
             gap = np.linalg.norm(got - ref, axis=1)
             assert np.all(gap <= 1e-13 * np.linalg.norm(ref, axis=1))
 
