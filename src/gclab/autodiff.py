@@ -9,22 +9,31 @@ sum into each edge's destination), tanh_gate (the split-form edge gate of
 fagcn and eq. 14) and gatv2_attention (GATv2's scores and softmax). The
 generic primitives are the fused blocks' oracle in the tests. Nodes form a
 tape in construction order; backward walks it once in reverse and releases
-it.
+it. A leaf built with requires_grad=False is a constant: no rule computes
+its adjoint, and backward does not walk into a subgraph built only from
+constants.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
 
 class Var:
-    """A tape node: value, accumulated adjoint, and a local backward rule."""
+    """A tape node: value, accumulated adjoint, and a local backward rule.
 
-    __slots__ = ("value", "grad", "_parents", "_backward")
+    A node built from parents requires grad if any parent does; the keyword
+    sets it for a leaf.
+    """
 
-    def __init__(self, value, parents=(), backward=None):
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+
+    def __init__(self, value, parents=(), backward=None, requires_grad=True):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
+        self.requires_grad = True in [p.requires_grad for p in parents] if parents else requires_grad
         self._parents = parents
         self._backward = backward
 
@@ -58,7 +67,7 @@ def _sum_rows(values, index, size):
     to a loop that adds the rows one by one onto zeros.
     """
     rest = values.shape[1:]
-    width = int(np.prod(rest))
+    width = math.prod(rest)
     flat = (index[:, None] * width + np.arange(width)).ravel()
     sums = np.bincount(flat, weights=values.ravel(), minlength=size * width)
     return sums.reshape((size,) + rest)
@@ -75,15 +84,15 @@ def matmul(a: Var, b: Var) -> Var:
 
     def backward(g):
         av, bv = a.value, b.value
-        if av.ndim == 1:
+        if a.requires_grad and av.ndim == 1:
             _accumulate(a, g @ bv.T if bv.ndim == 2 else g * bv)
-        else:
+        elif a.requires_grad:
             gb = g[:, None] if g.ndim == 1 else g
             bm = bv[:, None] if bv.ndim == 1 else bv
             _accumulate(a, _unbroadcast(gb @ _t(bm), av.shape))
-        if bv.ndim == 1:
+        if b.requires_grad and bv.ndim == 1:
             _accumulate(b, av.T @ g if av.ndim == 2 else av * g)
-        else:
+        elif b.requires_grad:
             ga = g[None, :] if g.ndim == 1 else g
             am = av[None, :] if av.ndim == 1 else av
             _accumulate(b, _unbroadcast(_t(am) @ ga, bv.shape))
@@ -96,8 +105,10 @@ def add(a: Var, b: Var) -> Var:
     out = Var(a.value + b.value, (a, b))
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g, a.value.shape))
-        _accumulate(b, _unbroadcast(g, b.value.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g, b.value.shape))
 
     out._backward = backward
     return out
@@ -107,8 +118,10 @@ def mul(a: Var, b: Var) -> Var:
     out = Var(a.value * b.value, (a, b))
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
 
     out._backward = backward
     return out
@@ -128,9 +141,10 @@ def concat(parts, axis=0) -> Var:
 
     def backward(g):
         for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            idx = [slice(None)] * g.ndim
-            idx[axis] = slice(lo, hi)
-            _accumulate(p, g[tuple(idx)])
+            if p.requires_grad:
+                idx = [slice(None)] * g.ndim
+                idx[axis] = slice(lo, hi)
+                _accumulate(p, g[tuple(idx)])
 
     out._backward = backward
     return out
@@ -220,8 +234,10 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
     def backward(g):
         gs = g * (1.0 - t * t) if scale is None else g * scale * (1.0 - t * t)
         gn = np.stack([_sum_rows(gs, dst, n), _sum_rows(gs, src, n)])  # (2, n, H)
-        _accumulate(h, gn[0] @ halves[0].T + gn[1] @ halves[1].T)
-        _accumulate(v, (hv.T @ gn).reshape(vv.shape))
+        if h.requires_grad:
+            _accumulate(h, gn[0] @ halves[0].T + gn[1] @ halves[1].T)
+        if v.requires_grad:
+            _accumulate(v, (hv.T @ gn).reshape(vv.shape))
 
     out._backward = backward
     return out
@@ -257,11 +273,13 @@ def gatv2_attention(z: Var, v: Var, dst, src, offsets, reverse, slope: float = 0
         gs = _softmax_segments_grad(alpha, g, offsets)  # (E, H)
         both = gs + gs[reverse]  # the adjoints of e and of its reverse, both summed into dst[e]
         gp = slope * np.add.reduceat(both, offsets[:-1], axis=0)  # (n, H)
-        gr = ((1.0 - slope) * both) @ blocks.T
-        gr *= r > 0
-        _accumulate(z, gp @ blocks.T + np.add.reduceat(gr, offsets[:-1], axis=0))
-        gb = (zv.T @ gp + (1.0 - slope) * (r.T @ gs)).reshape(heads, c, heads)
-        _accumulate(v, gb[diag, :, diag][:, :, None])
+        if z.requires_grad:
+            gr = ((1.0 - slope) * both) @ blocks.T
+            gr *= r > 0
+            _accumulate(z, gp @ blocks.T + np.add.reduceat(gr, offsets[:-1], axis=0))
+        if v.requires_grad:
+            gb = (zv.T @ gp + (1.0 - slope) * (r.T @ gs)).reshape(heads, c, heads)
+            _accumulate(v, gb[diag, :, diag][:, :, None])
 
     out._backward = backward
     return out
@@ -286,8 +304,10 @@ def edge_messages(alpha: Var, z: Var, dst: np.ndarray, src: np.ndarray) -> Var:
     out = Var(op @ rows, (alpha, z))
 
     def backward(g):
-        _accumulate(alpha, (g @ rows.T).reshape(n, n, heads)[dst, src])
-        _accumulate(z, (op.T @ g).reshape(zv.shape))
+        if alpha.requires_grad:
+            _accumulate(alpha, (g @ rows.T).reshape(n, n, heads)[dst, src])
+        if z.requires_grad:
+            _accumulate(z, (op.T @ g).reshape(zv.shape))
 
     out._backward = backward
     return out
@@ -295,7 +315,7 @@ def edge_messages(alpha: Var, z: Var, dst: np.ndarray, src: np.ndarray) -> Var:
 
 def mse(pred: Var, target: np.ndarray) -> Var:
     diff = pred.value - target
-    out = Var(np.mean(diff * diff), (pred,))
+    out = Var(np.add.reduce(diff * diff, axis=None) / diff.size, (pred,))
     out._backward = lambda g: _accumulate(pred, g * (2.0 / diff.size) * diff)
     return out
 
@@ -304,10 +324,13 @@ def backward(loss: Var) -> None:
     """Populate .grad for every node reachable from a scalar loss, consuming the tape.
 
     Each rule runs once and is then released with the arrays it saved, so the
-    tape's memory is freed before the next forward builds a new one.
+    tape's memory is freed before the next forward builds a new one. The walk
+    skips constants, whose rules and grads are left alone.
     """
     if loss.value.shape != ():
         raise ValueError("backward requires a scalar loss")
+    if not loss.requires_grad:
+        return
     order = []
     seen = set()
     stack = [(loss, False)]
@@ -321,7 +344,7 @@ def backward(loss: Var) -> None:
         seen.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in seen:
+            if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
     loss.grad = np.asarray(1.0)
     for node in reversed(order):

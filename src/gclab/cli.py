@@ -3,14 +3,20 @@
 Exit codes: 0 success, 1 usage or input error, 2 verification violation,
 3 numeric failure. All randomness derives from --seed through splitmix
 sub-streams, so every subcommand is deterministic in single-job mode.
+
+Each file a run writes is rewritten in place: a rerun into the same --out
+overwrites the files it writes and leaves any other file there alone.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
+import math
 import multiprocessing
+import os
 import sys
 from pathlib import Path
 
@@ -62,8 +68,39 @@ def positive_int(text: str) -> int:
     return value
 
 
+def positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    return value
+
+
+class _ErdosRenyi(argparse.Action):
+    """--er N P as (int N, float P); generate_erdos_renyi checks their ranges."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        try:
+            setattr(namespace, self.dest, (int(values[0]), float(values[1])))
+        except ValueError:
+            raise argparse.ArgumentError(self, "expected an integer N and a number P, got %r %r" % tuple(values))
+
+
+@contextlib.contextmanager
+def _rewrite(path: Path):
+    """A text handle that writes path from its start and cuts any longer old tail.
+
+    open(path, "w") would truncate the old file to zero on open, and on ext4
+    (auto_da_alloc) the close after such a truncation waits on a flush to
+    disk; writing over the old bytes and truncating at the end gives the same
+    file without that wait.
+    """
+    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="\n") as fh:
+        yield fh
+        fh.truncate()
+
+
 def _write_csv(path: Path, header, rows):
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path) as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -77,7 +114,7 @@ def _write_table(path: Path, header, formats, columns):
     """
     table = np.column_stack(columns)
     row = ",".join(formats) + "\n"
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(path) as fh:
         fh.write(",".join(header) + "\n")
         fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
@@ -129,7 +166,7 @@ def cmd_universality(args) -> int:
         if key not in best or r.min_mse < best[key].min_mse:
             best[key] = r
     ranked = sorted(best.values(), key=lambda r: r.min_mse)
-    with open(out / "summary.txt", "w", encoding="utf-8", newline="\n") as fh:
+    with _rewrite(out / "summary.txt") as fh:
         fh.write(f"{'method':<8} {'lr':>8} {'min_mse':>14}\n")
         for r in ranked:
             fh.write(f"{r.method:<8} {r.lr:>8} {r.min_mse:>14.3e}\n")
@@ -146,8 +183,7 @@ def cmd_spectra(args) -> int:
     if args.graph_file:
         g = load_edge_list(args.graph_file)
     else:
-        n, p = int(args.er[0]), float(args.er[1])
-        g = generate_erdos_renyi(n, p, derive_seed(args.seed, 0))
+        g = generate_erdos_renyi(*args.er, derive_seed(args.seed, 0))
     spectrum = symmetric_spectrum(laplacian(g))
     lam = spectrum.eigenvalues
     mu = spectrum.adjacency_eigenvalues()
@@ -161,9 +197,8 @@ def cmd_spectra(args) -> int:
         _write_table(
             out / f"{name}.csv", ["eigenvalue"] + labels, ["%.12g"] * (1 + len(series)), [lam, *series]
         )
-        (out / f"{name}.svg").write_text(
-            line_plot_svg(lam, series, title=title, labels=labels), encoding="utf-8"
-        )
+        with _rewrite(out / f"{name}.svg") as fh:
+            fh.write(line_plot_svg(lam, series, title=title, labels=labels))
 
     random_series = [rng.standard_normal(n) for _ in range(3)]
     dump("random_filter", "Random spectral filters", random_series, ["r1", "r2", "r3"])
@@ -295,7 +330,7 @@ def build_parser() -> _Parser:
 
     p_uni = sub.add_parser("universality", help="single-layer target-fitting runs")
     p_uni.add_argument("--method", choices=list(METHODS) + ["all"], default="all")
-    p_uni.add_argument("--lr", type=float, default=None, help="single rate; default runs the grid")
+    p_uni.add_argument("--lr", type=positive_float, default=None, help="single rate; default runs the grid")
     p_uni.add_argument("--steps", type=positive_int, default=40000)
     p_uni.add_argument("--seeds", type=positive_int, default=3, help="number of repeated runs (initializations)")
     p_uni.add_argument(
@@ -304,13 +339,13 @@ def build_parser() -> _Parser:
         default=None,
         help="seed of the fixed (graph, X, Y) instance; defaults to the reference instance",
     )
-    p_uni.add_argument("--jobs", type=int, default=1)
+    p_uni.add_argument("--jobs", type=positive_int, default=1)
     p_uni.add_argument("--out", required=True)
 
     p_spec = sub.add_parser("spectra", help="eigenvalue and filter-response tables/plots")
     group = p_spec.add_mutually_exclusive_group(required=True)
     group.add_argument("--graph-file", default=None)
-    group.add_argument("--er", nargs=2, metavar=("N", "P"), default=None)
+    group.add_argument("--er", nargs=2, metavar=("N", "P"), default=None, action=_ErdosRenyi)
     p_spec.add_argument("--out", required=True)
 
     p_ver = sub.add_parser("verify", help="randomized property suites")

@@ -127,7 +127,7 @@ class AcmModel(Model):
         mats = [normalized_adjacency(g), laplacian(g)]
         if include_identity:
             mats.append(np.eye(g.n))
-        self.graphs = ad.Var(np.stack(mats))
+        self.graphs = ad.Var(np.stack(mats), requires_grad=False)
         count = len(mats)
         w = [_uniform_init(rng, (d, c)) for _ in range(count)]
         v = [_uniform_init(rng, (c, 1)) for _ in range(count)]
@@ -146,7 +146,7 @@ class AcmModel(Model):
 class GinModel(Model):
     def __init__(self, g: Graph, d, c, rng, hidden=None, eps=0.0):
         hidden = hidden or d
-        self.agg = ad.Var(gin_aggregation(g, eps))
+        self.agg = ad.Var(gin_aggregation(g, eps), requires_grad=False)
         w1, w2 = _uniform_init(rng, (d, hidden)), _uniform_init(rng, (hidden, c))
         self.params = [ad.Var(m) for m in (w1, np.zeros(hidden), w2, np.zeros(c))]
 
@@ -195,7 +195,7 @@ def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: flo
     """Adam loop returning (minimum MSE seen, diverged flag)."""
     from .optim import Adam
 
-    x_var = ad.Var(x)
+    x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf
     diverged = False

@@ -296,6 +296,62 @@ class TestBackwardMechanics:
         assert np.isclose(x.grad, 2.0 * 1.0)
 
 
+class TestConstants:
+    """A leaf built with requires_grad=False gets no adjoint, and the others' stay the same."""
+
+    E = len(SMALL.dst)
+    # (name, build(a, b), a's value, b's value)
+    BINARY = [
+        ("matmul", lambda a, b: ad.matmul(a, b), (4, 3), (3, 2)),
+        ("add", lambda a, b: ad.add(a, b), (4, 3), (3,)),
+        ("mul", lambda a, b: ad.mul(a, b), (4, 3), (4, 1)),
+        ("concat", lambda a, b: ad.concat([a, b], axis=1), (4, 3), (4, 2)),
+        ("tanh_gate", lambda a, b: ad.tanh_gate(a, b, SMALL.dst, SMALL.src), (5, 3), (6, 2)),
+        ("gatv2_attention",
+         lambda a, b: ad.gatv2_attention(a, b, SMALL.dst, SMALL.src, SMALL.offsets, SMALL.reverse),
+         (5, 6), (2, 3, 1)),
+        ("edge_messages", lambda a, b: ad.edge_messages(a, b, SMALL.dst, SMALL.src), (E, 2), (5, 4)),
+    ]
+
+    @staticmethod
+    def grads(build, values, constant):
+        leaves = [ad.Var(v, requires_grad=i != constant) for i, v in enumerate(values)]
+        out = build(*leaves)
+        ad.backward(ad.mse(out, np.zeros(out.shape)))
+        return [leaf.grad for leaf in leaves]
+
+    @pytest.mark.parametrize("name, build, a_shape, b_shape", BINARY, ids=[b[0] for b in BINARY])
+    @pytest.mark.parametrize("constant", [0, 1])
+    def test_other_operand_gradient_is_unchanged(self, name, build, a_shape, b_shape, constant):
+        rng = np.random.default_rng(5)
+        values = [rng.standard_normal(a_shape), rng.standard_normal(b_shape)]
+        full = self.grads(build, values, None)
+        partial = self.grads(build, values, constant)
+        assert partial[constant] is None
+        assert np.array_equal(partial[1 - constant], full[1 - constant])
+
+    def test_requires_grad_follows_the_parents(self):
+        c, p = ad.Var(np.ones(2), requires_grad=False), ad.Var(np.ones(2))
+        assert not ad.tanh(c).requires_grad
+        assert not ad.add(c, ad.scale(c, 2.0)).requires_grad
+        assert ad.mul(c, p).requires_grad
+
+    def test_backward_does_not_walk_into_a_constant_subgraph(self):
+        c = ad.Var(np.ones(3), requires_grad=False)
+        hidden = ad.tanh(c)
+        p = ad.Var(np.arange(3.0))
+        ad.backward(ad.mse(ad.mul(hidden, p), np.zeros(3)))
+        assert p.grad is not None
+        assert hidden.grad is None and c.grad is None
+        assert hidden._backward is not None  # never run, so never released
+
+    def test_constant_loss_is_a_no_op(self):
+        c = ad.Var(np.ones(3), requires_grad=False)
+        loss = ad.mse(c, np.zeros(3))
+        ad.backward(loss)
+        assert loss.grad is None and c.grad is None
+
+
 # ---------------------------------------------------------------- fused blocks
 
 

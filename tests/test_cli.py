@@ -2,6 +2,11 @@
 
 import ast
 import csv
+import errno
+import os
+import subprocess
+import sys
+import types
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -9,6 +14,7 @@ import numpy as np
 import pytest
 import reference_writers as ref
 
+from gclab import cli
 from gclab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
 from gclab.convolution import sca_repeated_gcn
 from gclab.graph import generate_erdos_renyi, laplacian, save_edge_list
@@ -283,6 +289,22 @@ class TestUsageErrors:
         assert code == EXIT_USAGE
         assert f"{flag}: must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["universality", "--jobs", "0"], "--jobs: must be at least 1"),
+            (["universality", "--lr", "-1"], "--lr: must be a finite number above 0"),
+            (["universality", "--lr", "nan"], "--lr: must be a finite number above 0"),
+            (["spectra", "--er", "16", "abc"], "--er: expected an integer N and a number P"),
+        ],
+        ids=["jobs-zero", "lr-negative", "lr-nan", "er-not-a-number"],
+    )
+    def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "o"
+        assert main([*argv, "--out", str(out)]) == EXIT_USAGE
+        assert message in capsys.readouterr().err
+        assert not out.exists()  # rejected before any work
+
     def test_unknown_command(self):
         assert main(["frobnicate"]) == EXIT_USAGE
 
@@ -332,3 +354,83 @@ class TestSharedParser:
         assert [alone[name][0] for name, _ in self.CALLS] == [EXIT_USAGE, EXIT_OK, EXIT_OK, EXIT_OK]
         assert read_csv(tmp_path / "shared" / "independence" / "results.csv")[1][1] == "2"
         assert read_csv(tmp_path / "shared" / "injectivity" / "results.csv")[1][1] == "1"
+
+
+def files(out: Path):
+    return {f.name: f.read_bytes() for f in sorted(out.iterdir())}
+
+
+class TestRewriteInPlace:
+    """A rerun into the same --out writes exactly the bytes of a fresh run, and no other file."""
+
+    @staticmethod
+    def rerun_matches_fresh(tmp_path, earlier, argv):
+        fresh, reused = tmp_path / "fresh", tmp_path / "reused"
+        assert main([*argv, "--out", str(fresh)]) == EXIT_OK
+        reused.mkdir()
+        (reused / "notes.txt").write_text("kept\n")
+        for run in (earlier, argv, argv):
+            assert main([*run, "--out", str(reused)]) == EXIT_OK
+        assert (reused / "notes.txt").read_text() == "kept\n"
+        for name, data in files(fresh).items():
+            assert (reused / name).read_bytes() == data, name
+
+    def test_spectra_over_a_larger_graph(self, tmp_path):
+        self.rerun_matches_fresh(tmp_path, ["spectra", "--er", "40", "0.1"], ["spectra", "--er", "10", "0.4"])
+
+    def test_universality_over_a_larger_grid(self, tmp_path, monkeypatch):
+        # a zero clock makes the wall_seconds column reproducible
+        monkeypatch.setattr("gclab.train.time", types.SimpleNamespace(perf_counter=lambda: 0.0))
+        self.rerun_matches_fresh(
+            tmp_path,
+            ["universality", "--steps", "1", "--seeds", "2"],
+            ["universality", "--method", "gin", "--lr", "0.01", "--steps", "5", "--seeds", "1"],
+        )
+
+    def test_verify_over_a_longer_table(self, tmp_path):
+        self.rerun_matches_fresh(
+            tmp_path,
+            ["verify", "--kind", "equivalence", "--pairs", "8"],
+            ["verify", "--kind", "injectivity", "--pairs", "50"],
+        )
+
+    def test_output_path_that_is_a_directory_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "inj"
+        (out / "results.csv").mkdir(parents=True)
+        assert main(["verify", "--kind", "injectivity", "--pairs", "5", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Is a directory" in err and "results.csv" in err
+
+    def test_read_only_output_file_is_usage_error(self, tmp_path, capsys, monkeypatch):
+        out = tmp_path / "inj"
+        out.mkdir()
+        target = out / "results.csv"
+        target.write_text("old\n")
+        target.chmod(0o444)
+        if os.access(target, os.W_OK):
+            # a privileged user may write any file; refuse it as the kernel refuses anyone else
+            real_open = os.open
+
+            def guarded_open(path, flags, *args):
+                if Path(path) == target and flags & (os.O_WRONLY | os.O_RDWR):
+                    raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+                return real_open(path, flags, *args)
+
+            monkeypatch.setattr(cli.os, "open", guarded_open)
+        assert main(["verify", "--kind", "injectivity", "--pairs", "5", "--out", str(out)]) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert "Permission denied" in err and "results.csv" in err
+        assert target.read_text() == "old\n"
+
+
+def test_python_dash_m_runs_the_command_line(tmp_path):
+    src = Path(cli.__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    argv = ["--seed", "3", "spectra", "--er", "10", "0.4", "--out"]
+    done = subprocess.run(
+        [sys.executable, "-m", "gclab", *argv, str(tmp_path / "module")],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert done.returncode == EXIT_OK, done.stderr
+    assert main([*argv, str(tmp_path / "in-process")]) == EXIT_OK
+    assert files(tmp_path / "module") == files(tmp_path / "in-process")

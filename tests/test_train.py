@@ -380,6 +380,34 @@ class TestFullModelGradients:
                     assert abs(grad.reshape(-1)[i] - fd) / scale <= 1e-3, method
 
 
+class TestConstantInputs:
+    """x, acm's operator bank and gin's aggregator are constants: no adjoint is computed."""
+
+    @staticmethod
+    def step_grads(model, x, y, banks, constant):
+        """One step's parameter grads, with x and the banks constant or all requiring grad."""
+        for bank in banks:
+            bank.requires_grad = not constant
+            bank.grad = None
+        x_var = ad.Var(x, requires_grad=not constant)
+        ad.zero_grads(model.params)
+        ad.backward(ad.mse(model.forward(x_var), y))
+        return [p.grad for p in model.params], [x_var.grad] + [bank.grad for bank in banks]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_parameter_gradients_match_the_all_requires_grad_tape(self, method):
+        g, x, y = experiment_data(ExperimentConfig())
+        model = build_model(method, g, 16, 16, np.random.default_rng(3))
+        banks = [getattr(model, name) for name in ("graphs", "agg") if hasattr(model, name)]
+        assert not any(bank.requires_grad for bank in banks)
+        full, full_inputs = self.step_grads(model, x, y, banks, constant=False)
+        fast, fast_inputs = self.step_grads(model, x, y, banks, constant=True)
+        assert all(grad is not None for grad in full_inputs)
+        assert all(grad is None for grad in fast_inputs)
+        for got, ref in zip(fast, full):
+            assert np.array_equal(got, ref), method
+
+
 class TestRunTraining:
     def test_loss_decreases_on_realizable_target(self):
         # target produced by the model itself must be fit to near zero
