@@ -226,6 +226,8 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
     """
     hv, vv = h.value, v.value
     n, m = hv.shape
+    if vv.ndim not in (1, 2) or vv.shape[0] != 2 * m:
+        raise ValueError(f"tanh_gate needs v of shape (2m,) or (2m, H), 2m = {2 * m}; got {vv.shape}")
     halves = vv.reshape(2, m, -1)  # v_top, v_bot
     node = hv @ halves  # (2, n, H)
     t = np.tanh(node[0][dst] + node[1][src])

@@ -351,7 +351,7 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="randomized property suites")
     p_ver.add_argument("--kind", choices=["injectivity", "independence", "equivalence"], required=True)
     p_ver.add_argument("--pairs", type=positive_int, default=1000)
-    p_ver.add_argument("--k", type=int, default=None)
+    p_ver.add_argument("--k", type=positive_int, default=None)
     p_ver.add_argument("--d", type=positive_int, default=4)
     p_ver.add_argument("--c", type=positive_int, default=4)
     p_ver.add_argument("--out", required=True)

@@ -3,12 +3,13 @@
 A layer holds K weight matrices and a scheme that turns node features into
 K coefficients per edge, plus a fixed diagonal weight per head (1 for ACM's
 Laplacian and identity channels); the forward pass is sum_k A~^(k) X W^(k).
-The schemes and the GIN layer are defined once, as autodiff expressions (the
-schemes one fused block each, over node rows and edge arrays): the trainable
-models in gclab.train call them and autodiff.edge_messages on parameters,
-lmgc_forward and gin_forward on constants. The dense
-(K, n, n) matrix form (compute_coefficients, ComputationalGraphSet,
-forward_from_coefficients, pairwise_transform) is kept as the oracle.
+The layer is one autodiff expression, edge_layer: z = x W, the (E, K) edge
+coefficients of edge_coefficients (the one dispatch on Variant), and
+autodiff.edge_messages; stacked_vectors owns the gating vectors' layout.
+gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
+GIN's gin_layer is run the same two ways. The dense (K, n, n) matrix form
+(compute_coefficients, ComputationalGraphSet, forward_from_coefficients,
+pairwise_transform) is the oracle.
 """
 
 from __future__ import annotations
@@ -62,9 +63,10 @@ class CoefficientScheme:
             expected = 3 if self.include_identity else 2
             if self.k != expected:
                 raise ValueError(f"fixed-operator scheme has K={expected} here")
-        if self.variant in (Variant.GATV2_SOFTMAX, Variant.LMGC_EQ14):
-            if len(self.vectors) != self.k:
-                raise ValueError("one gating vector per head required")
+        count = {Variant.GATV2_SOFTMAX: self.k, Variant.LMGC_EQ14: self.k, Variant.FAGCN_TANH: 1}
+        if len(self.vectors) != count.get(self.variant, 0):
+            raise ValueError(f"{self.variant.value} takes {count.get(self.variant, 0)} gating "
+                             f"vector(s), one per head; got {len(self.vectors)}")
 
 
 @dataclass(frozen=True)
@@ -105,6 +107,11 @@ class LmgcLayer:
             raise ValueError("weights must have shape (K, d, c)")
         if self.weights.shape[0] != self.scheme.k:
             raise ValueError("weight count must equal the scheme's K")
+        length = vector_length(self.scheme.variant, *self.weights.shape)
+        shapes = [np.shape(v) for v in self.scheme.vectors]
+        if any(shape != (length,) for shape in shapes):
+            raise ValueError(f"{self.scheme.variant.value} at (K, d, c) = {self.weights.shape} takes "
+                             f"gating vectors of length {length}; got shapes {shapes}")
 
     @property
     def k(self):
@@ -149,26 +156,6 @@ class EdgeIndex:
         return g._cache["edge_index"]
 
 
-def gatv2_coefficients(z, v, edges: EdgeIndex, slope=LEAKY_RELU_SLOPE):
-    """GATv2 attention: per head k, softmax over row i's edges of v_k . leaky(z_i + z_j).
-
-    z is the (n, H*c) projection x W, head k in columns k*c:(k+1)*c; v is
-    (H, c, 1), head k's score vector in v[k, :, 0]. Returns the (E, H)
-    coefficients, one autodiff.gatv2_attention node.
-    """
-    return ad.gatv2_attention(z, v, edges.dst, edges.src, edges.offsets, edges.reverse, slope)
-
-
-def fagcn_coefficients(x, v, dst, src, norm=None):
-    """FAGCN gating: tanh(v . [x_i, x_j]) / sqrt(deg_i * deg_j) on the edges dst[e] <- src[e].
-
-    x is the (n, d) node features and v is (2d,), or (2d, K) for K gates;
-    norm is EdgeIndex.inv_sqrt_deg_pair, or None for the bare gate. Returns
-    (E, 1), or (E, K); one autodiff.tanh_gate node.
-    """
-    return ad.tanh_gate(x, v, dst, src, norm)
-
-
 def eq14_coefficients(z, v, dst, src, slope=LEAKY_RELU_SLOPE):
     """Eq. 14 gate: per head k, tanh(v_k . leaky([z_i, z_j])) on the edges dst[e] <- src[e].
 
@@ -186,60 +173,98 @@ def _check_features(x, g: Graph):
     return x
 
 
-def edge_coefficients(scheme: CoefficientScheme, x: np.ndarray, z: np.ndarray, edges: EdgeIndex):
-    """The scheme's coefficients: alpha (E, K) on the edges dst[e] <- src[e], and diag (K,).
+def vector_length(variant: Variant, k: int, d: int, c: int) -> int:
+    """Length of one head's gating vector: c for GATv2, 2d for FAGCN, 2*K*c for eq. 14, else 0."""
+    lengths = {Variant.GATV2_SOFTMAX: c, Variant.FAGCN_TANH: 2 * d, Variant.LMGC_EQ14: 2 * k * c}
+    return lengths.get(variant, 0)
 
-    z is the (n, K*c) head projections x W, head k in columns k*c:(k+1)*c.
-    diag[k] is head k's weight on a node's own features: 1 for ACM's Laplacian
-    and identity channels, 0 elsewhere.
+
+def stacked_vectors(variant: Variant, vectors) -> np.ndarray:
+    """The per-head gating vectors as the fused blocks take them: (H, c, 1) for
+    GATv2 (head k's in [k, :, 0]), (2*H*c, H) for eq. 14 (head k's in column k),
+    the one (2d,) vector for FAGCN, and an empty array for the other schemes."""
+    if variant is Variant.GATV2_SOFTMAX:
+        return np.stack(vectors)[:, :, None]
+    if variant is Variant.LMGC_EQ14:
+        return np.stack(vectors, axis=1)
+    if variant is Variant.FAGCN_TANH:
+        return np.asarray(vectors[0], dtype=float)
+    return np.zeros(0)
+
+
+def edge_coefficients(variant: Variant, x, z, v, edges: EdgeIndex, k=1, slope=LEAKY_RELU_SLOPE, seed=0):
+    """The scheme's coefficients: alpha (E, K) on the edges dst[e] <- src[e], a Var, and diag (K,).
+
+    x is the (n, d) features, z = x W the (n, K*c) head projections (head k in
+    columns k*c:(k+1)*c) and v the gating vectors in stacked_vectors' layout,
+    all Vars. A gated scheme is one fused block (FAGCN's is the tanh gate
+    times 1/sqrt(deg_i deg_j)); the others are a constant. diag[k] is head k's
+    weight on a node's own features: 1 for ACM's Laplacian and identity, else 0.
     """
-    rows, cols, k = edges.dst, edges.src, scheme.k
-    diag = np.zeros(k)
-    if scheme.variant is Variant.GCN_NORM:
+    dst, src, diag = edges.dst, edges.src, np.zeros(k)
+    if variant is Variant.GATV2_SOFTMAX:
+        return ad.gatv2_attention(z, v, dst, src, edges.offsets, edges.reverse, slope), diag
+    if variant is Variant.FAGCN_TANH:
+        return ad.tanh_gate(x, v, dst, src, edges.inv_sqrt_deg_pair), diag
+    if variant is Variant.LMGC_EQ14:
+        return eq14_coefficients(z, v, dst, src, slope), diag
+    if variant is Variant.GCN_NORM:
         alpha = edges.inv_sqrt_deg_pair
-    elif scheme.variant is Variant.GATV2_SOFTMAX:
-        v = ad.Var(np.stack(scheme.vectors)[:, :, None])
-        alpha = gatv2_coefficients(ad.Var(z), v, edges, scheme.leaky_slope).value
-    elif scheme.variant is Variant.FAGCN_TANH:
-        v = ad.Var(scheme.vectors[0])
-        alpha = fagcn_coefficients(ad.Var(x), v, rows, cols, edges.inv_sqrt_deg_pair).value
-    elif scheme.variant is Variant.ACM_FIXED:
+    elif variant is Variant.ACM_FIXED:
         # normalized adjacency, Laplacian I - A~ and identity
         alpha = edges.inv_sqrt_deg_pair * np.array([1.0, -1.0, 0.0][:k])
         diag = np.array([0.0, 1.0, 1.0][:k])
-    elif scheme.variant is Variant.LMGC_EQ14:
-        v = ad.Var(np.stack(scheme.vectors, axis=1))
-        alpha = eq14_coefficients(ad.Var(z), v, rows, cols, scheme.leaky_slope).value
-    elif scheme.variant is Variant.RANDOM_IID:
-        alpha = np.random.default_rng(scheme.seed).standard_normal((k, len(rows))).T
+    elif variant is Variant.RANDOM_IID:
+        alpha = np.random.default_rng(seed).standard_normal((k, len(dst))).T
     else:  # pragma: no cover
-        raise ValueError(f"unknown variant {scheme.variant}")
-    return alpha, diag
+        raise ValueError(f"unknown variant {variant}")
+    return ad.Var(alpha, requires_grad=False), diag
+
+
+def edge_layer(variant: Variant, x, w, v, edges: EdgeIndex, k=1, slope=LEAKY_RELU_SLOPE, seed=0):
+    """One localized MIMO layer sum_k A~^(k) x W^(k) over the edge arrays, on Vars.
+
+    w is (d, K*c), head k's weights in columns k*c:(k+1)*c. Returns the (n, c)
+    edge messages, z = x w and the scheme's diag (K,), whose term diag[k] z_k
+    (ACM's) lmgc_forward adds.
+    """
+    z = ad.matmul(x, w)
+    alpha, diag = edge_coefficients(variant, x, z, v, edges, k, slope, seed)
+    return ad.edge_messages(alpha, z, edges.dst, edges.src), z, diag
+
+
+def _constants(layer: LmgcLayer, x: np.ndarray, g: Graph):
+    """A layer's x, stacked W (d, K*c) and stacked gating vectors as constant Vars."""
+    x = _check_features(x, g)
+    if x.shape[1] != layer.d:
+        raise ValueError(f"features have {x.shape[1]} channels, layer expects {layer.d}")
+    s = layer.scheme
+    arrays = (x, np.concatenate(layer.weights, axis=1), stacked_vectors(s.variant, s.vectors))
+    return [ad.Var(a, requires_grad=False) for a in arrays]
 
 
 def compute_coefficients(
     scheme: CoefficientScheme, x: np.ndarray, g: Graph, weights: np.ndarray
 ) -> ComputationalGraphSet:
     """The scheme's coefficient matrices: edge_coefficients scattered into (K, n, n)."""
-    x = _check_features(x, g)
+    layer = LmgcLayer(np.asarray(weights, dtype=float), scheme)
+    x, w, v = _constants(layer, x, g)
     edges = EdgeIndex.of(g)
-    alpha, diag = edge_coefficients(scheme, x, x @ np.concatenate(weights, axis=1), edges)
+    alpha, diag = edge_coefficients(
+        scheme.variant, x, ad.matmul(x, w), v, edges, scheme.k, scheme.leaky_slope, scheme.seed
+    )
     mats = np.zeros((scheme.k, g.n, g.n))
-    mats[:, edges.dst, edges.src] = alpha.T
+    mats[:, edges.dst, edges.src] = alpha.value.T
     mats[:, np.arange(g.n), np.arange(g.n)] = diag[:, None]
     return ComputationalGraphSet(mats, g, allow_diagonal=bool(diag.any()))
 
 
 def lmgc_forward(layer: LmgcLayer, x: np.ndarray, g: Graph) -> np.ndarray:
-    """Forward pass sum_k A~^(k) X W^(k) over the edge arrays, as the trained models run it."""
-    x = _check_features(x, g)
-    if x.shape[1] != layer.d:
-        raise ValueError(f"features have {x.shape[1]} channels, layer expects {layer.d}")
-    edges = EdgeIndex.of(g)
-    z = x @ np.concatenate(layer.weights, axis=1)  # (n, K*c)
-    alpha, diag = edge_coefficients(layer.scheme, x, z, edges)
-    out = ad.edge_messages(ad.Var(alpha), ad.Var(z), edges.dst, edges.src).value
-    return out + np.einsum("k,nkc->nc", diag, z.reshape(g.n, layer.k, layer.c))
+    """edge_layer on the layer's constants plus the diag term: sum_k A~^(k) X W^(k)."""
+    s = layer.scheme
+    x, w, v = _constants(layer, x, g)
+    out, z, diag = edge_layer(s.variant, x, w, v, EdgeIndex.of(g), s.k, s.leaky_slope, s.seed)
+    return out.value + np.einsum("k,nkc->nc", diag, z.value.reshape(g.n, layer.k, layer.c))
 
 
 def forward_from_coefficients(

@@ -1,10 +1,10 @@
 """Single-layer trainable models and the universality fitting experiment.
 
 Each method is a thin wrapper around the autodiff primitives exposing a
-parameter list and a forward pass X -> (n, c); gatv2, fagcn, lmgc and gin
-run gclab.lmgc's definitions (scheme functions, gin_layer) and
-autodiff.edge_messages on their parameters, as lmgc_forward and gin_forward
-do on constants.
+parameter list and a forward pass X -> (n, c). gatv2, fagcn and lmgc are one
+EdgeModel: gclab.lmgc's edge_layer on parameters, as lmgc_forward runs it on
+constants, with the gating vectors in lmgc's stacked layout. gin runs
+gclab.lmgc's gin_layer, and acm is its own softmax channel mix.
 The experiment fixes a connected random graph and Gaussian (X, Y), then
 minimizes the MSE of one message-passing layer with Adam and reports the
 minimum loss seen.
@@ -19,11 +19,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
-from .lmgc import EdgeIndex, eq14_coefficients, fagcn_coefficients, gatv2_coefficients
-from .lmgc import gin_aggregation, gin_layer
+from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
+from .lmgc import vector_length
 from .seeding import derive_seed
 
 METHODS = ("gatv2", "fagcn", "acm", "gin", "lmgc")
+EDGE_VARIANTS = {"gatv2": Variant.GATV2_SOFTMAX, "fagcn": Variant.FAGCN_TANH, "lmgc": Variant.LMGC_EQ14}
 DEFAULT_LR_GRID = (0.03, 0.01, 0.003)
 
 # Default instance seed for the target-fitting experiment. Sparse connected
@@ -81,38 +82,27 @@ class Model:
         raise NotImplementedError
 
 
-class Gatv2Model(Model):
-    """Multi-head GATv2 with the heads stacked into one parameter per role.
+class EdgeModel(Model):
+    """One lmgc.edge_layer on parameters: multi-head GATv2, FAGCN (one head) or eq. 14's LMGC.
 
-    W is (d, H*c), head k's weights in columns k*c:(k+1)*c; V is (H, c, 1),
-    head k's score vector in V[k, :, 0], as lmgc.gatv2_coefficients takes them.
+    W is (d, K*c), head k's weights in columns k*c:(k+1)*c; V holds the K
+    gating vectors in lmgc.stacked_vectors' layout. Each head's (d, c) weights
+    are drawn in turn, then each head's vector.
     """
 
-    def __init__(self, edges: EdgeIndex, d, c, heads, rng):
-        self.edges = edges
-        w = [_uniform_init(rng, (d, c)) for _ in range(heads)]
-        v = [_uniform_init(rng, (c,)) for _ in range(heads)]
+    def __init__(self, variant: Variant, edges: EdgeIndex, d, c, heads, rng):
+        self.variant, self.edges = variant, edges
+        self.k = 1 if variant is Variant.FAGCN_TANH else heads
+        length = vector_length(variant, self.k, d, c)
+        w = [_uniform_init(rng, (d, c)) for _ in range(self.k)]
+        v = [_uniform_init(rng, (length,)) for _ in range(self.k)]
         self.w = ad.Var(np.concatenate(w, axis=1))
-        self.v = ad.Var(np.stack(v)[:, :, None])
+        self.v = ad.Var(stacked_vectors(variant, v))
         self.params = [self.w, self.v]
 
     def forward(self, x):
-        e = self.edges
-        z = ad.matmul(x, self.w)
-        return ad.edge_messages(gatv2_coefficients(z, self.v, e), z, e.dst, e.src)
-
-
-class FagcnModel(Model):
-    def __init__(self, edges: EdgeIndex, d, c, rng):
-        self.edges = edges
-        self.w = ad.Var(_uniform_init(rng, (d, c)))
-        self.v = ad.Var(_uniform_init(rng, (2 * d,)))
-        self.params = [self.w, self.v]
-
-    def forward(self, x):
-        e = self.edges
-        alpha = fagcn_coefficients(x, self.v, e.dst, e.src, e.inv_sqrt_deg_pair)
-        return ad.edge_messages(alpha, ad.matmul(x, self.w), e.dst, e.src)
+        out, _, _ = edge_layer(self.variant, x, self.w, self.v, self.edges, self.k)
+        return out
 
 
 class AcmModel(Model):
@@ -154,40 +144,15 @@ class GinModel(Model):
         return gin_layer(self.agg, x, *self.params)
 
 
-class LmgcModel(Model):
-    """Multi-graph layer with tanh-gated coefficients over shared head weights.
-
-    W is (d, H*c), head k's weights in columns k*c:(k+1)*c; V is (2*H*c, H),
-    head k's gating vector in column k, as lmgc.eq14_coefficients takes them.
-    """
-
-    def __init__(self, edges: EdgeIndex, d, c, heads, rng):
-        self.edges = edges
-        w = [_uniform_init(rng, (d, c)) for _ in range(heads)]
-        v = [_uniform_init(rng, (2 * heads * c,)) for _ in range(heads)]
-        self.w = ad.Var(np.concatenate(w, axis=1))
-        self.v = ad.Var(np.stack(v, axis=1))
-        self.params = [self.w, self.v]
-
-    def forward(self, x):
-        e = self.edges
-        z = ad.matmul(x, self.w)
-        return ad.edge_messages(eq14_coefficients(z, self.v, e.dst, e.src), z, e.dst, e.src)
-
-
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:
     method = method.lower()
     edges = EdgeIndex.of(g)
-    if method == "gatv2":
-        return Gatv2Model(edges, d, c, heads, rng)
-    if method == "fagcn":
-        return FagcnModel(edges, d, c, rng)
+    if method in EDGE_VARIANTS:
+        return EdgeModel(EDGE_VARIANTS[method], edges, d, c, heads, rng)
     if method == "acm":
         return AcmModel(g, d, c, rng)
     if method == "gin":
         return GinModel(g, d, c, rng)
-    if method == "lmgc":
-        return LmgcModel(edges, d, c, heads, rng)
     raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
 
 

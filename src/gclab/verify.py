@@ -3,8 +3,8 @@
 Multiset instances are drawn from a rational lattice (integer vectors in
 [-5, 5]^d scaled by 1/3) so that distinctness and integer-scaling checks
 are exact. Edge coefficients are a fixed function of the endpoint features,
-one "almost every" draw: a keyed Gaussian (random_iid) or lmgc's own fagcn
-and eq14 gates, run over chunks of PAIRS_PER_CHUNK pairs. Identical instances
+one "almost every" draw: a keyed Gaussian (random_iid) or the fagcn and eq14
+gates lmgc runs, over chunks of PAIRS_PER_CHUNK pairs. Identical instances
 get identical coefficients, exactly for random_iid and up to rounding for the
 tanh sources, whose matrix products round with an instance's place in a chunk.
 
@@ -25,7 +25,7 @@ from . import autodiff as ad
 from .convolution import sca_repeated_gcn
 from .graph import Graph, generate_erdos_renyi, laplacian
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
-from .lmgc import eq14_coefficients, fagcn_coefficients
+from .lmgc import eq14_coefficients
 from .seeding import derive_seed, splitmix64
 from .spectral import eigendecompose_symmetric
 
@@ -152,7 +152,7 @@ class CoefficientSource:
     """Maps (center, element) lattice pairs to K coefficients, deterministically per seed.
 
     random_iid draws an independent Gaussian per (head, feature pair); the
-    tanh sources run lmgc's fagcn and eq14 gates with Gaussian parameters
+    tanh sources run the fagcn and eq14 gates of lmgc with Gaussian parameters
     drawn once per source: gate[k] is head k's gating vector, and eq14
     projects the features with w (K, d, c).
     """
@@ -185,7 +185,7 @@ class CoefficientSource:
         src = dst + len(centers)
         gate = ad.Var(self.gate.T)  # head k's gating vector in column k
         if self.kind == "fagcn_tanh":
-            return fagcn_coefficients(ad.Var(rows), gate, dst, src).value
+            return ad.tanh_gate(ad.Var(rows), gate, dst, src).value
         w = np.concatenate(self.w, axis=1)  # (d, K*c), head k in columns k*c:(k+1)*c
         return eq14_coefficients(ad.Var(rows @ w), gate, dst, src).value
 

@@ -471,6 +471,14 @@ class TestFusedMatchesComposed:
         )
 
 
+@pytest.mark.parametrize("v_shape", [(12,), (4,), (12, 2), (6, 2, 1)])
+def test_tanh_gate_rejects_v_without_2m_rows(v_shape):
+    """m = 3 node columns take v with 6 rows; (12,) is not read as two heads."""
+    h = ad.Var(np.ones((5, 3)))
+    with pytest.raises(ValueError, match=r"2m = 6; got"):
+        ad.tanh_gate(h, ad.Var(np.ones(v_shape)), SMALL.dst, SMALL.src)
+
+
 def test_tanh_gate_on_pair_rows():
     """verify's layout: E pairs as rows e (center) and E + e (element) of one array."""
     rng = np.random.default_rng(40)

@@ -296,8 +296,10 @@ class TestUsageErrors:
             (["universality", "--lr", "-1"], "--lr: must be a finite number above 0"),
             (["universality", "--lr", "nan"], "--lr: must be a finite number above 0"),
             (["spectra", "--er", "16", "abc"], "--er: expected an integer N and a number P"),
+            (["verify", "--kind", "injectivity", "--k", "0"], "--k: must be at least 1"),
+            (["verify", "--kind", "independence", "--k", "-2"], "--k: must be at least 1"),
         ],
-        ids=["jobs-zero", "lr-negative", "lr-nan", "er-not-a-number"],
+        ids=["jobs-zero", "lr-negative", "lr-nan", "er-not-a-number", "k-zero", "k-negative"],
     )
     def test_bad_value_names_its_flag(self, tmp_path, capsys, argv, message):
         out = tmp_path / "o"

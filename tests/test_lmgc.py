@@ -58,6 +58,45 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="per head"):
             CoefficientScheme(Variant.GATV2_SOFTMAX, 2, (np.zeros(2),))
 
+    def test_fagcn_needs_its_gating_vector(self):
+        with pytest.raises(ValueError, match=r"fagcn_tanh takes 1 gating vector\(s\)"):
+            CoefficientScheme(Variant.FAGCN_TANH, 1)
+
+    @pytest.mark.parametrize(
+        "variant, k", [(Variant.GCN_NORM, 1), (Variant.ACM_FIXED, 2), (Variant.RANDOM_IID, 2)]
+    )
+    def test_constant_schemes_take_no_vectors(self, variant, k):
+        with pytest.raises(ValueError, match=rf"{variant.value} takes 0 gating vector\(s\)"):
+            CoefficientScheme(variant, k, (np.zeros(4),))
+
+
+class TestGatingVectorLengths:
+    """A gating vector of the wrong length fails at the layer, naming the variant and length."""
+
+    K, D, C = 2, 3, 2
+    # (variant, heads, a wrong length, the right one)
+    CASES = [
+        (Variant.GATV2_SOFTMAX, 2, C + 1, C),
+        (Variant.FAGCN_TANH, 1, D, 2 * D),
+        (Variant.LMGC_EQ14, 2, K * C, 2 * K * C),  # K*c: each half of [z_i, z_j] only
+    ]
+
+    def setup_case(self, variant, k, length):
+        g, x, weights, _ = small_setup(n=6, d=self.D, c=self.C, k=k, variant=variant)
+        return g, x, weights, CoefficientScheme(variant, k, (np.ones(length),) * k)
+
+    @pytest.mark.parametrize("variant, k, wrong, right", CASES)
+    def test_layer_rejects_wrong_length(self, variant, k, wrong, right):
+        _, _, weights, scheme = self.setup_case(variant, k, wrong)
+        with pytest.raises(ValueError, match=rf"{variant.value} .* length {right}; got"):
+            LmgcLayer(weights, scheme)
+
+    @pytest.mark.parametrize("variant, k, wrong, right", CASES)
+    def test_compute_coefficients_rejects_wrong_length(self, variant, k, wrong, right):
+        g, x, weights, scheme = self.setup_case(variant, k, wrong)
+        with pytest.raises(ValueError, match=rf"{variant.value} .* length {right}; got"):
+            compute_coefficients(scheme, x, g, weights)
+
 
 class TestGraphSetValidation:
     def test_off_support_coefficient_rejected(self):

@@ -336,7 +336,7 @@ class TestTrainedModelIsAnLmgcLayer:
         run_training(model, x, y, steps=20, lr=0.01)
         layer = layer_from_model(method, model, cfg.d, cfg.c, cfg.heads)
         expected = model.forward(ad.Var(x)).value
-        np.testing.assert_allclose(lmgc_forward(layer, x, g), expected, rtol=0, atol=1e-12)
+        np.testing.assert_array_equal(lmgc_forward(layer, x, g), expected)
 
 
 class TestTrainedGinIsGinForward:
@@ -406,6 +406,44 @@ class TestConstantInputs:
         assert all(grad is None for grad in fast_inputs)
         for got, ref in zip(fast, full):
             assert np.array_equal(got, ref), method
+
+
+def tape_nodes(loss):
+    """The non-leaf nodes reachable from loss."""
+    seen, stack = set(), [loss]
+    while stack:
+        node = stack.pop()
+        if node._parents and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node._parents)
+    return len(seen)
+
+
+class TestPinnedTraining:
+    """Each method's tape and its 600-step best loss on the reference instance, bit for bit."""
+
+    NODES = {"gatv2": 4, "fagcn": 4, "acm": 9, "gin": 7, "lmgc": 5}
+    MIN_MSE = {
+        "gatv2": "0x1.14b4be07f7ed8p-4",
+        "fagcn": "0x1.10578a837f662p-4",
+        "acm": "0x1.dda2cd86c468cp-2",
+        "gin": "0x1.04f3313b233dfp-5",
+        "lmgc": "0x1.d6137f159da69p-63",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_tape_nodes(self, method):
+        cfg = ExperimentConfig()
+        g, x, y = experiment_data(cfg)
+        model = build_model(method, g, cfg.d, cfg.c, np.random.default_rng(0), heads=cfg.heads)
+        loss = ad.mse(model.forward(ad.Var(x, requires_grad=False)), y)
+        assert tape_nodes(loss) == self.NODES[method]
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_600_step_min_mse(self, method):
+        result = run_universality_experiment(method, ExperimentConfig(steps=600, lr=0.01, run=0))
+        assert not result.diverged
+        assert result.min_mse == float.fromhex(self.MIN_MSE[method]), result.min_mse.hex()
 
 
 class TestRunTraining:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 import gclab.verify
-from gclab.autodiff import Var
-from gclab.lmgc import Variant, eq14_coefficients, fagcn_coefficients
+from gclab.autodiff import Var, tanh_gate
+from gclab.lmgc import Variant, eq14_coefficients
 from gclab.seeding import derive_seed, splitmix64
 from gclab.verify import (
     _FEATURE_SEPARATOR,
@@ -309,7 +309,7 @@ class TestCoefficientSource:
         expected = eq14_coefficients(Var(rows @ w), Var(eq14.gate.T), dst, src).value
         np.testing.assert_array_equal(eq14.alphas(centers, elements), expected)
         fagcn = CoefficientSource("fagcn_tanh", k, d, c, seed=11)
-        expected = fagcn_coefficients(Var(rows), Var(fagcn.gate.T), dst, src).value
+        expected = tanh_gate(Var(rows), Var(fagcn.gate.T), dst, src).value
         np.testing.assert_array_equal(fagcn.alphas(centers, elements), expected)
 
     def test_random_iid_array_keys_equal_scalar_chain(self):
