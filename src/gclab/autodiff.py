@@ -7,10 +7,11 @@ segment_softmax and the mse head. Three are fused message blocks, each one
 tape node with a hand-written backward: edge_messages (the per-head message
 sum into each edge's destination), tanh_gate (the split-form edge gate of
 fagcn and eq. 14) and gatv2_attention (GATv2's scores and softmax). The
-generic primitives are the fused blocks' oracle in the tests. Nodes form a
-tape in construction order; backward walks it once in reverse and releases
-it. A leaf built with requires_grad=False is a constant: no rule computes
-its adjoint, and backward does not walk into a subgraph built only from
+generic primitives are the fused blocks' oracle in the tests. backward
+lists the nodes that require grad in depth-first post-order from the loss,
+runs each rule once in the reverse of that order and releases the tape.
+A leaf built with requires_grad=False is a constant: no rule computes its
+adjoint, and backward does not walk into a subgraph built only from
 constants.
 """
 
@@ -33,7 +34,11 @@ class Var:
     def __init__(self, value, parents=(), backward=None, requires_grad=True):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
-        self.requires_grad = True in [p.requires_grad for p in parents] if parents else requires_grad
+        if parents:
+            requires_grad = False
+            for p in parents:
+                requires_grad = requires_grad or p.requires_grad
+        self.requires_grad = requires_grad
         self._parents = parents
         self._backward = backward
 
@@ -44,6 +49,8 @@ class Var:
 
 def _unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to the original shape."""
+    if grad.shape == shape:
+        return grad
     while grad.ndim > len(shape):
         grad = grad.sum(axis=0)
     for axis, size in enumerate(shape):
@@ -84,14 +91,18 @@ def matmul(a: Var, b: Var) -> Var:
 
     def backward(g):
         av, bv = a.value, b.value
-        if a.requires_grad and av.ndim == 1:
-            _accumulate(a, g @ bv.T if bv.ndim == 2 else g * bv)
+        if a.requires_grad and bv.ndim == 2 and av.ndim <= 2:
+            _accumulate(a, g @ bv.T)
+        elif a.requires_grad and av.ndim == 1:
+            _accumulate(a, g * bv)
         elif a.requires_grad:
             gb = g[:, None] if g.ndim == 1 else g
             bm = bv[:, None] if bv.ndim == 1 else bv
             _accumulate(a, _unbroadcast(gb @ _t(bm), av.shape))
-        if b.requires_grad and bv.ndim == 1:
-            _accumulate(b, av.T @ g if av.ndim == 2 else av * g)
+        if b.requires_grad and av.ndim == 2 and bv.ndim <= 2:
+            _accumulate(b, av.T @ g)
+        elif b.requires_grad and bv.ndim == 1:
+            _accumulate(b, av * g)
         elif b.requires_grad:
             ga = g[None, :] if g.ndim == 1 else g
             am = av[None, :] if av.ndim == 1 else av
@@ -189,17 +200,17 @@ def relu(a: Var) -> Var:
     return leaky_relu(a, 0.0)
 
 
-def _softmax_segments(s, offsets):
-    """Softmax along axis 0 within each segment offsets[i]:offsets[i + 1]."""
-    counts, starts = np.diff(offsets), offsets[:-1]
-    e = np.exp(s - np.repeat(np.maximum.reduceat(s, starts, axis=0), counts, axis=0))
-    return e / np.repeat(np.add.reduceat(e, starts, axis=0), counts, axis=0)
+def _softmax_segments(s, offsets, segment):
+    """Softmax along axis 0 within each segment offsets[i]:offsets[i + 1]; row r is in segment[r]."""
+    starts = offsets[:-1]
+    e = np.exp(s - np.take(np.maximum.reduceat(s, starts, axis=0), segment, axis=0))
+    return e / np.take(np.add.reduceat(e, starts, axis=0), segment, axis=0)
 
 
-def _softmax_segments_grad(alpha, g, offsets):
+def _softmax_segments_grad(alpha, g, offsets, segment):
     """Adjoint of the scores given alpha = _softmax_segments(scores) and its adjoint g."""
     dot = np.add.reduceat(alpha * g, offsets[:-1], axis=0)
-    return alpha * (g - np.repeat(dot, np.diff(offsets), axis=0))
+    return alpha * (g - np.take(dot, segment, axis=0))
 
 
 def segment_softmax(scores: Var, offsets: np.ndarray) -> Var:
@@ -209,9 +220,10 @@ def segment_softmax(scores: Var, offsets: np.ndarray) -> Var:
     (E, H), with rows ordered so that each node's edges are contiguous, and
     each column of an (E, H) array is normalized on its own.
     """
-    alpha = _softmax_segments(scores.value, offsets)
+    segment = np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
+    alpha = _softmax_segments(scores.value, offsets, segment)
     out = Var(alpha, (scores,))
-    out._backward = lambda g: _accumulate(scores, _softmax_segments_grad(alpha, g, offsets))
+    out._backward = lambda g: _accumulate(scores, _softmax_segments_grad(alpha, g, offsets, segment))
     return out
 
 
@@ -235,7 +247,8 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
 
     def backward(g):
         gs = g * (1.0 - t * t) if scale is None else g * scale * (1.0 - t * t)
-        gn = np.stack([_sum_rows(gs, dst, n), _sum_rows(gs, src, n)])  # (2, n, H)
+        # one bincount: the dst sums into rows 0..n-1, the src sums into rows n..2n-1
+        gn = _sum_rows(np.concatenate((gs, gs)), np.concatenate((dst, src + n)), 2 * n).reshape(2, n, -1)
         if h.requires_grad:
             _accumulate(h, gn[0] @ halves[0].T + gn[1] @ halves[1].T)
         if v.requires_grad:
@@ -268,11 +281,11 @@ def gatv2_attention(z: Var, v: Var, dst, src, offsets, reverse, slope: float = 0
     r = zv[dst]
     r += zv[src]
     np.maximum(r, 0.0, out=r)  # relu(z_i + z_j), (E, H*c)
-    alpha = _softmax_segments(slope * (p[dst] + p[src]) + (1.0 - slope) * (r @ blocks), offsets)
+    alpha = _softmax_segments(slope * (p[dst] + p[src]) + (1.0 - slope) * (r @ blocks), offsets, dst)
     out = Var(alpha, (z, v))
 
     def backward(g):
-        gs = _softmax_segments_grad(alpha, g, offsets)  # (E, H)
+        gs = _softmax_segments_grad(alpha, g, offsets, dst)  # (E, H)
         both = gs + gs[reverse]  # the adjoints of e and of its reverse, both summed into dst[e]
         gp = slope * np.add.reduceat(both, offsets[:-1], axis=0)  # (n, H)
         if z.requires_grad:
@@ -333,21 +346,21 @@ def backward(loss: Var) -> None:
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
         return
+    # post-order: a node is pushed to enter it and again to list it, after its parents
     order = []
-    seen = set()
-    stack = [(loss, False)]
+    listed = {}  # Var (hashed by identity) -> False once entered, True once listed
+    stack = [loss]
     while stack:
-        node, done = stack.pop()
-        if done:
+        node = stack.pop()
+        if node not in listed:
+            listed[node] = False
+            stack.append(node)
+            for p in node._parents:
+                if p.requires_grad and p not in listed:
+                    stack.append(p)
+        elif not listed[node]:
+            listed[node] = True
             order.append(node)
-            continue
-        if id(node) in seen:
-            continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
-            if p.requires_grad and id(p) not in seen:
-                stack.append((p, False))
     loss.grad = np.asarray(1.0)
     for node in reversed(order):
         if node._backward is not None and node.grad is not None:

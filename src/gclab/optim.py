@@ -14,7 +14,8 @@ class Adam:
 
     The optimizer owns the parameter storage: construction copies every
     parameter into one flat vector and rebinds each `p.value` to a view of
-    it, so a step updates all parameters with a few whole-vector operations.
+    it, so a step gathers the gradients into one buffer allocated here and
+    updates the moments and all parameters in place.
     Assigning a new array to `p.value` afterwards detaches that parameter
     from the optimizer; build a new Adam to train from reassigned values.
     """
@@ -33,6 +34,7 @@ class Adam:
             p.value = self.flat[lo:hi].reshape(p.value.shape)
         self.m = np.zeros_like(self.flat)
         self.v = np.zeros_like(self.flat)
+        self._grad = np.empty_like(self.flat)  # every gradient, gathered each step
 
     def step(self):
         grads = [p.grad for p in self.params]
@@ -43,14 +45,27 @@ class Adam:
                 )
         self.t += 1
         present = [g is not None for g in grads]
-        # a parameter without a gradient keeps its value and its moments
-        sel = slice(None) if all(present) else np.repeat(present, self._sizes)
-        g = _flatten([g for g in grads if g is not None])
-        m, v = self.m[sel], self.v[sel]
-        m = self.beta1 * m + (1 - self.beta1) * g
-        v = self.beta2 * v + (1 - self.beta2) * g * g
-        self.m[sel] = m
-        self.v[sel] = v
-        m_hat = m / (1 - self.beta1**self.t)
-        v_hat = v / (1 - self.beta2**self.t)
-        self.flat[sel] = self.flat[sel] - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+        full = all(present)
+        if full:
+            g = np.concatenate([g.ravel() for g in grads], out=self._grad) if grads else self._grad
+            m, v, flat = self.m, self.v, self.flat
+        else:
+            # a parameter without a gradient keeps its value and its moments
+            sel = np.repeat(present, self._sizes)
+            g = _flatten([g for g in grads if g is not None])
+            m, v, flat = self.m[sel], self.v[sel], self.flat[sel]
+        m *= self.beta1
+        m += (1 - self.beta1) * g
+        v *= self.beta2
+        gg = (1 - self.beta2) * g
+        gg *= g
+        v += gg
+        step = m / (1 - self.beta1**self.t)
+        step *= self.lr
+        den = v / (1 - self.beta2**self.t)
+        np.sqrt(den, out=den)
+        den += self.eps
+        step /= den
+        flat -= step
+        if not full:
+            self.m[sel], self.v[sel], self.flat[sel] = m, v, flat

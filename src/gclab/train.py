@@ -12,6 +12,7 @@ minimum loss seen.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -169,14 +170,14 @@ def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: flo
             ad.zero_grads(model.params)
             loss = ad.mse(model.forward(x_var), y)
             value = float(loss.value)
-            if not np.isfinite(value):
+            if not math.isfinite(value):
                 diverged = True
                 break
             min_mse = min(min_mse, value)
             ad.backward(loss)
             opt.step()
         final = float(ad.mse(model.forward(x_var), y).value)
-    if np.isfinite(final):
+    if math.isfinite(final):
         min_mse = min(min_mse, final)
     else:
         diverged = True

@@ -61,6 +61,34 @@ class TestAdam:
         with pytest.raises(ValueError):
             opt.step()
 
+    def test_rejected_step_changes_no_state(self):
+        params = [ad.Var(np.ones((2, 3))), ad.Var(np.arange(4.0))]
+        opt = Adam(params, lr=0.1)
+        params[0].grad, params[1].grad = np.full((2, 3), 0.5), np.arange(4.0) - 1.0
+        opt.step()
+        before = (opt.t, opt.m.copy(), opt.v.copy(), [p.value.copy() for p in params])
+        params[1].grad = np.zeros(5)
+        with pytest.raises(ValueError):
+            opt.step()
+        assert opt.t == before[0]
+        assert opt.m.tobytes() == before[1].tobytes()
+        assert opt.v.tobytes() == before[2].tobytes()
+        assert all(p.value.tobytes() == v.tobytes() for p, v in zip(params, before[3]))
+
+    @pytest.mark.parametrize("skip", [None, 1])
+    def test_step_never_writes_into_a_gradient(self, skip):
+        # backward keeps a first adjoint uncopied, so one array may be several
+        # parameters' gradients, or a view of another node's array
+        shared = np.linspace(-1.0, 1.0, 12)
+        params = [ad.Var(np.zeros(12)), ad.Var(np.ones((3, 4))), ad.Var(np.ones(12))]
+        grads = [shared, shared.reshape(3, 4), shared]
+        opt = Adam(params, lr=0.1)
+        for _ in range(3):
+            for i, (p, g) in enumerate(zip(params, grads)):
+                p.grad = None if i == skip else g
+            opt.step()
+        assert shared.tobytes() == np.linspace(-1.0, 1.0, 12).tobytes()
+
     @staticmethod
     def reference_steps(values, grads, lr, beta1=0.9, beta2=0.999, eps=1e-8):
         """Per-parameter Adam loop; a None gradient skips its parameter."""
@@ -444,6 +472,23 @@ class TestPinnedTraining:
         result = run_universality_experiment(method, ExperimentConfig(steps=600, lr=0.01, run=0))
         assert not result.diverged
         assert result.min_mse == float.fromhex(self.MIN_MSE[method]), result.min_mse.hex()
+
+    # the wide instance (n=128, d=c=32, 375 edges): a node has up to 14 edges,
+    # against at most 5 on the reference instance, so longer segments are summed
+    WIDE_MIN_MSE = {
+        "gatv2": "0x1.1e1f0456bd142p-1",
+        "fagcn": "0x1.9eb13bc970685p-1",
+        "acm": "0x1.af3a5fb1774cap-1",
+        "gin": "0x1.416237de7a831p-1",
+        "lmgc": "0x1.d05ab9cff1f3ep-2",
+    }
+
+    @pytest.mark.parametrize("method", METHODS)
+    def test_wide_30_step_min_mse(self, method):
+        config = ExperimentConfig(n=128, d=32, c=32, p=0.05, steps=30, lr=0.01, run=0)
+        result = run_universality_experiment(method, config)
+        assert not result.diverged
+        assert result.min_mse == float.fromhex(self.WIDE_MIN_MSE[method]), result.min_mse.hex()
 
 
 class TestRunTraining:
