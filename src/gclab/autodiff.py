@@ -188,7 +188,7 @@ def tanh(a: Var) -> Var:
     return out
 
 
-def leaky_relu(a: Var, slope: float = 0.2) -> Var:
+def leaky_relu(a: Var, slope: float) -> Var:
     # 1 where a >= 0, slope elsewhere: (1 - slope) + slope rounds to exactly 1
     factor = (a.value >= 0) * (1.0 - slope) + slope
     out = Var(a.value * factor, (a,))
@@ -258,7 +258,7 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
     return out
 
 
-def gatv2_attention(z: Var, v: Var, dst, src, offsets, reverse, slope: float = 0.2) -> Var:
+def gatv2_attention(z: Var, v: Var, dst, src, offsets, reverse, slope: float) -> Var:
     """GATv2 attention: per head k, softmax within each dst segment of v_k . leaky(z[dst] + z[src]).
 
     z is (n, H*c), head k in columns k*c:(k+1)*c, and v is (H, c, 1). The

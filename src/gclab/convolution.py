@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralBasis, Spectrum, graph_fourier, inverse_fourier
+from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier, inverse_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
 
@@ -92,12 +92,19 @@ class SpectralResponse:
 def _check_basis(theta: FilterTensor, basis: SpectralBasis):
     if theta.basis_id != basis.basis_id:
         raise ValueError("filter tensor was built against a different basis")
+    if theta.n != basis.n:
+        raise ValueError(f"filter tensor has {theta.n} nodes, basis has {basis.n}")
 
 
-def _check_channels(x: np.ndarray, d: int):
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
+def _check_stack(stack: WeightStack, basis: SpectralBasis):
+    if stack.count != basis.n:
+        raise ValueError(f"stack must hold one matrix per spectral component: "
+                         f"it holds {stack.count}, basis has {basis.n}")
+
+
+def _check_channels(x: np.ndarray, d: int, basis: SpectralBasis):
+    """x as an (n, d) signal on the basis' n nodes; a 1-D x is one channel."""
+    x = _check_signal(basis, x)
     if x.shape[1] != d:
         raise ValueError(f"signal has {x.shape[1]} channels, filter expects {d}")
     return x
@@ -123,8 +130,7 @@ def weight_stack_from_filter(theta: FilterTensor, basis: SpectralBasis) -> Weigh
 
 def filter_from_weight_stack(stack: WeightStack, basis: SpectralBasis) -> FilterTensor:
     """Inverse of weight_stack_from_filter; stack must hold n matrices."""
-    if stack.count != basis.n:
-        raise ValueError("stack must hold one matrix per spectral component")
+    _check_stack(stack, basis)
     hat = np.transpose(stack.matrices, (0, 2, 1))
     values = np.einsum("ik,kcd->icd", basis.eigenvectors, hat)
     return FilterTensor(values, basis.basis_id)
@@ -133,16 +139,15 @@ def filter_from_weight_stack(stack: WeightStack, basis: SpectralBasis) -> Filter
 def mimo_gc(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Exact MIMO convolution: sum_k U_{:,k} (U_{:,k}^T X) W^(k)."""
     _check_basis(theta, basis)
-    x = _check_channels(x, theta.d)
+    x = _check_channels(x, theta.d, basis)
     stack = weight_stack_from_filter(theta, basis)
     return mimo_gc_from_stack(stack, x, basis)
 
 
 def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Convolution given the spectral weight stack directly."""
-    if stack.count != basis.n:
-        raise ValueError("stack must hold one matrix per spectral component")
-    x = _check_channels(x, stack.d)
+    _check_stack(stack, basis)
+    x = _check_channels(x, stack.d, basis)
     u = basis.eigenvectors
     return u @ np.einsum("kd,kdc->kc", u.T @ x, stack.matrices)
 
@@ -150,7 +155,7 @@ def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) 
 def mimo_gc_oracle(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Channel-pair route: output channel q = sum_p siso_gc(theta[:, q, p], x[:, p])."""
     _check_basis(theta, basis)
-    x = _check_channels(x, theta.d)
+    x = _check_channels(x, theta.d, basis)
     out = np.zeros((theta.n, theta.c))
     for q in range(theta.c):
         for p in range(theta.d):
@@ -165,7 +170,7 @@ def mimo_gc_vectorized_oracle(theta: FilterTensor, x: np.ndarray, basis: Spectra
     is diag over spectral components of F(theta)[:, q, p].
     """
     _check_basis(theta, basis)
-    x = _check_channels(x, theta.d)
+    x = _check_channels(x, theta.d, basis)
     n, c, d = theta.n, theta.c, theta.d
     u = basis.eigenvectors
     hat = np.einsum("ik,icd->kcd", u, theta.values)
@@ -195,8 +200,7 @@ def _kron_eye(count: int, block: np.ndarray) -> np.ndarray:
 
 def pairwise_weight(stack: WeightStack, basis: SpectralBasis, i: int, j: int) -> np.ndarray:
     """Per-node-pair transform W_(i,j) = (sum_k U_ik U_jk W^(k))^T, shape c x d."""
-    if stack.count != basis.n:
-        raise ValueError("stack must hold one matrix per spectral component")
+    _check_stack(stack, basis)
     if not (0 <= i < basis.n and 0 <= j < basis.n):
         raise IndexError(f"node pair ({i},{j}) out of range for n={basis.n}")
     u = basis.eigenvectors
@@ -210,9 +214,8 @@ def mimo_gc_pairwise(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) ->
     The transforms W_(i,j) are built explicitly, one row i at a time, so
     the route stays an independent oracle without an (n, n, d, c) temporary.
     """
-    if stack.count != basis.n:
-        raise ValueError("stack must hold one matrix per spectral component")
-    x = _check_channels(x, stack.d)
+    _check_stack(stack, basis)
+    x = _check_channels(x, stack.d, basis)
     u = basis.eigenvectors
     n, d, c = stack.count, stack.d, stack.c
     flat = stack.matrices.reshape(n, d * c)
@@ -276,8 +279,7 @@ def gcn_as_mimo_stack(v: np.ndarray, basis: SpectralBasis) -> WeightStack:
 
 def filter_response(stack: WeightStack, basis: SpectralBasis, in_channel: int, out_channel: int) -> SpectralResponse:
     """Response of one input/output channel pair across spectral components."""
-    if stack.count != basis.n:
-        raise ValueError("stack must hold one matrix per spectral component")
+    _check_stack(stack, basis)
     if not 0 <= in_channel < stack.d:
         raise IndexError(f"input channel {in_channel} out of range")
     if not 0 <= out_channel < stack.c:

@@ -2,12 +2,13 @@
 
 A layer holds K weight matrices and a scheme that turns node features into
 K coefficients per edge, plus a fixed diagonal weight per head (1 for ACM's
-Laplacian and identity channels); the forward pass is sum_k A~^(k) X W^(k).
+Laplacian channel); the forward pass is sum_k A~^(k) X W^(k). Every
+leaky ReLU of the schemes has slope LEAKY_RELU_SLOPE.
 The layer is one autodiff expression, edge_layer: z = x W, the (E, K) edge
 coefficients of edge_coefficients (the one dispatch on Variant), and
 autodiff.edge_messages; stacked_vectors owns the gating vectors' layout.
 gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
-GIN's gin_layer is run the same two ways. The dense (K, n, n) matrix form
+GIN-0's gin_layer is run the same two ways. The dense (K, n, n) matrix form
 (compute_coefficients, ComputationalGraphSet, forward_from_coefficients,
 pairwise_transform) is the oracle.
 """
@@ -31,7 +32,7 @@ class Variant(Enum):
     GATV2_SOFTMAX = "gatv2_softmax"
     FAGCN_TANH = "fagcn_tanh"
     ACM_FIXED = "acm_fixed"
-    """The linear A~/L filterbank A~ X W0 + L X W1 (+ X W2); train.AcmModel is the nonlinear ACM."""
+    """The linear A~/L filterbank A~ X W0 + L X W1 (K=2); train.AcmModel is the nonlinear ACM."""
     LMGC_EQ14 = "lmgc_eq14"
     RANDOM_IID = "random_iid"
 
@@ -48,9 +49,7 @@ class CoefficientScheme:
     variant: Variant
     k: int
     vectors: tuple = ()
-    leaky_slope: float = LEAKY_RELU_SLOPE
     seed: int = 0
-    include_identity: bool = False  # ACM third channel
 
     def __post_init__(self):
         if self.k < 1:
@@ -59,10 +58,8 @@ class CoefficientScheme:
             raise ValueError("degree normalization defines a single graph")
         if self.variant is Variant.FAGCN_TANH and self.k != 1:
             raise ValueError("tanh gating defines a single graph")
-        if self.variant is Variant.ACM_FIXED:
-            expected = 3 if self.include_identity else 2
-            if self.k != expected:
-                raise ValueError(f"fixed-operator scheme has K={expected} here")
+        if self.variant is Variant.ACM_FIXED and self.k != 2:
+            raise ValueError("fixed-operator scheme has K=2: A~ and L")
         count = {Variant.GATV2_SOFTMAX: self.k, Variant.LMGC_EQ14: self.k, Variant.FAGCN_TANH: 1}
         if len(self.vectors) != count.get(self.variant, 0):
             raise ValueError(f"{self.variant.value} takes {count.get(self.variant, 0)} gating "
@@ -156,14 +153,14 @@ class EdgeIndex:
         return g._cache["edge_index"]
 
 
-def eq14_coefficients(z, v, dst, src, slope=LEAKY_RELU_SLOPE):
+def eq14_coefficients(z, v, dst, src):
     """Eq. 14 gate: per head k, tanh(v_k . leaky([z_i, z_j])) on the edges dst[e] <- src[e].
 
     z is the (n, H*c) head projections x W; v is (2*H*c, H), head k's gating
     vector in column k. leaky acts on each half, so it runs on the n node
     rows before the gate. Returns the (E, H) coefficients.
     """
-    return ad.tanh_gate(ad.leaky_relu(z, slope), v, dst, src)
+    return ad.tanh_gate(ad.leaky_relu(z, LEAKY_RELU_SLOPE), v, dst, src)
 
 
 def _check_features(x, g: Graph):
@@ -192,28 +189,28 @@ def stacked_vectors(variant: Variant, vectors) -> np.ndarray:
     return np.zeros(0)
 
 
-def edge_coefficients(variant: Variant, x, z, v, edges: EdgeIndex, k=1, slope=LEAKY_RELU_SLOPE, seed=0):
+def edge_coefficients(variant: Variant, x, z, v, edges: EdgeIndex, k=1, seed=0):
     """The scheme's coefficients: alpha (E, K) on the edges dst[e] <- src[e], a Var, and diag (K,).
 
     x is the (n, d) features, z = x W the (n, K*c) head projections (head k in
     columns k*c:(k+1)*c) and v the gating vectors in stacked_vectors' layout,
     all Vars. A gated scheme is one fused block (FAGCN's is the tanh gate
     times 1/sqrt(deg_i deg_j)); the others are a constant. diag[k] is head k's
-    weight on a node's own features: 1 for ACM's Laplacian and identity, else 0.
+    weight on a node's own features: 1 for ACM's Laplacian, else 0.
     """
     dst, src, diag = edges.dst, edges.src, np.zeros(k)
     if variant is Variant.GATV2_SOFTMAX:
-        return ad.gatv2_attention(z, v, dst, src, edges.offsets, edges.reverse, slope), diag
+        return ad.gatv2_attention(z, v, dst, src, edges.offsets, edges.reverse, LEAKY_RELU_SLOPE), diag
     if variant is Variant.FAGCN_TANH:
         return ad.tanh_gate(x, v, dst, src, edges.inv_sqrt_deg_pair), diag
     if variant is Variant.LMGC_EQ14:
-        return eq14_coefficients(z, v, dst, src, slope), diag
+        return eq14_coefficients(z, v, dst, src), diag
     if variant is Variant.GCN_NORM:
         alpha = edges.inv_sqrt_deg_pair
     elif variant is Variant.ACM_FIXED:
-        # normalized adjacency, Laplacian I - A~ and identity
-        alpha = edges.inv_sqrt_deg_pair * np.array([1.0, -1.0, 0.0][:k])
-        diag = np.array([0.0, 1.0, 1.0][:k])
+        # normalized adjacency and Laplacian I - A~
+        alpha = edges.inv_sqrt_deg_pair * np.array([1.0, -1.0])
+        diag = np.array([0.0, 1.0])
     elif variant is Variant.RANDOM_IID:
         alpha = np.random.default_rng(seed).standard_normal((k, len(dst))).T
     else:  # pragma: no cover
@@ -221,7 +218,7 @@ def edge_coefficients(variant: Variant, x, z, v, edges: EdgeIndex, k=1, slope=LE
     return ad.Var(alpha, requires_grad=False), diag
 
 
-def edge_layer(variant: Variant, x, w, v, edges: EdgeIndex, k=1, slope=LEAKY_RELU_SLOPE, seed=0):
+def edge_layer(variant: Variant, x, w, v, edges: EdgeIndex, k=1, seed=0):
     """One localized MIMO layer sum_k A~^(k) x W^(k) over the edge arrays, on Vars.
 
     w is (d, K*c), head k's weights in columns k*c:(k+1)*c. Returns the (n, c)
@@ -229,7 +226,7 @@ def edge_layer(variant: Variant, x, w, v, edges: EdgeIndex, k=1, slope=LEAKY_REL
     (ACM's) lmgc_forward adds.
     """
     z = ad.matmul(x, w)
-    alpha, diag = edge_coefficients(variant, x, z, v, edges, k, slope, seed)
+    alpha, diag = edge_coefficients(variant, x, z, v, edges, k, seed)
     return ad.edge_messages(alpha, z, edges.dst, edges.src), z, diag
 
 
@@ -250,9 +247,7 @@ def compute_coefficients(
     layer = LmgcLayer(np.asarray(weights, dtype=float), scheme)
     x, w, v = _constants(layer, x, g)
     edges = EdgeIndex.of(g)
-    alpha, diag = edge_coefficients(
-        scheme.variant, x, ad.matmul(x, w), v, edges, scheme.k, scheme.leaky_slope, scheme.seed
-    )
+    alpha, diag = edge_coefficients(scheme.variant, x, ad.matmul(x, w), v, edges, scheme.k, scheme.seed)
     mats = np.zeros((scheme.k, g.n, g.n))
     mats[:, edges.dst, edges.src] = alpha.value.T
     mats[:, np.arange(g.n), np.arange(g.n)] = diag[:, None]
@@ -263,7 +258,7 @@ def lmgc_forward(layer: LmgcLayer, x: np.ndarray, g: Graph) -> np.ndarray:
     """edge_layer on the layer's constants plus the diag term: sum_k A~^(k) X W^(k)."""
     s = layer.scheme
     x, w, v = _constants(layer, x, g)
-    out, z, diag = edge_layer(s.variant, x, w, v, EdgeIndex.of(g), s.k, s.leaky_slope, s.seed)
+    out, z, diag = edge_layer(s.variant, x, w, v, EdgeIndex.of(g), s.k, s.seed)
     return out.value + np.einsum("k,nkc->nc", diag, z.value.reshape(g.n, layer.k, layer.c))
 
 
@@ -293,34 +288,35 @@ def pairwise_transform(
     return out
 
 
-def gin_aggregation(g: Graph, eps: float = 0.0) -> np.ndarray:
-    """GIN's sum aggregator (1 + eps) I + A as a dense operator."""
-    return (1.0 + eps) * np.eye(g.n) + g.adjacency
+def gin_aggregation(g: Graph) -> np.ndarray:
+    """GIN-0's sum aggregator I + A (eps = 0) as a dense operator."""
+    return np.eye(g.n) + g.adjacency
 
 
 def gin_layer(agg, x, w1, b1, w2, b2):
-    """GIN: relu((agg x) W1 + b1) W2 + b2, agg from gin_aggregation."""
+    """GIN-0: relu((agg x) W1 + b1) W2 + b2, agg from gin_aggregation."""
     h = ad.matmul(agg, x)
     h = ad.relu(ad.add(ad.matmul(h, w1), b1))
     return ad.add(ad.matmul(h, w2), b2)
 
 
-def gin_forward(x: np.ndarray, g: Graph, mlp, eps: float = 0.0) -> np.ndarray:
+def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
     """gin_layer on constants; mlp is (W1, b1, W2, b2)."""
     x = _check_features(x, g)
     mlp = [ad.Var(m) for m in mlp]
     if x.shape[1] != mlp[0].shape[0]:
         raise ValueError("MLP input width does not match the features")
-    return gin_layer(ad.Var(gin_aggregation(g, eps)), ad.Var(x), *mlp).value
+    return gin_layer(ad.Var(gin_aggregation(g)), ad.Var(x), *mlp).value
+
+
+_LAYER_KEYS = ("variant", "k", "seed", "weights", "vectors")
 
 
 def serialize_layer(layer: LmgcLayer) -> str:
-    """Flat JSON of named tensors, row-major lists."""
+    """Flat JSON with exactly the keys _LAYER_KEYS; tensors as row-major lists."""
     payload = {
         "variant": layer.scheme.variant.value,
         "k": layer.k,
-        "leaky_slope": layer.scheme.leaky_slope,
-        "include_identity": layer.scheme.include_identity,
         "seed": layer.scheme.seed,
         "weights": [w.tolist() for w in layer.weights],
         "vectors": [np.asarray(v, dtype=float).tolist() for v in layer.scheme.vectors],
@@ -329,13 +325,17 @@ def serialize_layer(layer: LmgcLayer) -> str:
 
 
 def deserialize_layer(text: str) -> LmgcLayer:
+    """The layer of serialize_layer's JSON; any other key set is rejected, naming the difference."""
     payload = json.loads(text)
+    missing = sorted(set(_LAYER_KEYS) - payload.keys())
+    unexpected = sorted(payload.keys() - set(_LAYER_KEYS))
+    if missing or unexpected:
+        raise ValueError(f"layer JSON keys differ from {list(_LAYER_KEYS)}: "
+                         f"missing {missing}, unexpected {unexpected}")
     scheme = CoefficientScheme(
         variant=Variant(payload["variant"]),
         k=payload["k"],
         vectors=tuple(np.asarray(v, dtype=float) for v in payload["vectors"]),
-        leaky_slope=payload["leaky_slope"],
         seed=payload["seed"],
-        include_identity=payload["include_identity"],
     )
     return LmgcLayer(np.asarray(payload["weights"], dtype=float), scheme)

@@ -1,16 +1,21 @@
-"""Adam optimizer over lists of autodiff parameters."""
+"""Adam optimizer over lists of autodiff parameters.
+
+Adam runs with the conventional constants BETA1, BETA2 and EPS; only the
+learning rate is set per run. Every step needs a gradient for every
+parameter.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
-
-def _flatten(arrays):
-    return np.concatenate([a.ravel() for a in arrays]) if arrays else np.zeros(0)
+BETA1 = 0.9  # first-moment decay
+BETA2 = 0.999  # second-moment decay
+EPS = 1e-8  # added to the root of the second moment
 
 
 class Adam:
-    """Bias-corrected Adam with the conventional moment decay rates.
+    """Bias-corrected Adam with the moment decay rates BETA1 and BETA2.
 
     The optimizer owns the parameter storage: construction copies every
     parameter into one flat vector and rebinds each `p.value` to a view of
@@ -20,16 +25,13 @@ class Adam:
     from the optimizer; build a new Adam to train from reassigned values.
     """
 
-    def __init__(self, params, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
-        self._sizes = [p.value.size for p in self.params]
-        self.flat = _flatten([p.value for p in self.params])
-        bounds = np.cumsum([0] + self._sizes)
+        values = [p.value for p in self.params]
+        self.flat = np.concatenate([v.ravel() for v in values]) if values else np.zeros(0)
+        bounds = np.cumsum([0] + [v.size for v in values])
         for p, lo, hi in zip(self.params, bounds[:-1], bounds[1:]):
             p.value = self.flat[lo:hi].reshape(p.value.shape)
         self.m = np.zeros_like(self.flat)
@@ -37,35 +39,28 @@ class Adam:
         self._grad = np.empty_like(self.flat)  # every gradient, gathered each step
 
     def step(self):
+        """One update; a missing or misshapen gradient raises ValueError before any state changes."""
         grads = [p.grad for p in self.params]
         for p, g in zip(self.params, grads):
-            if g is not None and g.shape != p.value.shape:
+            if g is None:
+                raise ValueError(f"parameter of shape {p.value.shape} has no gradient")
+            if g.shape != p.value.shape:
                 raise ValueError(
                     f"gradient shape {g.shape} does not match parameter {p.value.shape}"
                 )
         self.t += 1
-        present = [g is not None for g in grads]
-        full = all(present)
-        if full:
-            g = np.concatenate([g.ravel() for g in grads], out=self._grad) if grads else self._grad
-            m, v, flat = self.m, self.v, self.flat
-        else:
-            # a parameter without a gradient keeps its value and its moments
-            sel = np.repeat(present, self._sizes)
-            g = _flatten([g for g in grads if g is not None])
-            m, v, flat = self.m[sel], self.v[sel], self.flat[sel]
-        m *= self.beta1
-        m += (1 - self.beta1) * g
-        v *= self.beta2
-        gg = (1 - self.beta2) * g
+        g = np.concatenate([g.ravel() for g in grads], out=self._grad) if grads else self._grad
+        m, v = self.m, self.v
+        m *= BETA1
+        m += (1 - BETA1) * g
+        v *= BETA2
+        gg = (1 - BETA2) * g
         gg *= g
         v += gg
-        step = m / (1 - self.beta1**self.t)
+        step = m / (1 - BETA1**self.t)
         step *= self.lr
-        den = v / (1 - self.beta2**self.t)
+        den = v / (1 - BETA2**self.t)
         np.sqrt(den, out=den)
-        den += self.eps
+        den += EPS
         step /= den
-        flat -= step
-        if not full:
-            self.m[sel], self.v[sel], self.flat[sel] = m, v, flat
+        self.flat -= step

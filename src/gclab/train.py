@@ -3,8 +3,9 @@
 Each method is a thin wrapper around the autodiff primitives exposing a
 parameter list and a forward pass X -> (n, c). gatv2, fagcn and lmgc are one
 EdgeModel: gclab.lmgc's edge_layer on parameters, as lmgc_forward runs it on
-constants, with the gating vectors in lmgc's stacked layout. gin runs
-gclab.lmgc's gin_layer, and acm is its own softmax channel mix.
+constants, with the gating vectors in lmgc's stacked layout. gin is GIN-0
+(eps = 0, hidden width d) through gclab.lmgc's gin_layer, and acm is its own
+softmax mix over an A~ and an L channel.
 The experiment fixes a connected random graph and Gaussian (X, Y), then
 minimizes the MSE of one message-passing layer with Adam and reports the
 minimum loss seen.
@@ -107,24 +108,20 @@ class EdgeModel(Model):
 
 
 class AcmModel(Model):
-    """Adaptive channel mixing: low-pass and high-pass filterbanks with ReLU
-    channel filters and a learned per-node softmax mix over the channels.
+    """Adaptive channel mixing: a low-pass (A~) and a high-pass (L) filterbank
+    with ReLU channel filters and a learned per-node softmax mix over the two.
 
-    The C channels are stacked: one (C, n, n) operator, W (C, d, c) and
-    V (C, c, 1), channel k's score vector in V[k].
+    The channels are stacked: one (2, n, n) operator, W (2, d, c) and
+    V (2, c, 1), channel k's score vector in V[k].
     """
 
-    def __init__(self, g: Graph, d, c, rng, include_identity=False):
-        mats = [normalized_adjacency(g), laplacian(g)]
-        if include_identity:
-            mats.append(np.eye(g.n))
-        self.graphs = ad.Var(np.stack(mats), requires_grad=False)
-        count = len(mats)
-        w = [_uniform_init(rng, (d, c)) for _ in range(count)]
-        v = [_uniform_init(rng, (c, 1)) for _ in range(count)]
+    def __init__(self, g: Graph, d, c, rng):
+        self.graphs = ad.Var(np.stack([normalized_adjacency(g), laplacian(g)]), requires_grad=False)
+        w = [_uniform_init(rng, (d, c)) for _ in range(2)]
+        v = [_uniform_init(rng, (c, 1)) for _ in range(2)]
         self.w, self.v = ad.Var(np.stack(w)), ad.Var(np.stack(v))
         self.params = [self.w, self.v]
-        self.channels = np.array([0, count])  # one softmax segment: all channels of a node
+        self.channels = np.array([0, 2])  # one softmax segment: both channels of a node
 
     def forward(self, x):
         h = ad.relu(ad.matmul(self.graphs, ad.matmul(x, self.w)))  # (C, n, c)
@@ -135,11 +132,12 @@ class AcmModel(Model):
 
 
 class GinModel(Model):
-    def __init__(self, g: Graph, d, c, rng, hidden=None, eps=0.0):
-        hidden = hidden or d
-        self.agg = ad.Var(gin_aggregation(g, eps), requires_grad=False)
-        w1, w2 = _uniform_init(rng, (d, hidden)), _uniform_init(rng, (hidden, c))
-        self.params = [ad.Var(m) for m in (w1, np.zeros(hidden), w2, np.zeros(c))]
+    """GIN-0 with hidden width d: W1 (d, d), b1 (d,), W2 (d, c), b2 (c,)."""
+
+    def __init__(self, g: Graph, d, c, rng):
+        self.agg = ad.Var(gin_aggregation(g), requires_grad=False)
+        w1, w2 = _uniform_init(rng, (d, d)), _uniform_init(rng, (d, c))
+        self.params = [ad.Var(m) for m in (w1, np.zeros(d), w2, np.zeros(c))]
 
     def forward(self, x):
         return gin_layer(self.agg, x, *self.params)

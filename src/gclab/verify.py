@@ -123,13 +123,13 @@ class _LatticeWords:
         return [self._draw(low, span) for _ in range(size)]
 
 
-def sample_instance(rng, d: int, max_size: int = MAX_ELEMENTS) -> MultisetInstance:
+def sample_instance(rng, d: int) -> MultisetInstance:
     """d center draws, one size draw, then the elements as one (size, d) draw.
 
     rng is a Generator or a _LatticeWords over one; both give the same instances.
     """
     center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d)
-    size = rng.integers(1, max_size + 1)
+    size = rng.integers(1, MAX_ELEMENTS + 1)
     elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (int(size), d))
     if not isinstance(rng, _LatticeWords):
         center, elements = center.tolist(), elements.tolist()
@@ -424,13 +424,13 @@ def independence_trial(
     return _trial("independence", num_pairs, k, d, c, seed, source)
 
 
-def parallel_control(k: int, d: int, c: int, seed: int, factor: int = 2):
-    """Excluded-case inversion: same coefficients, scaled multiset -> parallel outputs."""
+def parallel_control(k: int, d: int, c: int, seed: int):
+    """Excluded-case inversion: same coefficients, multiset doubled -> parallel outputs."""
     base = sample_instance(np.random.default_rng(derive_seed(seed, 1)), d)
     weights = _weights(seed, k, d, c)
     # the scaled multiset keeps the base instance's coefficient draws
     fa = aggregate(base, CoefficientSource("random_iid", k, d, c, seed), weights)
-    return fa, factor * fa
+    return fa, 2 * fa
 
 
 def multiset_counterexample_outputs(variant: Variant, seed: int):

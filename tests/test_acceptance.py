@@ -11,6 +11,7 @@ import os
 import time
 
 import numpy as np
+import pytest
 
 from gclab import autodiff as ad
 from gclab.convolution import (
@@ -138,6 +139,7 @@ def _fitting_job(args):
     return run_universality_experiment(method, config)
 
 
+@pytest.mark.slow
 def test_criterion_4_fitting_experiment():
     """Full target-fitting experiment on the reference instance: every method,
     rate grid {0.03, 0.01, 0.003}, three initializations, 40000 steps each.

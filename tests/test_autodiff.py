@@ -308,7 +308,7 @@ class TestConstants:
         ("concat", lambda a, b: ad.concat([a, b], axis=1), (4, 3), (4, 2)),
         ("tanh_gate", lambda a, b: ad.tanh_gate(a, b, SMALL.dst, SMALL.src), (5, 3), (6, 2)),
         ("gatv2_attention",
-         lambda a, b: ad.gatv2_attention(a, b, SMALL.dst, SMALL.src, SMALL.offsets, SMALL.reverse),
+         lambda a, b: ad.gatv2_attention(a, b, SMALL.dst, SMALL.src, SMALL.offsets, SMALL.reverse, 0.2),
          (5, 6), (2, 3, 1)),
         ("edge_messages", lambda a, b: ad.edge_messages(a, b, SMALL.dst, SMALL.src), (E, 2), (5, 4)),
     ]

@@ -237,7 +237,7 @@ class TestVerify:
         rows = read_csv(out / "results.csv")
         assert rows[1][0] == "independence" and rows[1][1] == "2"
 
-    def test_independence_k1_is_usage_error(self, tmp_path):
+    def test_independence_k1_is_usage_error(self, tmp_path, capsys):
         code = main(
             [
                 "verify",
@@ -252,6 +252,7 @@ class TestVerify:
             ]
         )
         assert code == EXIT_USAGE
+        assert "requires K > 1" in capsys.readouterr().err
 
     def test_equivalence_passes(self, tmp_path, capsys):
         out = tmp_path / "eq"

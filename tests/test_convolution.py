@@ -142,6 +142,28 @@ class TestMimoRoutes:
         with pytest.raises(ValueError, match="channels"):
             mimo_gc(theta, np.zeros((theta.n, theta.d + 1)), basis)
 
+    ROUTES = {
+        "mimo_gc": mimo_gc,
+        "mimo_gc_oracle": mimo_gc_oracle,
+        "mimo_gc_vectorized_oracle": mimo_gc_vectorized_oracle,
+        "mimo_gc_from_stack": lambda theta, x, basis: mimo_gc_from_stack(
+            WeightStack(theta.values.transpose(0, 2, 1)), x, basis),
+        "mimo_gc_pairwise": lambda theta, x, basis: mimo_gc_pairwise(
+            WeightStack(theta.values.transpose(0, 2, 1)), x, basis),
+    }
+
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("short", ["signal", "filter"])
+    def test_node_count_mismatch_names_both_counts(self, route, short):
+        # a 7-node signal or filter (a stack of 7 matrices) against an 8-node basis
+        _, basis = make_basis(8, seed=7)
+        rng = np.random.default_rng(7)
+        theta_n, x_n = (8, 7) if short == "signal" else (7, 8)
+        theta = FilterTensor(rng.standard_normal((theta_n, 2, 3)), basis.basis_id)
+        x = rng.standard_normal((x_n, 3))
+        with pytest.raises(ValueError, match="7.* basis has 8"):
+            self.ROUTES[route](theta, x, basis)
+
     def test_stack_count_must_be_n(self):
         _, x, basis = self.random_instance(6)
         bad = WeightStack(np.zeros((basis.n + 1, x.shape[1], 2)))

@@ -1,10 +1,14 @@
 """Coefficient schemes, the localized layer, pairwise transforms, GIN, IO."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
 from gclab.graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
 from gclab.lmgc import (
+    LEAKY_RELU_SLOPE,
     CoefficientScheme,
     ComputationalGraphSet,
     EdgeIndex,
@@ -13,6 +17,7 @@ from gclab.lmgc import (
     compute_coefficients,
     deserialize_layer,
     forward_from_coefficients,
+    gin_aggregation,
     gin_forward,
     lmgc_forward,
     pairwise_transform,
@@ -48,10 +53,10 @@ class TestSchemeValidation:
         with pytest.raises(ValueError):
             CoefficientScheme(Variant.FAGCN_TANH, 2, (np.zeros(6),))
 
-    def test_acm_k_fixed_by_identity_flag(self):
-        with pytest.raises(ValueError):
-            CoefficientScheme(Variant.ACM_FIXED, 3)
-        CoefficientScheme(Variant.ACM_FIXED, 3, include_identity=True)
+    def test_acm_takes_k_two(self):
+        for k in (1, 3):
+            with pytest.raises(ValueError, match="K=2"):
+                CoefficientScheme(Variant.ACM_FIXED, k)
         CoefficientScheme(Variant.ACM_FIXED, 2)
 
     def test_gating_vector_count_checked(self):
@@ -242,7 +247,7 @@ class TestCoefficientSchemes:
 
 def per_edge_coefficients(scheme, x, g, weights):
     """Reference: every coefficient evaluated edge by edge, in neighbor order."""
-    n, slope = g.n, scheme.leaky_slope
+    n, slope = g.n, LEAKY_RELU_SLOPE
     nbrs = g.neighbors
     mats = np.zeros((scheme.k, n, n))
 
@@ -295,14 +300,12 @@ class TestEdgeArrayCoefficients:
 class TestForwardMatchesDenseOracle:
     """lmgc_forward runs on edge arrays; the dense (K, n, n) matrix form is its oracle."""
 
-    CASES = [(v, False) for v in Variant] + [(Variant.ACM_FIXED, True)]
-
     @pytest.mark.parametrize("n, p", [(16, 0.25), (40, 0.1), (128, 0.05)])
-    @pytest.mark.parametrize("variant, identity", CASES)
-    def test_matches_dense_forward(self, n, p, variant, identity, monkeypatch):
+    # the ids keep the names these cases are tracked under (variant-False-n-p)
+    @pytest.mark.parametrize("variant", list(Variant), ids=lambda v: f"{v}-False")
+    def test_matches_dense_forward(self, n, p, variant, monkeypatch):
         d, c = 4, 3
         k = {Variant.GCN_NORM: 1, Variant.FAGCN_TANH: 1, Variant.ACM_FIXED: 2}.get(variant, 3)
-        k += identity
         g = generate_erdos_renyi(n, p, seed=n)
         rng = np.random.default_rng(n + 1)
         x = rng.standard_normal((n, d))
@@ -311,7 +314,7 @@ class TestForwardMatchesDenseOracle:
             Variant.FAGCN_TANH: (rng.standard_normal(2 * d),),
             Variant.LMGC_EQ14: tuple(rng.standard_normal(2 * k * c) for _ in range(k)),
         }.get(variant, ())
-        scheme = CoefficientScheme(variant, k, vectors, seed=n, include_identity=identity)
+        scheme = CoefficientScheme(variant, k, vectors, seed=n)
         layer = LmgcLayer(rng.standard_normal((k, d, c)), scheme)
         ref = forward_from_coefficients(layer, compute_coefficients(scheme, x, g, layer.weights), x)
 
@@ -365,19 +368,15 @@ class TestLayerAndPairwise:
         np.testing.assert_allclose(out, expected, atol=1e-12)
 
     def test_acm_diagonal_pairwise_sums_diagonal_heads(self):
-        # the normalized adjacency has a zero diagonal, while the Laplacian
-        # and identity operators both carry a 1 there
+        # the normalized adjacency has a zero diagonal and the Laplacian a 1,
+        # so a node's own pair carries the Laplacian head alone
         g, x, _, _ = small_setup(k=2)
         rng = np.random.default_rng(11)
-        weights = rng.standard_normal((3, 3, 2))
-        scheme = CoefficientScheme(Variant.ACM_FIXED, 3, include_identity=True)
+        weights = rng.standard_normal((2, 3, 2))
+        scheme = CoefficientScheme(Variant.ACM_FIXED, 2)
         layer = LmgcLayer(weights, scheme)
         cgs = compute_coefficients(scheme, x, g, weights)
-        np.testing.assert_allclose(
-            pairwise_transform(layer, cgs, 2, 2),
-            weights[1].T + weights[2].T,
-            atol=1e-12,
-        )
+        np.testing.assert_array_equal(pairwise_transform(layer, cgs, 2, 2), weights[1].T)
 
     def test_pairwise_rejects_non_edges(self):
         g, x, weights, scheme = small_setup(seed=12)
@@ -416,13 +415,13 @@ class TestGin:
         expected = np.maximum(h @ mlp[0] + mlp[1], 0.0) @ mlp[2] + mlp[3]
         np.testing.assert_allclose(gin_forward(x, g, mlp), expected, atol=1e-12)
 
-    def test_eps_scales_self_term(self):
-        g = Graph.from_edges(2, [(0, 1)])
-        x = np.array([[1.0], [0.0]])
+    def test_self_term_has_unit_weight(self):
+        # GIN-0: each node sums its own features once and its neighbors', (I + A) x
+        g = Graph.from_edges(3, [(0, 1), (1, 2)])
+        np.testing.assert_array_equal(gin_aggregation(g), np.eye(3) + g.adjacency)
+        x = np.array([[1.0], [10.0], [100.0]])
         mlp = (np.eye(1), np.zeros(1), np.eye(1), np.zeros(1))
-        out = gin_forward(x, g, mlp, eps=1.0)
-        # node 0 aggregates 2*x0 + x1 = 2, node 1 aggregates 0 + x0 = 1
-        np.testing.assert_allclose(out, [[2.0], [1.0]], atol=0)
+        np.testing.assert_array_equal(gin_forward(x, g, mlp), [[11.0], [111.0], [110.0]])
 
     def test_width_mismatch_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
@@ -449,4 +448,28 @@ class TestSerialization:
         )
         restored = deserialize_layer(serialize_layer(layer))
         np.testing.assert_array_equal(restored.weights, layer.weights)
-        assert restored.scheme.include_identity is False
+        assert restored.scheme == layer.scheme
+
+    def test_payload_has_exactly_the_read_keys(self):
+        _, _, weights, scheme = small_setup(seed=17)
+        payload = json.loads(serialize_layer(LmgcLayer(weights, scheme)))
+        assert sorted(payload) == ["k", "seed", "variant", "vectors", "weights"]
+
+    @staticmethod
+    def acm_payload():
+        rng = np.random.default_rng(18)
+        layer = LmgcLayer(rng.standard_normal((2, 3, 3)), CoefficientScheme(Variant.ACM_FIXED, 2))
+        return json.loads(serialize_layer(layer))
+
+    @pytest.mark.parametrize("key, value", [("leaky_slope", 0.1), ("include_identity", True)])
+    def test_old_layer_keys_rejected(self, key, value):
+        payload = self.acm_payload()
+        payload[key] = value
+        with pytest.raises(ValueError, match=re.escape(f"unexpected ['{key}']")):
+            deserialize_layer(json.dumps(payload))
+
+    def test_missing_key_rejected(self):
+        payload = self.acm_payload()
+        del payload["seed"]
+        with pytest.raises(ValueError, match=re.escape("missing ['seed'], unexpected []")):
+            deserialize_layer(json.dumps(payload))

@@ -54,9 +54,9 @@ class TestSampling:
 
     def test_generator_draws_the_per_row_instances(self):
         # one (size, d) element draw reads the same words as size draws of d
-        def per_row(rng, d, max_size=MAX_ELEMENTS):
+        def per_row(rng, d):
             center = tuple(int(v) for v in rng.integers(*LATTICE, d))
-            size = int(rng.integers(1, max_size + 1))
+            size = int(rng.integers(1, MAX_ELEMENTS + 1))
             elements = [tuple(int(v) for v in rng.integers(*LATTICE, d)) for _ in range(size)]
             return MultisetInstance(center, tuple(sorted(elements)))
 
@@ -116,17 +116,19 @@ class TestLatticeWords:
         calls = [(7, 7 + span, [None, int(pick.integers(1, 6))][pick.integers(2)]) for _ in range(300)]
         self.assert_same_draws(43, block, calls)
 
-    @pytest.mark.parametrize("max_size", [1, MAX_ELEMENTS])
+    @pytest.mark.parametrize("max_elements", [1, MAX_ELEMENTS])
     @pytest.mark.parametrize("d", [1, 3, 4, 7])
     @pytest.mark.parametrize("block", [13, None])
-    def test_instances_equal_consecutive_generator_calls(self, d, max_size, block):
+    def test_instances_equal_consecutive_generator_calls(self, d, max_elements, block, monkeypatch):
+        # MAX_ELEMENTS = 1 makes every size draw the zero-width range, which reads no word
+        monkeypatch.setattr(gclab.verify, "MAX_ELEMENTS", max_elements)
         rng = np.random.default_rng(derive_seed(45, 1))
         if block is None:
             words = _pair_words(45, d)
         else:
             words = _LatticeWords(np.random.default_rng(derive_seed(45, 1)), block)
         for _ in range(2000):
-            assert sample_instance(words, d, max_size) == sample_instance(rng, d, max_size)
+            assert sample_instance(words, d) == sample_instance(rng, d)
 
 
 def decoded_pairs(chunk):
@@ -525,12 +527,11 @@ class TestIndependence:
             independence_trial(1, k=1, d=2, c=2, seed=0)
 
     def test_parallel_control_inverts_the_exclusion(self):
-        # scaled multiset with shared coefficients produces exactly parallel rows
-        for factor in (2, 3):
-            fa, fb = parallel_control(k=2, d=3, c=3, seed=14, factor=factor)
-            np.testing.assert_allclose(fb, factor * fa, atol=1e-12)
-            smax, smin = np.linalg.svd(np.stack([fa, fb]), compute_uv=False)
-            assert smin / smax < COLLISION_RTOL
+        # the doubled multiset with shared coefficients produces exactly parallel rows
+        fa, fb = parallel_control(k=2, d=3, c=3, seed=14)
+        np.testing.assert_array_equal(fb, 2 * fa)
+        smax, smin = np.linalg.svd(np.stack([fa, fb]), compute_uv=False)
+        assert smin / smax < COLLISION_RTOL
 
 
 class TestCounterexample:
