@@ -1,18 +1,16 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
-Only the primitives needed by the single-layer message-passing models are
-provided. Thirteen are generic: matmul, add, mul, scale, concat, reshape,
-gather_rows and scatter_sum (edge indexing), tanh, leaky_relu, relu,
-segment_softmax and the mse head. Three are fused message blocks, each one
-tape node with a hand-written backward: edge_messages (the per-head message
-sum into each edge's destination), tanh_gate (the split-form edge gate of
-fagcn and eq. 14) and gatv2_attention (GATv2's scores and softmax). The
-generic primitives are the fused blocks' oracle in the tests. backward
-lists the nodes that require grad in depth-first post-order from the loss,
-runs each rule once in the reverse of that order and releases the tape.
-A leaf built with requires_grad=False is a constant: no rule computes its
-adjoint, and backward does not walk into a subgraph built only from
-constants.
+Only the primitives the single-layer message-passing models run are
+provided. Nine are generic: matmul, add, mul, reshape, scatter_sum,
+leaky_relu, relu, segment_softmax and the mse head. Three are fused message
+blocks, each one tape node with a hand-written backward: edge_messages (the
+per-head message sum into each edge's destination), tanh_gate (the
+split-form edge gate of fagcn and eq. 14) and gatv2_attention (GATv2's
+scores and softmax). backward lists the nodes that require grad in
+depth-first post-order from the loss, runs each rule once in the reverse of
+that order and releases the tape. A leaf built with requires_grad=False is a
+constant: no rule computes its adjoint, and backward does not walk into a
+subgraph built only from constants.
 """
 
 from __future__ import annotations
@@ -138,53 +136,16 @@ def mul(a: Var, b: Var) -> Var:
     return out
 
 
-def scale(a: Var, s: float) -> Var:
-    out = Var(a.value * s, (a,))
-    out._backward = lambda g: _accumulate(a, g * s)
-    return out
-
-
-def concat(parts, axis=0) -> Var:
-    parts = list(parts)
-    out = Var(np.concatenate([p.value for p in parts], axis=axis), tuple(parts))
-    sizes = [p.value.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def backward(g):
-        for p, lo, hi in zip(parts, offsets[:-1], offsets[1:]):
-            if p.requires_grad:
-                idx = [slice(None)] * g.ndim
-                idx[axis] = slice(lo, hi)
-                _accumulate(p, g[tuple(idx)])
-
-    out._backward = backward
-    return out
-
-
-def gather_rows(a: Var, index: np.ndarray) -> Var:
-    """Select rows by index (edge endpoint lookup)."""
-    out = Var(a.value[index], (a,))
-    out._backward = lambda g: _accumulate(a, _sum_rows(g, index, a.value.shape[0]))
-    return out
-
-
 def scatter_sum(a: Var, index: np.ndarray, size: int) -> Var:
     """Sum rows of a into an output of `size` rows grouped by index."""
     out = Var(_sum_rows(a.value, index, size), (a,))
-    out._backward = lambda g: _accumulate(a, g[index])
+    out._backward = lambda g: _accumulate(a, np.take(g, index, axis=0))
     return out
 
 
 def reshape(a: Var, shape) -> Var:
     out = Var(a.value.reshape(shape), (a,))
     out._backward = lambda g: _accumulate(a, g.reshape(a.value.shape))
-    return out
-
-
-def tanh(a: Var) -> Var:
-    t = np.tanh(a.value)
-    out = Var(t, (a,))
-    out._backward = lambda g: _accumulate(a, g * (1.0 - t * t))
     return out
 
 
@@ -242,7 +203,7 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
         raise ValueError(f"tanh_gate needs v of shape (2m,) or (2m, H), 2m = {2 * m}; got {vv.shape}")
     halves = vv.reshape(2, m, -1)  # v_top, v_bot
     node = hv @ halves  # (2, n, H)
-    t = np.tanh(node[0][dst] + node[1][src])
+    t = np.tanh(np.take(node[0], dst, axis=0) + np.take(node[1], src, axis=0))
     out = Var(t if scale is None else t * scale, (h, v))
 
     def backward(g):
@@ -278,15 +239,16 @@ def gatv2_attention(z: Var, v: Var, dst, src, offsets, reverse, slope: float) ->
     blocks[diag, :, diag] = vv[:, :, 0]
     blocks = blocks.reshape(heads * c, heads)  # column k holds v_k in rows k*c:(k+1)*c
     p = zv @ blocks  # (n, H)
-    r = zv[dst]
-    r += zv[src]
+    r = np.take(zv, dst, axis=0)
+    r += np.take(zv, src, axis=0)
     np.maximum(r, 0.0, out=r)  # relu(z_i + z_j), (E, H*c)
-    alpha = _softmax_segments(slope * (p[dst] + p[src]) + (1.0 - slope) * (r @ blocks), offsets, dst)
+    pair = np.take(p, dst, axis=0) + np.take(p, src, axis=0)
+    alpha = _softmax_segments(slope * pair + (1.0 - slope) * (r @ blocks), offsets, dst)
     out = Var(alpha, (z, v))
 
     def backward(g):
         gs = _softmax_segments_grad(alpha, g, offsets, dst)  # (E, H)
-        both = gs + gs[reverse]  # the adjoints of e and of its reverse, both summed into dst[e]
+        both = gs + np.take(gs, reverse, axis=0)  # the adjoints of e and of its reverse, both summed into dst[e]
         gp = slope * np.add.reduceat(both, offsets[:-1], axis=0)  # (n, H)
         if z.requires_grad:
             gr = ((1.0 - slope) * both) @ blocks.T

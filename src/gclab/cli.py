@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import math
 import multiprocessing
 import os
 import sys
@@ -33,6 +32,7 @@ from .convolution import (
 )
 from .graph import generate_erdos_renyi, laplacian, load_edge_list
 from .lmgc import Variant
+from .optim import rate_error
 from .seeding import derive_seed
 from .spectral import eigendecompose_symmetric, symmetric_spectrum
 from .svgplot import line_plot_svg
@@ -41,6 +41,7 @@ from .train import (
     METHODS,
     REFERENCE_INSTANCE_SEED,
     ExperimentConfig,
+    count_error,
     run_universality_experiment,
 )
 from .verify import (
@@ -63,15 +64,15 @@ class _Parser(argparse.ArgumentParser):
 
 def positive_int(text: str) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if (error := count_error(value)) is not None:
+        raise argparse.ArgumentTypeError(error)
     return value
 
 
 def positive_float(text: str) -> float:
     value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, got {text!r}")
+    if (error := rate_error(value)) is not None:
+        raise argparse.ArgumentTypeError(error)
     return value
 
 

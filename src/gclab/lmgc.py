@@ -332,10 +332,14 @@ def deserialize_layer(text: str) -> LmgcLayer:
     if missing or unexpected:
         raise ValueError(f"layer JSON keys differ from {list(_LAYER_KEYS)}: "
                          f"missing {missing}, unexpected {unexpected}")
+    try:
+        weights = np.asarray(payload["weights"], dtype=float)
+    except ValueError as exc:
+        raise ValueError("layer JSON weights are not a (K, d, c) array of numbers") from exc
     scheme = CoefficientScheme(
         variant=Variant(payload["variant"]),
         k=payload["k"],
         vectors=tuple(np.asarray(v, dtype=float) for v in payload["vectors"]),
         seed=payload["seed"],
     )
-    return LmgcLayer(np.asarray(payload["weights"], dtype=float), scheme)
+    return LmgcLayer(weights, scheme)

@@ -7,11 +7,18 @@ parameter.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 BETA1 = 0.9  # first-moment decay
 BETA2 = 0.999  # second-moment decay
 EPS = 1e-8  # added to the root of the second moment
+
+
+def rate_error(lr) -> str | None:
+    """Why lr is no learning rate, or None when it is a finite number above 0."""
+    return None if math.isfinite(lr) and lr > 0 else f"must be a finite number above 0, got {lr!r}"
 
 
 class Adam:
@@ -26,6 +33,8 @@ class Adam:
     """
 
     def __init__(self, params, lr):
+        if (error := rate_error(lr)) is not None:
+            raise ValueError(f"lr {error}")
         self.params = list(params)
         self.lr = lr
         self.t = 0

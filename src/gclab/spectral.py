@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -35,12 +36,21 @@ class SpectralBasis(Spectrum):
 
     The sign of each eigenvector is fixed so that its first component with
     absolute value above 1e-10 is positive, making the basis deterministic
-    for simple spectra.
+    for simple spectra. Both arrays are made read-only at construction, so
+    basis_id, hashed on first access and kept, names the arrays the basis holds.
     """
 
     eigenvectors: np.ndarray
 
-    @property
+    def __post_init__(self):
+        self.eigenvalues.setflags(write=False)
+        self.eigenvectors.setflags(write=False)
+
+    def __setstate__(self, state):  # pickle and copy restore the arrays writeable
+        self.__dict__.update(state)
+        self.__post_init__()
+
+    @cached_property
     def basis_id(self) -> str:
         h = hashlib.sha256()
         h.update(self.eigenvalues.tobytes())
@@ -49,10 +59,10 @@ class SpectralBasis(Spectrum):
 
 
 def _symmetrized(m) -> np.ndarray:
-    """0.5 (m + m^T) of a finite square matrix that is symmetric within SYMMETRY_TOL."""
+    """0.5 (m + m^T) of a finite non-empty square matrix that is symmetric within SYMMETRY_TOL."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError("input must be a square matrix")
+    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
+        raise ValueError(f"input must be a non-empty square matrix, got shape {m.shape}")
     if not np.all(np.isfinite(m)):
         raise ValueError("input matrix has non-finite entries")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:

@@ -23,6 +23,7 @@ from . import autodiff as ad
 from .graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
 from .lmgc import vector_length
+from .optim import Adam, rate_error
 from .seeding import derive_seed
 
 METHODS = ("gatv2", "fagcn", "acm", "gin", "lmgc")
@@ -35,6 +36,11 @@ DEFAULT_LR_GRID = (0.03, 0.01, 0.003)
 # graph with both patterns, which pin the representational floors of the
 # softmax- and sum-aggregation baselines independently of their parameters.
 REFERENCE_INSTANCE_SEED = 8211762302750656350
+
+
+def count_error(value) -> str | None:
+    """Why value is no count (a width, head, step or CLI count must be at least 1), or None."""
+    return None if value >= 1 else f"must be at least 1, got {value}"
 
 
 @dataclass
@@ -55,6 +61,12 @@ class ExperimentConfig:
     seed: int = REFERENCE_INSTANCE_SEED
     run: int = 0
     heads: int = 4
+
+    def __post_init__(self):
+        errors = [(name, count_error(getattr(self, name))) for name in ("d", "c", "heads", "steps")]
+        for name, error in errors + [("lr", rate_error(self.lr))]:
+            if error is not None:
+                raise ValueError(f"ExperimentConfig.{name} {error}")
 
 
 @dataclass
@@ -157,8 +169,6 @@ def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> M
 
 def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: float):
     """Adam loop returning (minimum MSE seen, diverged flag)."""
-    from .optim import Adam
-
     x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf

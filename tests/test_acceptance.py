@@ -5,11 +5,14 @@ stdout doubles as a checklist. Budgets (trial counts, tolerances, wall-time
 limits) are stated inline next to each criterion.
 """
 
+import ast
 import inspect
 import multiprocessing
 import os
 import time
+from pathlib import Path
 
+import composed_primitives as cp
 import numpy as np
 import pytest
 
@@ -298,7 +301,8 @@ def autodiff_primitives() -> set:
 
 
 def primitive_cases(rng):
-    """(name, build, arrays): one central-difference case per autodiff primitive.
+    """(name, build, arrays): one central-difference case per autodiff primitive,
+    gclab.autodiff's and the test-side ones of composed_primitives.
 
     The generic primitives draw from rng; the fused message blocks draw from
     their own stream, on a small graph, so rng's later draws do not move.
@@ -312,18 +316,18 @@ def primitive_cases(rng):
          [rng.standard_normal((3, 4)), rng.standard_normal(4)]),
         ("mul", lambda a, b: ad.mse(ad.mul(a, b), t34),
          [rng.standard_normal((3, 4)), rng.standard_normal((3, 1))]),
-        ("scale", lambda a: ad.mse(ad.scale(a, -1.7), t34),
+        ("scale", lambda a: ad.mse(cp.scale(a, -1.7), t34),
          [rng.standard_normal((3, 4))]),
-        ("concat", lambda a, b: ad.mse(ad.concat([a, b], axis=1), t34),
+        ("concat", lambda a, b: ad.mse(cp.concat([a, b], axis=1), t34),
          [rng.standard_normal((3, 1)), rng.standard_normal((3, 3))]),
-        ("gather_rows", lambda a: ad.mse(ad.gather_rows(a, np.array([0, 2, 2])), t34),
+        ("gather_rows", lambda a: ad.mse(cp.gather_rows(a, np.array([0, 2, 2])), t34),
          [rng.standard_normal((3, 4))]),
         ("scatter_sum",
          lambda a: ad.mse(ad.scatter_sum(a, np.array([0, 0, 1, 2, 2]), 3), t34),
          [rng.standard_normal((5, 4))]),
         ("reshape", lambda a: ad.mse(ad.reshape(a, (3, 4)), t34),
          [rng.standard_normal(12)]),
-        ("tanh", lambda a: ad.mse(ad.tanh(a), t34), [rng.standard_normal((3, 4))]),
+        ("tanh", lambda a: ad.mse(cp.tanh(a), t34), [rng.standard_normal((3, 4))]),
         ("leaky_relu", lambda a: ad.mse(ad.leaky_relu(a, 0.2), t34),
          [rng.standard_normal((3, 4)) + np.sign(rng.standard_normal((3, 4))) * 0.01]),
         ("relu", lambda a: ad.mse(ad.relu(a), t34),
@@ -351,12 +355,45 @@ def primitive_cases(rng):
 
 def test_criterion_8_lists_every_primitive():
     """Every public autodiff primitive has a case in criterion 8, so none skips
-    the central-difference check; leaving any one out is caught."""
+    the central-difference check; leaving any one of them out is caught. The
+    cases of the test-side primitives in composed_primitives are not listed
+    by gclab.autodiff, so only the package's own names are left out in turn."""
     names = [name for name, _, _ in primitive_cases(np.random.default_rng(0))]
     assert len(names) == len(set(names))
     assert autodiff_primitives() - set(names) == set()
-    for left_out in names:
+    for left_out in sorted(autodiff_primitives()):
         assert autodiff_primitives() - (set(names) - {left_out}) == {left_out}
+
+
+def package_autodiff_calls() -> set:
+    """Names that package code outside autodiff.py calls through `from . import autodiff`."""
+    called = set()
+    for path in Path(ad.__file__).parent.glob("*.py"):
+        if path.name == "autodiff.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+            if alias.name == "autodiff"
+        }
+        called |= {
+            node.func.attr
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in aliases
+        }
+    return called
+
+
+def test_every_autodiff_primitive_runs_in_the_package():
+    """gclab.autodiff defines only primitives the package runs; one that only
+    the tests call belongs in composed_primitives."""
+    assert autodiff_primitives() - package_autodiff_calls() == set()
 
 
 def test_criterion_8_gradient_checks():

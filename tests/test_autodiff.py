@@ -1,6 +1,7 @@
 """Finite-difference validation of every autodiff primitive, and of the fused
-message blocks against the generic primitives they replace."""
+message blocks against their composed form in composed_primitives."""
 
+import composed_primitives as cp
 import numpy as np
 import pytest
 
@@ -78,21 +79,21 @@ class TestPrimitiveGradients:
     def test_scale(self):
         a = RNG.standard_normal((3, 3))
         t = RNG.standard_normal((3, 3))
-        check_grads(lambda x: ad.mse(ad.scale(x, -2.5), t), [a])
+        check_grads(lambda x: ad.mse(cp.scale(x, -2.5), t), [a])
 
     def test_concat_axis0_and_axis1(self):
         a, b = RNG.standard_normal((2, 3)), RNG.standard_normal((4, 3))
         t0 = RNG.standard_normal((6, 3))
-        check_grads(lambda x, y: ad.mse(ad.concat([x, y], axis=0), t0), [a, b])
+        check_grads(lambda x, y: ad.mse(cp.concat([x, y], axis=0), t0), [a, b])
         c, d = RNG.standard_normal((3, 2)), RNG.standard_normal((3, 5))
         t1 = RNG.standard_normal((3, 7))
-        check_grads(lambda x, y: ad.mse(ad.concat([x, y], axis=1), t1), [c, d])
+        check_grads(lambda x, y: ad.mse(cp.concat([x, y], axis=1), t1), [c, d])
 
     def test_gather_rows_with_repeats(self):
         a = RNG.standard_normal((4, 3))
         index = np.array([0, 2, 2, 3, 0])
         t = RNG.standard_normal((5, 3))
-        check_grads(lambda x: ad.mse(ad.gather_rows(x, index), t), [a])
+        check_grads(lambda x: ad.mse(cp.gather_rows(x, index), t), [a])
 
     def test_scatter_sum(self):
         a = RNG.standard_normal((6, 2))
@@ -114,7 +115,7 @@ class TestPrimitiveGradients:
     def test_tanh(self):
         a = RNG.standard_normal((3, 4))
         t = RNG.standard_normal((3, 4))
-        check_grads(lambda x: ad.mse(ad.tanh(x), t), [a])
+        check_grads(lambda x: ad.mse(cp.tanh(x), t), [a])
 
     def test_leaky_relu_away_from_kink(self):
         a = RNG.standard_normal((4, 4))
@@ -208,7 +209,7 @@ class TestRowSums:
     @pytest.mark.parametrize("shape, index, size", ROW_SUM_CASES)
     def test_gather_rows_backward_equals_add_at(self, shape, index, size):
         a = ad.Var(RNG.standard_normal((size,) + shape[1:]))
-        out = ad.gather_rows(a, index)
+        out = cp.gather_rows(a, index)
         g = RNG.standard_normal(shape) * 10.0 ** RNG.integers(-8, 8, shape)
         out._backward(g)
         ref = add_at_reference(g, index, size)
@@ -261,8 +262,8 @@ class TestBackwardMechanics:
 
     def test_diamond_graph(self):
         x = ad.Var(np.array([1.0, 2.0]))
-        a = ad.scale(x, 3.0)
-        b = ad.tanh(x)
+        a = cp.scale(x, 3.0)
+        b = cp.tanh(x)
         loss = ad.mse(ad.add(a, b), np.zeros(2))
         ad.backward(loss)
         assert x.grad is not None and x.grad.shape == (2,)
@@ -290,7 +291,7 @@ class TestBackwardMechanics:
         x = ad.Var(np.array(1.0).reshape(()))
         node = x
         for _ in range(5000):
-            node = ad.scale(node, 1.0)
+            node = cp.scale(node, 1.0)
         loss = ad.mse(node, np.array(0.0))
         ad.backward(loss)
         assert np.isclose(x.grad, 2.0 * 1.0)
@@ -305,7 +306,7 @@ class TestConstants:
         ("matmul", lambda a, b: ad.matmul(a, b), (4, 3), (3, 2)),
         ("add", lambda a, b: ad.add(a, b), (4, 3), (3,)),
         ("mul", lambda a, b: ad.mul(a, b), (4, 3), (4, 1)),
-        ("concat", lambda a, b: ad.concat([a, b], axis=1), (4, 3), (4, 2)),
+        ("concat", lambda a, b: cp.concat([a, b], axis=1), (4, 3), (4, 2)),
         ("tanh_gate", lambda a, b: ad.tanh_gate(a, b, SMALL.dst, SMALL.src), (5, 3), (6, 2)),
         ("gatv2_attention",
          lambda a, b: ad.gatv2_attention(a, b, SMALL.dst, SMALL.src, SMALL.offsets, SMALL.reverse, 0.2),
@@ -332,13 +333,13 @@ class TestConstants:
 
     def test_requires_grad_follows_the_parents(self):
         c, p = ad.Var(np.ones(2), requires_grad=False), ad.Var(np.ones(2))
-        assert not ad.tanh(c).requires_grad
-        assert not ad.add(c, ad.scale(c, 2.0)).requires_grad
+        assert not cp.tanh(c).requires_grad
+        assert not ad.add(c, cp.scale(c, 2.0)).requires_grad
         assert ad.mul(c, p).requires_grad
 
     def test_backward_does_not_walk_into_a_constant_subgraph(self):
         c = ad.Var(np.ones(3), requires_grad=False)
-        hidden = ad.tanh(c)
+        hidden = cp.tanh(c)
         p = ad.Var(np.arange(3.0))
         ad.backward(ad.mse(ad.mul(hidden, p), np.zeros(3)))
         assert p.grad is not None
@@ -353,33 +354,6 @@ class TestConstants:
 
 
 # ---------------------------------------------------------------- fused blocks
-
-
-def composed_edge_messages(alpha, z, e):
-    """edge_messages from mul, reshape and scatter_sum: E*H messages summed by one scatter."""
-    n_edges, heads = alpha.shape
-    zj = ad.gather_rows(z, e.src)
-    if heads == 1:
-        return ad.scatter_sum(ad.mul(alpha, zj), e.dst, e.n)
-    c = zj.shape[1] // heads
-    msg = ad.mul(ad.reshape(alpha, (n_edges, heads, 1)), ad.reshape(zj, (n_edges, heads, c)))
-    return ad.scatter_sum(ad.reshape(msg, (n_edges * heads, c)), np.repeat(e.dst, heads), e.n)
-
-
-def composed_tanh_gate(h, v, dst, src, scale=None):
-    """tanh(concat(h[dst], h[src]) @ v) over the (E, 2m) gathered rows."""
-    gate = ad.tanh(ad.matmul(ad.concat([ad.gather_rows(h, dst), ad.gather_rows(h, src)], axis=1), v))
-    if v.value.ndim == 1:
-        gate = ad.reshape(gate, (-1, 1))
-    return gate if scale is None else ad.mul(gate, ad.Var(scale))
-
-
-def composed_gatv2_attention(z, v, e, slope):
-    """add, leaky_relu, an (E, H, 1, c) @ (H, c, 1) matmul and segment_softmax."""
-    n_edges, heads = len(e.dst), v.shape[0]
-    hidden = ad.leaky_relu(ad.add(ad.gather_rows(z, e.dst), ad.gather_rows(z, e.src)), slope)
-    scores = ad.matmul(ad.reshape(hidden, (n_edges, heads, 1, -1)), v)
-    return ad.segment_softmax(ad.reshape(scores, (n_edges, heads)), e.offsets)
 
 
 INSTANCES = {
@@ -425,7 +399,7 @@ class TestFusedMatchesComposed:
         alpha, z = rng.standard_normal((len(e.dst), heads)), rng.standard_normal((e.n, heads * c))
         assert_same_value_and_grads(
             lambda a, h: ad.edge_messages(a, h, e.dst, e.src),
-            lambda a, h: composed_edge_messages(a, h, e),
+            lambda a, h: cp.composed_edge_messages(a, h, e),
             [alpha, z],
             y,
         )
@@ -438,7 +412,7 @@ class TestFusedMatchesComposed:
         target = rng.standard_normal((len(e.dst), heads))
         assert_same_value_and_grads(
             lambda h, w: ad.tanh_gate(ad.leaky_relu(h, 0.2), w, e.dst, e.src),
-            lambda h, w: composed_tanh_gate(ad.leaky_relu(h, 0.2), w, e.dst, e.src),
+            lambda h, w: cp.composed_tanh_gate(ad.leaky_relu(h, 0.2), w, e.dst, e.src),
             [z, v],
             target,
         )
@@ -452,7 +426,7 @@ class TestFusedMatchesComposed:
         norm = e.inv_sqrt_deg_pair
         assert_same_value_and_grads(
             lambda h, w: ad.tanh_gate(h, w, e.dst, e.src, norm),
-            lambda h, w: composed_tanh_gate(h, w, e.dst, e.src, norm),
+            lambda h, w: cp.composed_tanh_gate(h, w, e.dst, e.src, norm),
             [x, v],
             target,
         )
@@ -465,7 +439,7 @@ class TestFusedMatchesComposed:
         target = rng.standard_normal((len(e.dst), heads))
         assert_same_value_and_grads(
             lambda h, w: ad.gatv2_attention(h, w, e.dst, e.src, e.offsets, e.reverse, 0.2),
-            lambda h, w: composed_gatv2_attention(h, w, e, 0.2),
+            lambda h, w: cp.composed_gatv2_attention(h, w, e, 0.2),
             [z, v],
             target,
         )
@@ -486,7 +460,7 @@ def test_tanh_gate_on_pair_rows():
     dst, src = np.arange(50), np.arange(50, 100)
     assert_same_value_and_grads(
         lambda h, w: ad.tanh_gate(h, w, dst, src),
-        lambda h, w: composed_tanh_gate(h, w, dst, src),
+        lambda h, w: cp.composed_tanh_gate(h, w, dst, src),
         [rows, v],
         rng.standard_normal((50, 3)),
     )
@@ -494,7 +468,7 @@ def test_tanh_gate_on_pair_rows():
 
 def test_backward_releases_the_tape():
     a = ad.Var(RNG.standard_normal((3, 2)))
-    hidden = ad.tanh(a)
+    hidden = cp.tanh(a)
     loss = ad.mse(hidden, np.zeros((3, 2)))
     ad.backward(loss)
     assert hidden.grad is not None and a.grad is not None

@@ -473,3 +473,9 @@ class TestSerialization:
         del payload["seed"]
         with pytest.raises(ValueError, match=re.escape("missing ['seed'], unexpected []")):
             deserialize_layer(json.dumps(payload))
+
+    def test_ragged_weights_rejected(self):
+        payload = self.acm_payload()
+        payload["weights"][1] = payload["weights"][1][:2]
+        with pytest.raises(ValueError, match="layer JSON weights are not a"):
+            deserialize_layer(json.dumps(payload))

@@ -48,6 +48,11 @@ class TestAdam:
         expected = 1.0 - 2 * 0.1 * 2.0 / (2.0 + 1e-8)
         assert np.isclose(float(p.value), expected, atol=1e-9)
 
+    @pytest.mark.parametrize("lr", [0.0, -1.0, np.nan, np.inf])
+    def test_bad_learning_rate_rejected(self, lr):
+        with pytest.raises(ValueError, match="lr must be a finite number above 0"):
+            Adam([ad.Var(np.zeros(2))], lr)
+
     def test_shape_mismatch_rejected(self):
         p = ad.Var(np.zeros(3))
         opt = Adam([p], lr=0.1)
@@ -508,7 +513,7 @@ class TestRunTraining:
 
 class TestExperiment:
     def test_instance_is_deterministic_in_seed(self):
-        cfg = ExperimentConfig(steps=0)
+        cfg = ExperimentConfig()
         g1, x1, y1 = experiment_data(cfg)
         g2, x2, y2 = experiment_data(cfg)
         assert g1.edges == g2.edges
@@ -535,6 +540,18 @@ class TestExperiment:
         r1 = run_universality_experiment("fagcn", other)
         assert r0.min_mse != r1.min_mse
         assert r0.seed == r1.seed == REFERENCE_INSTANCE_SEED
+
+    @pytest.mark.parametrize("field, value, rule", [
+        ("d", 0, "at least 1"),
+        ("c", 0, "at least 1"),
+        ("heads", 0, "at least 1"),
+        ("steps", -5, "at least 1"),
+        ("lr", -1.0, "a finite number above 0"),
+        ("lr", np.nan, "a finite number above 0"),
+    ])
+    def test_bad_config_rejected(self, field, value, rule):
+        with pytest.raises(ValueError, match=f"ExperimentConfig.{field} must be {rule}"):
+            ExperimentConfig(**{field: value})
 
     def test_result_fields_and_determinism(self):
         cfg = ExperimentConfig(steps=50, lr=0.01)
