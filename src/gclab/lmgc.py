@@ -332,14 +332,21 @@ def deserialize_layer(text: str) -> LmgcLayer:
     if missing or unexpected:
         raise ValueError(f"layer JSON keys differ from {list(_LAYER_KEYS)}: "
                          f"missing {missing}, unexpected {unexpected}")
-    try:
-        weights = np.asarray(payload["weights"], dtype=float)
-    except ValueError as exc:
-        raise ValueError("layer JSON weights are not a (K, d, c) array of numbers") from exc
     scheme = CoefficientScheme(
         variant=Variant(payload["variant"]),
         k=payload["k"],
-        vectors=tuple(np.asarray(v, dtype=float) for v in payload["vectors"]),
+        vectors=tuple(_finite_array("vectors", v) for v in payload["vectors"]),
         seed=payload["seed"],
     )
-    return LmgcLayer(weights, scheme)
+    return LmgcLayer(_finite_array("weights", payload["weights"]), scheme)
+
+
+def _finite_array(key: str, value) -> np.ndarray:
+    """value as a float array; ragged, non-numeric, null or non-finite entries raise naming key."""
+    try:
+        array = np.asarray(value, dtype=float)
+    except (ValueError, TypeError) as exc:
+        raise ValueError(f"layer JSON {key} are not arrays of finite numbers") from exc
+    if not np.all(np.isfinite(array)):  # numpy reads a JSON null as nan
+        raise ValueError(f"layer JSON {key} are not arrays of finite numbers")
+    return array

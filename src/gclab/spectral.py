@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -36,21 +35,12 @@ class SpectralBasis(Spectrum):
 
     The sign of each eigenvector is fixed so that its first component with
     absolute value above 1e-10 is positive, making the basis deterministic
-    for simple spectra. Both arrays are made read-only at construction, so
-    basis_id, hashed on first access and kept, names the arrays the basis holds.
+    for simple spectra.
     """
 
     eigenvectors: np.ndarray
 
-    def __post_init__(self):
-        self.eigenvalues.setflags(write=False)
-        self.eigenvectors.setflags(write=False)
-
-    def __setstate__(self, state):  # pickle and copy restore the arrays writeable
-        self.__dict__.update(state)
-        self.__post_init__()
-
-    @cached_property
+    @property
     def basis_id(self) -> str:
         h = hashlib.sha256()
         h.update(self.eigenvalues.tobytes())

@@ -474,8 +474,17 @@ class TestSerialization:
         with pytest.raises(ValueError, match=re.escape("missing ['seed'], unexpected []")):
             deserialize_layer(json.dumps(payload))
 
-    def test_ragged_weights_rejected(self):
+    @pytest.mark.parametrize("entry", [lambda w: w[:2], lambda w: [None] + w[1:], lambda w: [{}] + w[1:]])
+    def test_bad_weights_rejected(self, entry):
         payload = self.acm_payload()
-        payload["weights"][1] = payload["weights"][1][:2]
-        with pytest.raises(ValueError, match="layer JSON weights are not a"):
+        payload["weights"][1][0] = entry(payload["weights"][1][0])
+        with pytest.raises(ValueError, match="layer JSON weights are not arrays of finite numbers"):
+            deserialize_layer(json.dumps(payload))
+
+    @pytest.mark.parametrize("vector", [[[1.0], [2.0, 3.0]], [1.0, None, 2.0]])
+    def test_bad_vectors_rejected(self, vector):
+        _, _, weights, scheme = small_setup(seed=19)
+        payload = json.loads(serialize_layer(LmgcLayer(weights, scheme)))
+        payload["vectors"][0] = vector
+        with pytest.raises(ValueError, match="layer JSON vectors are not arrays of finite numbers"):
             deserialize_layer(json.dumps(payload))
