@@ -123,6 +123,11 @@ def siso_gc(theta: np.ndarray, x: np.ndarray, basis: SpectralBasis) -> np.ndarra
 def weight_stack_from_filter(theta: FilterTensor, basis: SpectralBasis) -> WeightStack:
     """Fourier-transform the filter along the node axis: W^(k) = (F(theta)_k)^T."""
     _check_basis(theta, basis)
+    return _weight_stack(theta, basis)
+
+
+def _weight_stack(theta: FilterTensor, basis: SpectralBasis) -> WeightStack:
+    """weight_stack_from_filter for a filter whose basis is already checked."""
     # mode-1 product U^T x_1 theta, one c x d slab per spectral component
     hat = np.einsum("ik,icd->kcd", basis.eigenvectors, theta.values)
     return WeightStack(np.transpose(hat, (0, 2, 1)).copy())
@@ -140,8 +145,7 @@ def mimo_gc(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndar
     """Exact MIMO convolution: sum_k U_{:,k} (U_{:,k}^T X) W^(k)."""
     _check_basis(theta, basis)
     x = _check_channels(x, theta.d, basis)
-    stack = weight_stack_from_filter(theta, basis)
-    return mimo_gc_from_stack(stack, x, basis)
+    return mimo_gc_from_stack(_weight_stack(theta, basis), x, basis)
 
 
 def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -174,13 +178,23 @@ def mimo_gc_vectorized_oracle(theta: FilterTensor, x: np.ndarray, basis: Spectra
     n, c, d = theta.n, theta.c, theta.d
     u = basis.eigenvectors
     hat = np.einsum("ik,icd->kcd", u, theta.values)
+    # each dense factor is built just before its product and freed after it, so
+    # one (n c, n d)-sized matrix is alive at a time and the allocator reuses its pages
+    vec = _kron_eye(d, u.T) @ x.reshape(-1, order="F")
+    vec = _block_diagonal(hat) @ vec
+    vec = _kron_eye(c, u) @ vec
+    return vec.reshape((n, c), order="F")
+
+
+def _block_diagonal(hat: np.ndarray) -> np.ndarray:
+    """D of the Kronecker route for hat = F(theta), (n, c, d): block (q, p) is diag(hat[:, q, p])."""
+    n, c, d = hat.shape
     k = np.arange(n)
     rows = np.arange(c)[:, None, None] * n + k  # entry (q, p, k) sits at (q n + k, p n + k)
     cols = np.arange(d)[None, :, None] * n + k
     big = np.zeros((n * c, n * d))
     big[rows, cols] = hat.transpose(1, 2, 0)
-    vec = _kron_eye(c, u) @ (big @ (_kron_eye(d, u.T) @ x.reshape(-1, order="F")))
-    return vec.reshape((n, c), order="F")
+    return big
 
 
 def _kron_eye(count: int, block: np.ndarray) -> np.ndarray:
@@ -221,7 +235,7 @@ def mimo_gc_pairwise(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) ->
     flat = stack.matrices.reshape(n, d * c)
     out = np.empty((n, c))
     for i in range(n):
-        w_i = ((u[i] * u) @ flat).reshape(n, d, c)  # w_i[j] = W_(i,j)^T
+        w_i = (u @ (u[i][:, None] * flat)).reshape(n, d, c)  # w_i[j] = W_(i,j)^T
         out[i] = np.einsum("jd,jdc->c", x, w_i)
     return out
 

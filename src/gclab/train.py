@@ -168,7 +168,12 @@ def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> M
 
 
 def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: float):
-    """Adam loop returning (minimum MSE seen, diverged flag)."""
+    """Adam loop returning (minimum MSE seen, diverged flag).
+
+    steps = 0 evaluates the initial loss only; a negative count is rejected.
+    """
+    if steps < 0:
+        raise ValueError(f"steps must be at least 0, got {steps}")
     x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf

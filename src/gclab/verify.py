@@ -28,6 +28,7 @@ from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from .lmgc import eq14_coefficients
 from .seeding import derive_seed, splitmix64
 from .spectral import eigendecompose_symmetric
+from .train import count_error
 
 LATTICE_RANGE = 5
 LATTICE_SCALE = 1.0 / 3.0
@@ -36,7 +37,7 @@ COLLISION_RTOL = 1e-9
 COEFFICIENT_SOURCES = ("random_iid", "fagcn_tanh", "lmgc_eq14")
 _FEATURE_SEPARATOR = 0x5EA0_5EA0_5EA0_5EA0  # between center and element coordinates
 _UNIT = 2.0**-53
-PAIRS_PER_CHUNK = 256  # pairs evaluated per batch, so memory stays bounded for any pair count
+PAIRS_PER_CHUNK = 1024  # pairs evaluated per batch, so memory stays bounded for any pair count
 
 
 @dataclass(frozen=True)
@@ -337,9 +338,12 @@ def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _pair_words(seed: int, d: int) -> _LatticeWords:
-    """A trial's reader, refilled by blocks of the most words a chunk's pairs read without a redraw."""
-    block = PAIRS_PER_CHUNK * 2 * (d + 1 + MAX_ELEMENTS * d)
+def _pair_words(seed: int, d: int, num_pairs: int) -> _LatticeWords:
+    """A trial's reader, refilled by blocks of the most words a chunk's pairs read without a redraw.
+
+    A trial of fewer than PAIRS_PER_CHUNK pairs refills by its own pairs' words.
+    """
+    block = min(num_pairs, PAIRS_PER_CHUNK) * 2 * (d + 1 + MAX_ELEMENTS * d)
     return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), block)
 
 
@@ -364,10 +368,10 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     injectivity equal to it. The report keeps the pair with the least score.
     """
     for name, value in (("num_pairs", num_pairs), ("d", d), ("c", c)):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+        if (error := count_error(value)) is not None:
+            raise ValueError(f"{name} {error}")
     independence = kind == "independence"
-    words = _pair_words(seed, d)
+    words = _pair_words(seed, d, num_pairs)
     weights = _weights(seed, k, d, c)
     coeffs = CoefficientSource(source, k, d, c, seed)
     violations, min_score, witness = 0, np.inf, (-1, None, None)

@@ -114,7 +114,7 @@ class TestMimoRoutes:
         right = np.kron(np.eye(d), basis.eigenvectors.T)
         return (left @ (big @ (right @ x.reshape(-1, order="F")))).reshape((n, c), order="F")
 
-    @pytest.mark.parametrize("n, c, d", [(16, 3, 5), (40, 5, 2), (16, 1, 4), (40, 2, 1)])
+    @pytest.mark.parametrize("n, c, d", [(16, 3, 5), (40, 5, 2), (16, 1, 4), (40, 2, 1), (128, 4, 4)])
     def test_vectorized_oracle_equals_np_kron_bit_for_bit(self, n, c, d):
         rng = np.random.default_rng(n + 10 * c + d)
         _, basis = make_basis(n, p=0.3, seed=n)
@@ -197,6 +197,16 @@ class TestMimoRoutes:
         np.testing.assert_allclose(
             mimo_gc_pairwise(stack, x, basis), expected, atol=1e-13
         )
+
+    def test_pairwise_route_matches_mimo_gc_at_n128(self):
+        rng = np.random.default_rng(128)
+        n, c, d = 128, 4, 4
+        _, basis = make_basis(n, p=0.05, seed=128)
+        theta = FilterTensor(rng.standard_normal((n, c, d)), basis.basis_id)
+        x = rng.standard_normal((n, d))
+        stack = weight_stack_from_filter(theta, basis)
+        gap = np.max(np.abs(mimo_gc_pairwise(stack, x, basis) - mimo_gc(theta, x, basis)))
+        assert gap <= 1e-12
 
 
 class TestUniversality:

@@ -510,6 +510,13 @@ class TestRunTraining:
         assert not diverged
         assert np.isclose(min_mse, initial)
 
+    @pytest.mark.parametrize("steps", [-1, -5])
+    def test_negative_steps_rejected(self, steps):
+        g, x, y = small_instance(seed=7)
+        model = build_model("gin", g, 3, 3, np.random.default_rng(11))
+        with pytest.raises(ValueError, match=f"steps must be at least 0, got {steps}"):
+            run_training(model, x, y, steps=steps, lr=0.01)
+
 
 class TestExperiment:
     def test_instance_is_deterministic_in_seed(self):

@@ -124,7 +124,7 @@ class TestLatticeWords:
         monkeypatch.setattr(gclab.verify, "MAX_ELEMENTS", max_elements)
         rng = np.random.default_rng(derive_seed(45, 1))
         if block is None:
-            words = _pair_words(45, d)
+            words = _pair_words(45, d, 256)
         else:
             words = _LatticeWords(np.random.default_rng(derive_seed(45, 1)), block)
         for _ in range(2000):
@@ -144,7 +144,7 @@ def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
     monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", chunk)
     independence = trial is independence_trial
     for d in (1, 4):
-        words = _pair_words(46, d)
+        words = _pair_words(46, d, 600)
         rng = np.random.default_rng(derive_seed(46, 1))
         for _ in range(-(-600 // chunk)):
             want = [_draw_pair(rng, d, independence) for _ in range(chunk)]
@@ -428,7 +428,7 @@ def test_witness_replays_min_separation(trial, k, source):
     score = _scores(fa, fb, independence)[0]
     assert abs(score - report.min_separation) <= 1e-12 * report.min_separation
     # the witness is the pair at its index in the trial's pair stream
-    words = _pair_words(48, 4)
+    words = _pair_words(48, 4, 300)
     pairs = [_draw_pair(words, 4, independence) for _ in range(report.witness_pair + 1)]
     assert pairs[-1] == (report.witness_a, report.witness_b)
 
@@ -442,6 +442,21 @@ def test_chunk_boundaries_keep_the_trial(monkeypatch, trial, source):
     split = trial(50, 2, 4, 4, 31, source)
     assert split.violations == whole.violations
     assert abs(split.min_separation - whole.min_separation) <= 1e-13 * whole.min_separation
+
+
+@pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
+def test_one_chunk_of_400_pairs_keeps_the_256_pair_chunks_report(monkeypatch, source):
+    # 400 pairs are one chunk at PAIRS_PER_CHUNK = 1024 and 256 + 144 at 256;
+    # random_iid gives the same report bit for bit, the tanh sources round apart
+    assert gclab.verify.PAIRS_PER_CHUNK >= 400
+    whole = injectivity_trial(400, 4, 4, 4, 83, source)
+    monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", 256)
+    split = injectivity_trial(400, 4, 4, 4, 83, source)
+    if source == "random_iid":
+        assert whole == split
+    else:
+        assert (whole.violations, whole.witness_pair) == (split.violations, split.witness_pair)
+        assert abs(split.min_separation - whole.min_separation) <= 1e-13 * whole.min_separation
 
 
 def numpy_as_scaled(ms1: tuple, ms2: tuple) -> bool:
