@@ -84,27 +84,16 @@ def _t(m):
 
 
 def matmul(a: Var, b: Var) -> Var:
-    """a @ b; operands of more than two dimensions broadcast over leading axes."""
+    """a @ b of matrices, stacks of them broadcasting over leading axes; a 1-D operand raises."""
+    if a.value.ndim < 2 or b.value.ndim < 2:
+        raise ValueError(f"matmul needs operands of at least two dimensions, got {a.shape} and {b.shape}")
     out = Var(a.value @ b.value, (a, b))
 
     def backward(g):
-        av, bv = a.value, b.value
-        if a.requires_grad and bv.ndim == 2 and av.ndim <= 2:
-            _accumulate(a, g @ bv.T)
-        elif a.requires_grad and av.ndim == 1:
-            _accumulate(a, g * bv)
-        elif a.requires_grad:
-            gb = g[:, None] if g.ndim == 1 else g
-            bm = bv[:, None] if bv.ndim == 1 else bv
-            _accumulate(a, _unbroadcast(gb @ _t(bm), av.shape))
-        if b.requires_grad and av.ndim == 2 and bv.ndim <= 2:
-            _accumulate(b, av.T @ g)
-        elif b.requires_grad and bv.ndim == 1:
-            _accumulate(b, av * g)
-        elif b.requires_grad:
-            ga = g[None, :] if g.ndim == 1 else g
-            am = av[None, :] if av.ndim == 1 else av
-            _accumulate(b, _unbroadcast(_t(am) @ ga, bv.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g @ _t(b.value), a.value.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(_t(a.value) @ g, b.value.shape))
 
     out._backward = backward
     return out
@@ -191,16 +180,16 @@ def segment_softmax(scores: Var, offsets: np.ndarray) -> Var:
 def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> Var:
     """Edge gate tanh(h[dst] @ v_top + h[src] @ v_bot), times the constant column scale.
 
-    h is (n, m) node rows and v is (2m, H), or (2m,) for one head, with
+    h is (n, m) node rows and v is (2m, H), head k's vector in column k, with
     v_top = v[:m] and v_bot = v[m:]. The value is tanh([h[dst], h[src]] @ v)
     on the edges dst[e] <- src[e], but both products run on the n node rows
-    and the backward sums (E, H) adjoints, never (E, 2m) rows. Returns (E, H),
-    (E, 1) for a vector v; scale, if given, is an (E, 1) constant.
+    and the backward sums (E, H) adjoints, never (E, 2m) rows. Returns (E, H);
+    scale, if given, is an (E, 1) constant.
     """
     hv, vv = h.value, v.value
     n, m = hv.shape
-    if vv.ndim not in (1, 2) or vv.shape[0] != 2 * m:
-        raise ValueError(f"tanh_gate needs v of shape (2m,) or (2m, H), 2m = {2 * m}; got {vv.shape}")
+    if vv.ndim != 2 or vv.shape[0] != 2 * m:
+        raise ValueError(f"tanh_gate needs v of shape (2m, H), 2m = {2 * m}; got {vv.shape}")
     halves = vv.reshape(2, m, -1)  # v_top, v_bot
     node = hv @ halves  # (2, n, H)
     t = np.tanh(np.take(node[0], dst, axis=0) + np.take(node[1], src, axis=0))
@@ -291,6 +280,9 @@ def edge_messages(alpha: Var, z: Var, dst: np.ndarray, src: np.ndarray) -> Var:
 
 
 def mse(pred: Var, target: np.ndarray) -> Var:
+    """Mean squared error against a target of the prediction's shape."""
+    if np.shape(target) != pred.shape:
+        raise ValueError(f"mse target of shape {np.shape(target)} does not match the prediction's {pred.shape}")
     diff = pred.value - target
     out = Var(np.add.reduce(diff * diff, axis=None) / diff.size, (pred,))
     out._backward = lambda g: _accumulate(pred, g * (2.0 / diff.size) * diff)

@@ -14,6 +14,7 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import multiprocessing
 import os
 import sys
@@ -120,11 +121,6 @@ def _write_table(path: Path, header, formats, columns):
         fh.write((row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def _run_trial(args):
-    method, config = args
-    return run_universality_experiment(method, config)
-
-
 def cmd_universality(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -148,9 +144,9 @@ def cmd_universality(args) -> int:
                 run_ids.append(s)
     if args.jobs > 1:
         with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.map(_run_trial, jobs)
+            results = pool.starmap(run_universality_experiment, jobs)
     else:
-        results = [_run_trial(j) for j in jobs]
+        results = list(itertools.starmap(run_universality_experiment, jobs))
 
     rows = [
         (r.method, r.lr, s, r.steps, f"{r.min_mse:.6e}", int(r.diverged), f"{r.wall_seconds:.2f}")

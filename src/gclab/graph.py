@@ -60,10 +60,11 @@ class Graph:
     def neighbors(self):
         if "nbrs" not in self._cache:
             nbrs = [[] for _ in range(self.n)]
+            # in sorted edge order each list gets its smaller neighbors, then its larger ones, ascending
             for i, j in sorted(self.edges):
                 nbrs[i].append(j)
                 nbrs[j].append(i)
-            self._cache["nbrs"] = [sorted(v) for v in nbrs]
+            self._cache["nbrs"] = nbrs
         return self._cache["nbrs"]
 
     @property

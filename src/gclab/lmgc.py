@@ -87,10 +87,6 @@ class ComputationalGraphSet:
         if np.any(self.matrices[:, ~mask] != 0.0):
             raise ValueError("coefficients present outside the edge support")
 
-    @property
-    def k(self):
-        return self.matrices.shape[0]
-
 
 @dataclass(frozen=True)
 class LmgcLayer:
@@ -178,14 +174,12 @@ def vector_length(variant: Variant, k: int, d: int, c: int) -> int:
 
 def stacked_vectors(variant: Variant, vectors) -> np.ndarray:
     """The per-head gating vectors as the fused blocks take them: (H, c, 1) for
-    GATv2 (head k's in [k, :, 0]), (2*H*c, H) for eq. 14 (head k's in column k),
-    the one (2d,) vector for FAGCN, and an empty array for the other schemes."""
+    GATv2 (head k's in [k, :, 0]), (2m, H) for the tanh gates of FAGCN (H = 1)
+    and eq. 14 (head k's in column k), and an empty array for the other schemes."""
     if variant is Variant.GATV2_SOFTMAX:
         return np.stack(vectors)[:, :, None]
-    if variant is Variant.LMGC_EQ14:
+    if variant in (Variant.FAGCN_TANH, Variant.LMGC_EQ14):
         return np.stack(vectors, axis=1)
-    if variant is Variant.FAGCN_TANH:
-        return np.asarray(vectors[0], dtype=float)
     return np.zeros(0)
 
 

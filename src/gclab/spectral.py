@@ -112,9 +112,3 @@ def rank_one_graph(basis: SpectralBasis, k: int) -> np.ndarray:
     u = basis.eigenvectors[:, k]
     return np.outer(u, u)
 
-
-def min_eigengap(basis: SpectralBasis) -> float:
-    """Smallest gap between consecutive eigenvalues; 0 marks a degenerate spectrum."""
-    if basis.n < 2:
-        return np.inf
-    return float(np.min(np.diff(basis.eigenvalues)))

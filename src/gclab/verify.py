@@ -22,12 +22,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .convolution import sca_repeated_gcn
-from .graph import Graph, generate_erdos_renyi, laplacian
+from .graph import Graph
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
-from .lmgc import eq14_coefficients
+from .lmgc import eq14_coefficients, vector_length
 from .seeding import derive_seed, splitmix64
-from .spectral import eigendecompose_symmetric
 from .train import count_error
 
 LATTICE_RANGE = 5
@@ -46,12 +44,6 @@ class MultisetInstance:
 
     center: tuple
     elements: tuple  # sorted tuple of integer tuples, repetitions allowed
-
-    def center_features(self) -> np.ndarray:
-        return np.array(self.center, dtype=float) * LATTICE_SCALE
-
-    def element_features(self) -> np.ndarray:
-        return np.array(self.elements, dtype=float) * LATTICE_SCALE
 
 
 @dataclass
@@ -455,41 +447,11 @@ def multiset_counterexample_outputs(variant: Variant, seed: int):
     x[0] = x[2] = center * LATTICE_SCALE
     x[1] = x[3] = x[4] = shared * LATTICE_SCALE
     weights = rng.standard_normal((k, d, c))
-    if variant is Variant.GATV2_SOFTMAX:
-        vectors = tuple(rng.standard_normal(c) for _ in range(k))
-    elif variant is Variant.FAGCN_TANH:
-        vectors = (rng.standard_normal(2 * d),)
-    elif variant is Variant.LMGC_EQ14:
-        vectors = tuple(rng.standard_normal(2 * k * c) for _ in range(k))
-    else:
+    length = vector_length(variant, k, d, c)
+    if not length:
         raise ValueError(f"counterexample is not defined for {variant}")
+    vectors = tuple(rng.standard_normal(length) for _ in range(k))
     layer = LmgcLayer(weights, CoefficientScheme(variant, k, vectors))
     out = lmgc_forward(layer, x, g)
     return out[0], out[2]
 
-
-def sca_dominance_report(depth_list, trials: int, seed: int):
-    """Dominance ratios of repeated first-order filters, with the closed form.
-
-    Each trial samples a connected graph, random per-layer scalars, and
-    compares the measured top-to-second response ratio against r(1)^depth.
-    Rows: (depth, trial, measured, closed_form, degenerate).
-    """
-    rows = []
-    for t in range(trials):
-        g = generate_erdos_renyi(12, 0.4, derive_seed(seed, t, 0))
-        basis = eigendecompose_symmetric(laplacian(g))
-        mu = np.sort(np.abs(basis.adjacency_eigenvalues()))[::-1]
-        degenerate = np.isclose(mu[0], mu[1])
-        r1 = np.inf if mu[1] == 0 else mu[0] / mu[1]
-        rng = np.random.default_rng(derive_seed(seed, t, 1))
-        for depth in depth_list:
-            if depth < 1:
-                raise ValueError("depth must be at least 1")
-            w = rng.standard_normal(depth)
-            while np.any(w == 0.0):  # pragma: no cover
-                w = rng.standard_normal(depth)
-            measured = sca_repeated_gcn(w, basis).dominance_ratio()
-            closed = 1.0 if degenerate else r1**depth
-            rows.append((depth, t, measured, closed, bool(degenerate)))
-    return rows

@@ -63,8 +63,6 @@ def composed_edge_messages(alpha, z, e):
 def composed_tanh_gate(h, v, dst, src, scale=None):
     """tanh(concat(h[dst], h[src]) @ v) over the (E, 2m) gathered rows."""
     gate = tanh(ad.matmul(concat([gather_rows(h, dst), gather_rows(h, src)], axis=1), v))
-    if v.value.ndim == 1:
-        gate = ad.reshape(gate, (-1, 1))
     return gate if scale is None else ad.mul(gate, ad.Var(scale))
 
 

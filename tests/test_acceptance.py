@@ -16,6 +16,7 @@ import composed_primitives as cp
 import numpy as np
 import pytest
 
+import gclab
 from gclab import autodiff as ad
 from gclab.convolution import (
     FilterTensor,
@@ -396,6 +397,59 @@ def test_every_autodiff_primitive_runs_in_the_package():
     """gclab.autodiff defines only primitives the package runs; one that only
     the tests call belongs in composed_primitives."""
     assert autodiff_primitives() - package_autodiff_calls() == set()
+
+
+# public package definitions no package code runs, kept as oracles and gate
+# helpers that tests call
+TEST_SIDE_NAMES = (
+    "forward_from_coefficients",
+    "serialize_layer",
+    "deserialize_layer",
+    "parallel_control",
+    "pairwise_weight",
+    "gcn_as_mimo_stack",
+)
+
+
+def unused_public_definitions(trees, exported, kept) -> set:
+    """Top-level public defs and classes that are not exported, kept or read by package code.
+
+    A read is a Name or an Attribute in code; docstrings and imports are not reads.
+    """
+    defined = {
+        node.name
+        for tree in trees.values()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")
+    }
+    read = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                read.add(node.attr)
+    return defined - read - set(exported) - set(kept)
+
+
+def test_every_public_definition_is_run_exported_or_a_test_oracle():
+    """Every public top-level def or class in gclab is in gclab.__all__, read by
+    package code or one of TEST_SIDE_NAMES; one that nothing runs is deleted."""
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(gclab.__file__).parent.glob("*.py")}
+    assert unused_public_definitions(trees, gclab.__all__, TEST_SIDE_NAMES) == set()
+    # the guard sees a definition that nothing reads
+    trees["spare.py"] = ast.parse("def spare_helper():\n    '''spare_helper is unused.'''\n")
+    assert unused_public_definitions(trees, gclab.__all__, TEST_SIDE_NAMES) == {"spare_helper"}
+
+
+def test_every_test_side_name_is_used_by_a_test():
+    """TEST_SIDE_NAMES cannot go stale: some test reads each name (the tuple's strings are no reads)."""
+    used = set()
+    for path in Path(__file__).parent.glob("*.py"):
+        used |= {node.id for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+                 if isinstance(node, ast.Name)}
+    assert set(TEST_SIDE_NAMES) - used == set()
 
 
 def test_criterion_8_gradient_checks():

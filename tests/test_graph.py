@@ -59,6 +59,9 @@ class TestConstruction:
         g = Graph.from_edges(4, [(0, 3), (0, 1), (1, 2)])
         assert g.neighbors == [[1, 3], [0, 2], [1], [0]]
         assert np.array_equal(g.degrees, [2.0, 2.0, 1.0, 1.0])
+        for seed in range(5):
+            g = generate_erdos_renyi(40, 0.3, seed)
+            assert g.neighbors == [np.flatnonzero(row).tolist() for row in g.adjacency]
 
 
 def loop_adjacency(g):

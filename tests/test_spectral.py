@@ -13,7 +13,6 @@ from gclab.spectral import (
     eigendecompose_symmetric,
     graph_fourier,
     inverse_fourier,
-    min_eigengap,
     rank_one_graph,
     symmetric_spectrum,
 )
@@ -73,7 +72,6 @@ class TestEigendecomposition:
     def test_one_by_one(self):
         basis = eigendecompose_symmetric(np.array([[5.0]]))
         np.testing.assert_allclose(basis.eigenvalues, [5.0])
-        assert min_eigengap(basis) == np.inf
 
     def test_rejects_nonsymmetric(self):
         with pytest.raises(ValueError, match="not symmetric"):
@@ -179,10 +177,6 @@ class TestBasisProperties:
             basis.eigenvectors * mu,
             atol=1e-10,
         )
-
-    def test_min_eigengap(self):
-        basis = eigendecompose_symmetric(np.diag([0.0, 0.5, 2.0]))
-        assert np.isclose(min_eigengap(basis), 0.5)
 
 
 class TestFourier:

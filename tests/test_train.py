@@ -339,7 +339,7 @@ def layer_from_model(method, model, d, c, heads):
     """The LmgcLayer with the trained model's W and its gating vectors."""
     w, v = model.w.value, model.v.value
     if method == "fagcn":
-        return LmgcLayer(w[None], CoefficientScheme(Variant.FAGCN_TANH, 1, (v,)))
+        return LmgcLayer(w[None], CoefficientScheme(Variant.FAGCN_TANH, 1, (v[:, 0],)))
     weights = w.reshape(d, heads, c).transpose(1, 0, 2)
     if method == "gatv2":
         return LmgcLayer(weights, CoefficientScheme(Variant.GATV2_SOFTMAX, heads, tuple(v[:, :, 0])))

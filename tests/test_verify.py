@@ -36,7 +36,6 @@ from gclab.verify import (
     multiset_counterexample_outputs,
     parallel_control,
     sample_instance,
-    sca_dominance_report,
 )
 
 LATTICE = (-LATTICE_RANGE, LATTICE_RANGE + 1)
@@ -69,13 +68,6 @@ class TestSampling:
         rng = np.random.default_rng(1)
         inst = sample_instance(rng, d=3)
         assert inst.elements == tuple(sorted(inst.elements))
-
-    def test_features_are_scaled_lattice_points(self):
-        inst = MultisetInstance((3, -1), ((0, 2), (1, 1)))
-        np.testing.assert_allclose(inst.center_features(), [1.0, -1 / 3])
-        np.testing.assert_allclose(
-            inst.element_features(), np.array([[0, 2], [1, 1]]) * LATTICE_SCALE
-        )
 
 
 class TestLatticeWords:
@@ -570,16 +562,3 @@ class TestCounterexample:
         with pytest.raises(ValueError, match="counterexample"):
             multiset_counterexample_outputs(Variant.GCN_NORM, 0)
 
-
-class TestDominanceReport:
-    def test_measured_matches_closed_form(self):
-        rows = sca_dominance_report([1, 2, 4], trials=5, seed=15)
-        assert len(rows) == 15
-        for depth, _, measured, closed, degenerate in rows:
-            if degenerate:
-                continue
-            assert abs(measured - closed) <= 1e-9 * closed, depth
-
-    def test_depth_validation(self):
-        with pytest.raises(ValueError, match="depth"):
-            sca_dominance_report([0], trials=1, seed=0)
