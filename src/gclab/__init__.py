@@ -4,8 +4,12 @@ Exact MIMO graph convolutions built from the graph Fourier basis, localized
 multi-graph message passing with pluggable edge-coefficient schemes, a small
 reverse-mode trainer for single-layer fitting experiments, and randomized
 verification of the multiset injectivity/independence properties.
+
+Importing gclab fixes glibc's heap thresholds (see gclab._heap), so the
+numpy temporaries of every hot loop reuse freed pages.
 """
 
+from . import _heap
 from .graph import (
     Graph,
     generate_erdos_renyi,
@@ -53,6 +57,8 @@ from .train import (
     run_universality_experiment,
 )
 from .verify import TrialReport, independence_trial, injectivity_trial
+
+_heap.keep_freed_pages()
 
 __all__ = [
     "Graph",

@@ -179,7 +179,9 @@ def mimo_gc_vectorized_oracle(theta: FilterTensor, x: np.ndarray, basis: Spectra
     u = basis.eigenvectors
     hat = np.einsum("ik,icd->kcd", u, theta.values)
     # each dense factor is built just before its product and freed after it, so
-    # one (n c, n d)-sized matrix is alive at a time and the allocator reuses its pages
+    # one (n c, n d)-sized matrix is alive at a time and the next is built in
+    # its still-cached memory: 1.16 against 1.26 ms with all three alive (n=128,
+    # c=d=4, one BLAS thread on a 2-CPU host)
     vec = _kron_eye(d, u.T) @ x.reshape(-1, order="F")
     vec = _block_diagonal(hat) @ vec
     vec = _kron_eye(c, u) @ vec

@@ -101,6 +101,16 @@ def is_connected(g: Graph) -> bool:
     return all(seen)
 
 
+def node_count_error(n) -> str | None:
+    """Why n is no node count for a random graph (it needs at least 2 nodes), or None."""
+    return None if n >= 2 else f"must be at least 2, got {n}"
+
+
+def probability_error(p) -> str | None:
+    """Why p is no edge probability (it must lie in (0, 1]; NaN does not), or None."""
+    return None if 0.0 < p <= 1.0 else f"must be in (0, 1], got {p!r}"
+
+
 def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     """Sample a connected G(n, p) graph by rejection.
 
@@ -110,10 +120,10 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     values are stable. Disconnected samples are rejected and regenerated
     with fresh draws.
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not 0.0 < p <= 1.0:
-        raise ValueError("p must be in (0, 1]")
+    if (error := node_count_error(n)) is not None:
+        raise ValueError(f"n {error}")
+    if (error := probability_error(p)) is not None:
+        raise ValueError(f"p {error}")
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, 1)
     for _ in range(MAX_CONNECTIVITY_ATTEMPTS):

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
+from .graph import Graph, generate_erdos_renyi, laplacian, node_count_error, normalized_adjacency
+from .graph import probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
 from .lmgc import vector_length
 from .optim import Adam, rate_error
@@ -64,6 +65,7 @@ class ExperimentConfig:
 
     def __post_init__(self):
         errors = [(name, count_error(getattr(self, name))) for name in ("d", "c", "heads", "steps")]
+        errors += [("n", node_count_error(self.n)), ("p", probability_error(self.p))]
         for name, error in errors + [("lr", rate_error(self.lr))]:
             if error is not None:
                 raise ValueError(f"ExperimentConfig.{name} {error}")
@@ -88,9 +90,12 @@ def _uniform_init(rng, shape):
 
 
 class Model:
-    """Base: subclasses fill self.params and implement forward(x_var)."""
+    """Base: subclasses fill self.params and self.input_shape (the (n, d) of
+    x) and implement forward(x_var).
+    """
 
     params: list
+    input_shape: tuple
 
     def forward(self, x: ad.Var) -> ad.Var:  # pragma: no cover
         raise NotImplementedError
@@ -106,6 +111,7 @@ class EdgeModel(Model):
 
     def __init__(self, variant: Variant, edges: EdgeIndex, d, c, heads, rng):
         self.variant, self.edges = variant, edges
+        self.input_shape = (edges.n, d)
         self.k = 1 if variant is Variant.FAGCN_TANH else heads
         length = vector_length(variant, self.k, d, c)
         w = [_uniform_init(rng, (d, c)) for _ in range(self.k)]
@@ -129,6 +135,7 @@ class AcmModel(Model):
 
     def __init__(self, g: Graph, d, c, rng):
         self.graphs = ad.Var(np.stack([normalized_adjacency(g), laplacian(g)]), requires_grad=False)
+        self.input_shape = (g.n, d)
         w = [_uniform_init(rng, (d, c)) for _ in range(2)]
         v = [_uniform_init(rng, (c, 1)) for _ in range(2)]
         self.w, self.v = ad.Var(np.stack(w)), ad.Var(np.stack(v))
@@ -148,6 +155,7 @@ class GinModel(Model):
 
     def __init__(self, g: Graph, d, c, rng):
         self.agg = ad.Var(gin_aggregation(g), requires_grad=False)
+        self.input_shape = (g.n, d)
         w1, w2 = _uniform_init(rng, (d, d)), _uniform_init(rng, (d, c))
         self.params = [ad.Var(m) for m in (w1, np.zeros(d), w2, np.zeros(c))]
 
@@ -170,10 +178,13 @@ def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> M
 def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: float):
     """Adam loop returning (minimum MSE seen, diverged flag).
 
-    steps = 0 evaluates the initial loss only; a negative count is rejected.
+    steps = 0 evaluates the initial loss only; a negative count, or an x
+    whose shape is not the model's (n, d), is rejected before the first step.
     """
     if steps < 0:
         raise ValueError(f"steps must be at least 0, got {steps}")
+    if np.shape(x) != model.input_shape:
+        raise ValueError(f"x has shape {np.shape(x)}, but the model takes x of shape {model.input_shape}")
     x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf

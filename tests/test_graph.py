@@ -143,12 +143,14 @@ class TestErdosRenyi:
         assert len(g.edges) == 10
 
     def test_invalid_arguments(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^n must be at least 2, got 1$"):
             generate_erdos_renyi(1, 0.5, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 0.0$"):
             generate_erdos_renyi(5, 0.0, seed=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 1.5$"):
             generate_erdos_renyi(5, 1.5, seed=0)
+        with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got nan$"):
+            generate_erdos_renyi(5, float("nan"), seed=0)
 
     @pytest.mark.parametrize(
         "n, p, seed, attempts", [(16, 0.1, 0, 13), (16, 0.1, 1, 3), (16, 0.1, 2, 32), (16, 0.25, 0, 1)]

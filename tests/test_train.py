@@ -1,5 +1,7 @@
 """Adam optimizer, trainable layer models, and the fitting experiment driver."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -510,6 +512,16 @@ class TestRunTraining:
         assert not diverged
         assert np.isclose(min_mse, initial)
 
+    @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("shape", [(8, 16), (16, 15), (24, 16), (16,)])
+    def test_x_of_another_shape_rejected(self, method, shape):
+        g, _, y = experiment_data(ExperimentConfig())
+        model = build_model(method, g, 16, 16, np.random.default_rng(0))
+        x = np.ones(shape)
+        message = f"x has shape {shape}, but the model takes x of shape (16, 16)"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_training(model, x, y, steps=5, lr=0.01)
+
     @pytest.mark.parametrize("steps", [-1, -5])
     def test_negative_steps_rejected(self, steps):
         g, x, y = small_instance(seed=7)
@@ -555,6 +567,11 @@ class TestExperiment:
         ("steps", -5, "at least 1"),
         ("lr", -1.0, "a finite number above 0"),
         ("lr", np.nan, "a finite number above 0"),
+        ("n", 1, "at least 2, got 1"),
+        ("n", 0, "at least 2, got 0"),
+        ("p", 0.0, r"in \(0, 1\], got 0.0"),
+        ("p", 1.5, r"in \(0, 1\], got 1.5"),
+        ("p", np.nan, r"in \(0, 1\], got nan"),
     ])
     def test_bad_config_rejected(self, field, value, rule):
         with pytest.raises(ValueError, match=f"ExperimentConfig.{field} must be {rule}"):
