@@ -9,10 +9,10 @@ get identical coefficients, exactly for random_iid and up to rounding for the
 tanh sources, whose matrix products round with an instance's place in a chunk.
 
 The suites read their Generator through _LatticeWords: raw 32-bit words in
-blocks, decoded by numpy's own bounded-integer rule, so they draw the same
-pair stream as sample_instance calls on the bare Generator. A chunk's pairs
-are decoded from the words as arrays (_decode_chunk); the scalar _draw_pair
-runs only for a pair that is redrawn or reads a rejected word.
+blocks, which _decode_chunk decodes as arrays by numpy's own bounded-integer
+rule, so they draw the same pair stream as sample_instance calls on the bare
+Generator. numpy's loops read past a redrawn instance and a word its range
+rejects; the decoder drops those words from the stream and decodes on.
 """
 
 from __future__ import annotations
@@ -64,16 +64,16 @@ class TrialReport:
 
 
 class _LatticeWords:
-    """Generator.integers over ranges up to 2^32, read from bulk 32-bit words.
+    """A Generator's 32-bit words in blocks, the source of its integers over ranges up to 2^32.
 
     For such a range numpy reads the Generator's next_uint32 words one at a
     time by Lemire's rule (arXiv:1805.10941): a word u gives m = u * span, is
-    redrawn while m mod 2^32 < 2^32 mod span, and yields low + (m >> 32); a
-    range of width 1 reads no word. rng.integers(0, 2**32, n, dtype=np.uint32)
-    reads the same words, so decoding them by that rule gives the Generator's
-    own draws. integers() decodes a word at a time; _decode_chunk decodes the
-    block as arrays and moves pos past the words it used. The reader holds
-    words it has not returned yet, so it must be rng's only user.
+    redrawn while m mod 2^32 < 2^32 mod span (_rejects), and yields
+    low + (m >> 32). rng.integers(0, 2**32, n, dtype=np.uint32) reads the
+    same words, so decoding them by that rule gives the Generator's own
+    draws. _decode_chunk decodes the block as arrays and moves pos past the
+    words it used. The reader holds words it has not returned yet, so it must
+    be rng's only user.
     """
 
     def __init__(self, rng: np.random.Generator, block: int):
@@ -90,42 +90,24 @@ class _LatticeWords:
             self.pos = 0
             self.lattice = None
 
-    def _next_word(self) -> int:
-        self.reserve(1)
-        self.pos += 1
-        return int(self.words[self.pos - 1])
+    def drop(self, lo: int, hi: int) -> None:
+        """Read words [lo, hi) and discard them: the unread words before lo move up to end at hi.
 
-    def _draw(self, low: int, span: int) -> int:
-        if span == 1:
-            return low
-        m = self._next_word() * span
-        while m & 0xFFFF_FFFF < 2**32 % span:
-            m = self._next_word() * span
-        return low + (m >> 32)
-
-    def integers(self, low: int, high: int, size=None):
-        """Generator.integers(low, high, size).tolist() for size None, n or (rows, n)."""
-        span = high - low
-        if not 1 <= span <= 2**32:
-            raise ValueError(f"integers range of width {span} is outside [1, 2^32]")
-        if size is None:
-            return self._draw(low, span)
-        if isinstance(size, tuple):
-            rows, n = size
-            return [[self._draw(low, span) for _ in range(n)] for _ in range(rows)]
-        return [self._draw(low, span) for _ in range(size)]
+        Their decoded draws move with them, so words [pos, lo) must hold no rejected word.
+        """
+        n = hi - lo
+        draws, sizes, rejected = self.lattice
+        for array in (self.words, draws, sizes):
+            array[self.pos + n : hi] = array[self.pos : lo]
+        self.lattice = draws, sizes, rejected[(rejected < lo) | (rejected >= hi)]
+        self.pos += n
 
 
-def sample_instance(rng, d: int) -> MultisetInstance:
-    """d center draws, one size draw, then the elements as one (size, d) draw.
-
-    rng is a Generator or a _LatticeWords over one; both give the same instances.
-    """
-    center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d)
+def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
+    """d center draws, one size draw, then the elements as one (size, d) draw."""
+    center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d).tolist()
     size = rng.integers(1, MAX_ELEMENTS + 1)
-    elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (int(size), d))
-    if not isinstance(rng, _LatticeWords):
-        center, elements = center.tolist(), elements.tolist()
+    elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (int(size), d)).tolist()
     return MultisetInstance(tuple(center), tuple(sorted(map(tuple, elements))))
 
 
@@ -219,33 +201,25 @@ def aggregate(instance: MultisetInstance, source: CoefficientSource, weights: np
     return _outputs(*_as_arrays([instance]), source, weights)[0]
 
 
-def _draw_pair(rng, d: int, independence: bool):
-    """Two distinct instances; for independence, outside the scaling family (0 * b included)."""
-    a = sample_instance(rng, d)
-    while independence and not any(map(any, a.elements)):
-        a = sample_instance(rng, d)
-    b = sample_instance(rng, d)
-    while b == a or independence and (
-        not any(map(any, b.elements)) or is_integer_scaling(a.elements, b.elements)
-    ):
-        b = sample_instance(rng, d)
-    return a, b
+def _rejects(m, span: int):
+    """Whether Lemire's rule redraws the word u with m = u * span; m is an int or a uint64 array."""
+    return m & 0xFFFF_FFFF < 2**32 % span
 
 
 def _decode_block(words: np.ndarray):
     """Lattice and size draws of every word of a block, and the words either range rejects.
 
-    The size draws are bytes, which the scan over instance starts indexes
-    fastest. A word is rejected if either range rejects it, wherever it sits.
+    The size draws are a bytearray, which the scan over instance starts
+    indexes fastest. A word is flagged if either range rejects it, wherever
+    it sits.
     """
-    low = np.uint64(0xFFFF_FFFF)
     span = 2 * LATTICE_RANGE + 1
     m = words * np.uint64(span)
     m_size = words * np.uint64(MAX_ELEMENTS)
     draws = (m >> np.uint64(32)).astype(np.int64) - LATTICE_RANGE
     sizes = (m_size >> np.uint64(32)).astype(np.uint8) + 1
-    rejected = (m & low < 2**32 % span) | (m_size & low < 2**32 % MAX_ELEMENTS)
-    return draws, sizes.tobytes(), np.flatnonzero(rejected)
+    rejected = _rejects(m, span) | _rejects(m_size, MAX_ELEMENTS)
+    return draws, bytearray(sizes), np.flatnonzero(rejected)
 
 
 def _lattice_instances(draws: np.ndarray, starts: list, d: int):
@@ -267,11 +241,11 @@ def _lattice_instances(draws: np.ndarray, starts: list, d: int):
     elements = elements[np.lexsort(keys)]
     padded = np.zeros((len(counts), MAX_ELEMENTS, d), dtype=np.int64)
     padded[owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)] = elements
-    return centers, counts, elements, padded.reshape(len(counts), -1)
+    return centers, counts, elements, padded.reshape(len(counts), MAX_ELEMENTS * d)
 
 
 def _scaled(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """_as_scaled(x[p], y[p]) of flat rows of equal size; a row where y[p] is all zero reads False."""
+    """Whether x[p] == m * y[p] for an integer m >= 1, row by row; an all-zero y[p] reads False."""
     rows = np.arange(len(y))
     first = np.argmax(y != 0, axis=1)
     pivot = y[rows, first]
@@ -279,25 +253,35 @@ def _scaled(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (m >= 1) & np.all(x == m[:, None] * y, axis=1)
 
 
-def _redrawn(centers, counts, padded, independence: bool) -> np.ndarray:
-    """Which pairs (instances 2p, 2p + 1) _draw_pair would redraw an instance of."""
+def _redrawn(centers, counts, padded, independence: bool) -> int:
+    """The first instance that the pair rule redraws, or the instance count if none.
+
+    Instances 2p and 2p + 1 are pair p's a and b. b is redrawn while it equals
+    a; for independence, a while it is all zero, and b while it is all zero or
+    an integer scaling of a either way, as their outputs are parallel.
+    """
     same_size = counts[0::2] == counts[1::2]
     a, b = padded[0::2], padded[1::2]
-    redraw = same_size & np.all(centers[0::2] == centers[1::2], axis=1) & np.all(a == b, axis=1)
+    redraw = np.zeros(len(counts), dtype=bool)
+    redraw[1::2] = same_size & np.all(centers[0::2] == centers[1::2], axis=1) & np.all(a == b, axis=1)
     if independence:
-        zero = ~np.any(padded, axis=1)
-        redraw |= zero[0::2] | zero[1::2] | same_size & (_scaled(a, b) | _scaled(b, a))
-    return redraw
+        redraw |= ~np.any(padded, axis=1)
+        redraw[1::2] |= same_size & (_scaled(a, b) | _scaled(b, a))
+    first = np.flatnonzero(redraw)
+    return int(first[0]) if len(first) else len(counts)
 
 
 def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
-    """The next pairs of _draw_pair(words, d, independence), as arrays.
+    """The next pairs that sample_instance and _redrawn's rule draw from the words' Generator.
 
     Returns the centers, counts and sorted elements of the instances a, b of
-    each pair in turn, as _outputs takes them. Pairs are decoded from the
-    words as arrays up to the first that needs a redraw or touches a rejected
-    word. _draw_pair draws that pair from its first word, and the decoding
-    resumes after it.
+    each pair in turn, as _outputs takes them. Pairs are decoded as arrays up
+    to the first redrawn instance or rejected word, which is then edited out
+    of the stream as numpy's loops read past it. A redrawn instance is dropped
+    whole, which leaves the roles of later words as they were. A word at an
+    instance's start + d is a size draw and any other a lattice draw: it is
+    dropped if its own range rejects it, and decodes as drawn if only the
+    other range does.
     """
     parts = []
     while pairs:
@@ -317,16 +301,20 @@ def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
                 break
             starts.append(start)
         fits = (len(starts) - 1) // 2
-        if fits:
-            centers, counts, elements, padded = _lattice_instances(draws, starts[: 2 * fits + 1], d)
-            redraw = np.flatnonzero(_redrawn(centers, counts, padded, independence))
-            taken = int(redraw[0]) if len(redraw) else fits
-            parts.append((centers[: 2 * taken], counts[: 2 * taken], elements[: counts[: 2 * taken].sum()]))
-            words.pos = starts[2 * taken]
-            pairs -= taken
-        if pairs:
-            parts.append(_as_arrays(_draw_pair(words, d, independence)))
-            pairs -= 1
+        centers, counts, elements, padded = _lattice_instances(draws, starts[: 2 * fits + 1], d)
+        first = _redrawn(centers, counts, padded, independence)
+        taken = first // 2
+        parts.append((centers[: 2 * taken], counts[: 2 * taken], elements[: counts[: 2 * taken].sum()]))
+        words.pos = starts[2 * taken]
+        pairs -= taken
+        if first < len(counts):
+            words.drop(starts[first], starts[first + 1])
+        elif pairs:  # the scan stopped at the rejected word end, in the instance at starts[-1]
+            span = MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1
+            if _rejects(int(words.words[end]) * span, span):
+                words.drop(end, end + 1)
+            else:
+                words.lattice = draws, sizes, np.delete(rejected, i)
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
@@ -359,10 +347,12 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     A pair violates when its _scores value is below COLLISION_RTOL, or for
     injectivity equal to it. The report keeps the pair with the least score.
     """
-    for name, value in (("num_pairs", num_pairs), ("d", d), ("c", c)):
+    for name, value in (("num_pairs", num_pairs), ("k", k), ("d", d), ("c", c)):
         if (error := count_error(value)) is not None:
             raise ValueError(f"{name} {error}")
     independence = kind == "independence"
+    if independence and c < 2:  # two outputs in R^1 are always parallel
+        raise ValueError(f"c must be at least 2 for independence, got {c}")
     words = _pair_words(seed, d, num_pairs)
     weights = _weights(seed, k, d, c)
     coeffs = CoefficientSource(source, k, d, c, seed)
@@ -385,26 +375,7 @@ def injectivity_trial(
     num_pairs: int, k: int, d: int, c: int, seed: int, source: str = "random_iid"
 ) -> TrialReport:
     """Sample distinct instance pairs and count aggregated-output collisions."""
-    if k < 1:
-        raise ValueError("need at least one computational graph")
     return _trial("injectivity", num_pairs, k, d, c, seed, source)
-
-
-def _as_scaled(ms1: tuple, ms2: tuple) -> bool:
-    """True when ms1 == m * ms2 elementwise (as sorted multisets) for integer m >= 1."""
-    if len(ms1) != len(ms2):
-        return False
-    flat1 = [v for element in ms1 for v in element]
-    flat2 = [v for element in ms2 for v in element]
-    first = next((i for i, v in enumerate(flat2) if v), None)
-    if first is None:  # ms2 is all zeros, a multiple only of zeros
-        return not any(flat1)
-    m = flat1[first] // flat2[first]
-    return m >= 1 and flat1 == [m * v for v in flat2]
-
-
-def is_integer_scaling(ms1: tuple, ms2: tuple) -> bool:
-    return _as_scaled(ms1, ms2) or _as_scaled(ms2, ms1)
 
 
 def independence_trial(

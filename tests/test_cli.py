@@ -254,6 +254,14 @@ class TestVerify:
         assert code == EXIT_USAGE
         assert "requires K > 1" in capsys.readouterr().err
 
+    def test_independence_c1_is_usage_error(self, tmp_path, capsys):
+        # two outputs in R^1 are always parallel; the trial used to die with an IndexError
+        out = tmp_path / "o"
+        code = main(["verify", "--kind", "independence", "--c", "1", "--pairs", "10", "--out", str(out)])
+        assert code == EXIT_USAGE
+        assert "error: c must be at least 2 for independence, got 1" in capsys.readouterr().err
+        assert not (out / "results.csv").exists()
+
     def test_equivalence_passes(self, tmp_path, capsys):
         out = tmp_path / "eq"
         code = main(

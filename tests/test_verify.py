@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from reference_samplers import ScalarWords, as_scaled, draw_pair, is_integer_scaling
 
 import gclab.verify
 from gclab.autodiff import Var, tanh_gate
@@ -19,20 +20,18 @@ from gclab.verify import (
     CoefficientSource,
     MultisetInstance,
     _as_arrays,
-    _as_scaled,
     _decode_chunk,
-    _draw_pair,
     _iid_keys,
     _instance,
     _LatticeWords,
     _outputs,
     _pair_words,
+    _scaled,
     _scores,
     _weights,
     aggregate,
     independence_trial,
     injectivity_trial,
-    is_integer_scaling,
     multiset_counterexample_outputs,
     parallel_control,
     sample_instance,
@@ -71,11 +70,13 @@ class TestSampling:
 
 
 class TestLatticeWords:
+    """The scalar reference reader, over _LatticeWords' blocks, draws as the Generator does."""
+
     def assert_same_draws(self, seed, block, calls):
-        words = _LatticeWords(np.random.default_rng(seed), block)
+        words = ScalarWords(_LatticeWords(np.random.default_rng(seed), block))
         rng = np.random.default_rng(seed)
         for low, high, size in calls:
-            assert words.integers(low, high, size) == rng.integers(low, high, size).tolist()
+            assert words.integers(low, high, size).tolist() == rng.integers(low, high, size).tolist()
 
     @pytest.mark.parametrize("block", [1, 3, 7, 64, 4096])
     def test_lattice_ranges_equal_the_generator(self, block):
@@ -89,11 +90,11 @@ class TestLatticeWords:
         self.assert_same_draws(41, block, calls)
 
     def test_zero_and_full_width_ranges(self):
-        words = _LatticeWords(np.random.default_rng(42), 5)
+        words = ScalarWords(_LatticeWords(np.random.default_rng(42), 5))
         rng = np.random.default_rng(42)
-        assert words.integers(1, 2) == rng.integers(1, 2).tolist() == 1
-        assert words.integers(3, 4, (2, 3)) == rng.integers(3, 4, (2, 3)).tolist()
-        assert words.integers(0, 2**32) == rng.integers(0, 2**32).tolist()
+        assert words.integers(1, 2).tolist() == rng.integers(1, 2).tolist() == 1
+        assert words.integers(3, 4, (2, 3)).tolist() == rng.integers(3, 4, (2, 3)).tolist()
+        assert words.integers(0, 2**32).tolist() == rng.integers(0, 2**32).tolist()
         with pytest.raises(ValueError, match="outside"):
             words.integers(0, 2**32 + 1)
 
@@ -116,9 +117,9 @@ class TestLatticeWords:
         monkeypatch.setattr(gclab.verify, "MAX_ELEMENTS", max_elements)
         rng = np.random.default_rng(derive_seed(45, 1))
         if block is None:
-            words = _pair_words(45, d, 256)
+            words = ScalarWords(_pair_words(45, d, 256))
         else:
-            words = _LatticeWords(np.random.default_rng(derive_seed(45, 1)), block)
+            words = ScalarWords(_LatticeWords(np.random.default_rng(derive_seed(45, 1)), block))
         for _ in range(2000):
             assert sample_instance(words, d) == sample_instance(rng, d)
 
@@ -131,7 +132,7 @@ def decoded_pairs(chunk):
 @pytest.mark.parametrize("chunk", [3, 256])
 @pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
 def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
-    # a trial's chunks are the bare Generator's _draw_pair stream, across refills
+    # a trial's chunks are the bare Generator's draw_pair stream, across refills
     # too; d = 1 makes redrawn pairs common, for independence most of all
     monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", chunk)
     independence = trial is independence_trial
@@ -139,19 +140,19 @@ def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
         words = _pair_words(46, d, 600)
         rng = np.random.default_rng(derive_seed(46, 1))
         for _ in range(-(-600 // chunk)):
-            want = [_draw_pair(rng, d, independence) for _ in range(chunk)]
+            want = [draw_pair(rng, d, independence) for _ in range(chunk)]
             assert decoded_pairs(_decode_chunk(words, d, chunk, independence)) == want
 
 
 def scalar_trial(trial, num_pairs, k, d, c, seed, source):
-    """_trial's report from _draw_pair on the bare Generator, the per-pair reference."""
+    """_trial's report from draw_pair on the bare Generator, the per-pair reference."""
     independence = trial is independence_trial
     rng = np.random.default_rng(derive_seed(seed, 1))
     weights, coeffs = _weights(seed, k, d, c), CoefficientSource(source, k, d, c, seed)
     violations, min_score, witness = 0, np.inf, None
     for start in range(0, num_pairs, gclab.verify.PAIRS_PER_CHUNK):
         size = min(gclab.verify.PAIRS_PER_CHUNK, num_pairs - start)
-        pairs = [_draw_pair(rng, d, independence) for _ in range(size)]
+        pairs = [draw_pair(rng, d, independence) for _ in range(size)]
         out = _outputs(*_as_arrays([inst for pair in pairs for inst in pair]), coeffs, weights)
         score = _scores(out[0::2], out[1::2], independence)
         violations += int(np.sum(score < COLLISION_RTOL if independence else score <= COLLISION_RTOL))
@@ -204,17 +205,29 @@ def instance_words(center, elements):
 
 
 REJECTED = 0  # 0 * span = 0 falls below 2^32 mod span for the lattice and size spans alike
+LATTICE_ONLY = pow(11, -1, 2**32)  # 11u mod 2^32 = 1 is rejected by the lattice range; the size range reads 4
 A = ((1, -2), ((-1, 2), (0, 1)))
 B = ((4, 4), ((2, -1),))
 SCALED = ((-3, 0), ((-2, 4), (0, 2)))  # 2 * A's elements, so not independent of A
 ZERO = ((2, 1), ((0, 0), (0, 0), (0, 0)))
 CLEAN = instance_words(*A) + instance_words(*B)
-CRAFTED = {  # (independence, words that _draw_pair reads as the pair (A, B))
-    "rejected center": (False, instance_words(*A)[:1] + [REJECTED] + instance_words(*A)[1:] + instance_words(*B)),
-    "rejected size": (False, instance_words(*A)[:2] + [REJECTED] + instance_words(*A)[2:] + instance_words(*B)),
-    "rejected element": (False, instance_words(*A)[:5] + [REJECTED] + instance_words(*A)[5:] + instance_words(*B)),
+
+
+def inserted(words, at, word):
+    """words with word inserted before index at."""
+    return words[:at] + [word] + words[at:]
+
+
+CRAFTED = {  # (independence, words that draw_pair reads as the pair (A, B); "lattice-only size" reads A at size 4)
+    "rejected center": (False, inserted(instance_words(*A), 1, REJECTED) + instance_words(*B)),
+    "rejected size": (False, inserted(instance_words(*A), 2, REJECTED) + instance_words(*B)),
+    "rejected element": (False, inserted(instance_words(*A), 5, REJECTED) + instance_words(*B)),
+    "rejected in b": (False, instance_words(*A) + inserted(instance_words(*B), 3, REJECTED)),
+    "lattice-only center": (False, inserted(instance_words(*A), 1, LATTICE_ONLY) + instance_words(*B)),
+    "lattice-only size": (False, inserted(instance_words(*A), 2, LATTICE_ONLY) + instance_words(*B)),
     "b equals a": (False, instance_words(*A) + CLEAN),
     "zero a": (True, instance_words(*ZERO) + CLEAN),
+    "zero a, rejected in its successor": (True, instance_words(*ZERO) + inserted(CLEAN, 0, REJECTED)),
     "zero b": (True, instance_words(*A) + instance_words(*ZERO) + instance_words(*B)),
     "scaled b": (True, instance_words(*A) + instance_words(*SCALED) + instance_words(*B)),
 }
@@ -230,8 +243,10 @@ def test_crafted_fallbacks_equal_the_scalar_reader(case):
     d, count = 2, 12
     sources = CraftedWords(prefix), CraftedWords(prefix)
     scalar, words = (_LatticeWords(source, 64) for source in sources)
-    want = [_draw_pair(scalar, d, independence) for _ in range(count)]
-    assert want[:6] == [(MultisetInstance(*A), MultisetInstance(*B))] * 6
+    reference = ScalarWords(scalar)
+    want = [draw_pair(reference, d, independence) for _ in range(count)]
+    clean = 3 if case == "lattice-only size" else 6  # A read at size 4 moves every word after it
+    assert want[:clean] == [(MultisetInstance(*A), MultisetInstance(*B))] * clean
     assert decoded_pairs(_decode_chunk(words, d, count, independence)) == want
     read = [source.pos - len(reader.words) + reader.pos for source, reader in zip(sources, (scalar, words))]
     assert read[0] == read[1]
@@ -394,7 +409,7 @@ class TestInjectivity:
             assert report.ok(), source
 
     def test_k_zero_rejected(self):
-        with pytest.raises(ValueError, match="at least one computational graph"):
+        with pytest.raises(ValueError, match="k must be at least 1"):
             injectivity_trial(1, k=0, d=2, c=2, seed=0)
 
 
@@ -420,8 +435,8 @@ def test_witness_replays_min_separation(trial, k, source):
     score = _scores(fa, fb, independence)[0]
     assert abs(score - report.min_separation) <= 1e-12 * report.min_separation
     # the witness is the pair at its index in the trial's pair stream
-    words = _pair_words(48, 4, 300)
-    pairs = [_draw_pair(words, 4, independence) for _ in range(report.witness_pair + 1)]
+    rng = np.random.default_rng(derive_seed(48, 1))
+    pairs = [draw_pair(rng, 4, independence) for _ in range(report.witness_pair + 1)]
     assert pairs[-1] == (report.witness_a, report.witness_b)
 
 
@@ -452,7 +467,7 @@ def test_one_chunk_of_400_pairs_keeps_the_256_pair_chunks_report(monkeypatch, so
 
 
 def numpy_as_scaled(ms1: tuple, ms2: tuple) -> bool:
-    """The array form of verify._as_scaled, the reference for its truth table."""
+    """An array form of as_scaled, the reference for its truth table."""
     if len(ms1) != len(ms2):
         return False
     flat1 = np.array(ms1, dtype=np.int64)
@@ -490,7 +505,9 @@ class TestIntegerScaling:
                 b = tuple(sorted(tuple(m * v for v in e) for e in a))
             for x, y in ((a, b), (b, a), (a, a)):
                 want = bool(numpy_as_scaled(x, y))
-                assert _as_scaled(x, y) is want, (x, y)
+                assert as_scaled(x, y) is want, (x, y)
+                if len(x) == len(y) and any(map(any, y)):  # verify._scaled's domain
+                    assert _scaled(np.ravel(x)[None], np.ravel(y)[None])[0] == want, (x, y)
                 cases["multiple"] += want and x != y
             cases["zero"] += not any(map(any, a))
             cases["negative"] += any(v < 0 for e in a for v in e)
@@ -532,6 +549,11 @@ class TestIndependence:
     def test_requires_multiple_graphs(self):
         with pytest.raises(ValueError, match="requires K > 1"):
             independence_trial(1, k=1, d=2, c=2, seed=0)
+
+    def test_requires_two_output_channels(self):
+        # any two rows in R^1 are parallel, so c = 1 cannot test independence
+        with pytest.raises(ValueError, match="c must be at least 2 for independence, got 1"):
+            independence_trial(10, k=2, d=1, c=1, seed=1)
 
     def test_parallel_control_inverts_the_exclusion(self):
         # the doubled multiset with shared coefficients produces exactly parallel rows
