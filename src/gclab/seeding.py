@@ -19,7 +19,11 @@ def splitmix64(state: int) -> int:
 
 def derive_seed(master: int, *indices: int) -> int:
     """Mix a master seed with one or more stream indices."""
-    state = splitmix64(master & MASK)
+    return extend_seed(splitmix64(master & MASK), *indices)
+
+
+def extend_seed(state: int, *indices: int) -> int:
+    """Mix more indices into a derived seed: derive_seed(m, *a, *b) == extend_seed(derive_seed(m, *a), *b)."""
     for idx in indices:
         state = splitmix64((state ^ (idx & MASK)) & MASK)
     return state

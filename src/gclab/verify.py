@@ -12,7 +12,17 @@ The suites read their Generator through _LatticeWords: raw 32-bit words in
 blocks, which _decode_chunk decodes as arrays by numpy's own bounded-integer
 rule, so they draw the same pair stream as sample_instance calls on the bare
 Generator. numpy's loops read past a redrawn instance and a word its range
-rejects; the decoder drops those words from the stream and decodes on.
+rejects. A redrawn instance is dropped by index from the decoded ones, which
+stay decoded; a rejected word is dropped from the stream, and the decoder
+decodes on from there. The redraw rule pads an instance's elements to one row
+only for the pairs it must compare element by element.
+
+A chunk's work is done once per instance where it depends only on the
+instance: random_iid keys chain each center once and extend the chain by
+each element, and the tanh gates project P center rows and E element rows.
+The aggregate projects every element by every head in one product, mixes
+each element's heads by its coefficients and sums each instance's rows in
+element order (autodiff._sum_rows).
 """
 
 from __future__ import annotations
@@ -25,7 +35,7 @@ from . import autodiff as ad
 from .graph import Graph
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from .lmgc import eq14_coefficients, vector_length
-from .seeding import derive_seed, splitmix64
+from .seeding import derive_seed, extend_seed, splitmix64
 from .train import count_error
 
 LATTICE_RANGE = 5
@@ -111,16 +121,21 @@ def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
     return MultisetInstance(tuple(center), tuple(sorted(map(tuple, elements))))
 
 
-def _iid_keys(seed: int, k: int, centers: np.ndarray, elements: np.ndarray) -> np.ndarray:
-    """(K, E) keys derive_seed(seed, k, *center, separator, *element) of E lattice pairs.
+def _iid_keys(seed: int, k: int, centers: np.ndarray, counts: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """(K, E) keys derive_seed(seed, k, *center, separator, *element) of E elements of P instances.
 
-    The chain runs over uint64 arrays, where a negative coordinate enters as
-    its two's complement, the value idx & MASK gives for a Python int.
+    centers is (P, d), counts (P,) and elements (E, d) holds each instance's
+    counts[p] elements in turn. The chain over head and center runs once per
+    instance and is repeated to each of its elements, which extend it. It runs
+    over uint64 arrays, where a negative coordinate enters as its two's
+    complement, the value idx & MASK gives for a Python int.
     """
-    cols = np.concatenate([centers, elements], axis=1).astype(np.int64).view(np.uint64).T
-    d = centers.shape[1]
+    def columns(rows):
+        return rows.astype(np.int64).view(np.uint64).T
+
     heads = np.arange(k, dtype=np.uint64)[:, None]
-    return derive_seed(seed, heads, *cols[:d], _FEATURE_SEPARATOR, *cols[d:])
+    state = derive_seed(seed, heads, *columns(centers), _FEATURE_SEPARATOR)  # (K, P)
+    return extend_seed(np.repeat(state, counts, axis=1), *columns(elements))
 
 
 class CoefficientSource:
@@ -145,19 +160,23 @@ class CoefficientSource:
             self.w = rng.standard_normal((k, d, c))
             self.gate = rng.standard_normal((k, 2 * k * c))
 
-    def alphas(self, centers, elements) -> np.ndarray:
-        """(E, K) coefficients of E pairs; centers and elements are (E, d) integer lattice rows."""
-        centers, elements = np.asarray(centers), np.asarray(elements)
+    def alphas(self, centers, counts, elements) -> np.ndarray:
+        """(E, K) coefficients of the elements of P instances, each with its instance's center.
+
+        centers is (P, d) and counts (P,) integer arrays; elements (E, d)
+        holds each instance's counts[p] lattice rows in turn.
+        """
+        centers, counts, elements = np.asarray(centers), np.asarray(counts), np.asarray(elements)
         if self.kind == "random_iid":  # two splitmix64 outputs per key -> Box-Muller normal
-            a = splitmix64(_iid_keys(self.seed, self.k, centers, elements))
+            a = splitmix64(_iid_keys(self.seed, self.k, centers, counts, elements))
             b = splitmix64(a)
             u1 = ((a >> 11) + 1) * _UNIT  # (0, 1], keeps the log finite
             u2 = (b >> 11) * _UNIT
             return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).T
-        # pair e is an edge from "node" E + e, its element, into node e, its center
+        # element e is an edge from "node" P + e into node p, its instance's center
         rows = np.concatenate([centers, elements]) * LATTICE_SCALE
-        dst = np.arange(len(centers))
-        src = dst + len(centers)
+        dst = np.repeat(np.arange(len(centers)), counts)
+        src = np.arange(len(centers), len(rows))
         gate = ad.Var(self.gate.T)  # head k's gating vector in column k
         if self.kind == "fagcn_tanh":
             return ad.tanh_gate(ad.Var(rows), gate, dst, src).value
@@ -165,19 +184,21 @@ class CoefficientSource:
         return eq14_coefficients(ad.Var(rows @ w), gate, dst, src).value
 
     def alpha(self, head: int, center: tuple, element: tuple) -> float:
-        return float(self.alphas([center], [element])[0, head])
+        return float(self.alphas([center], [1], [element])[0, head])
 
 
 def _outputs(centers, counts, elements, source: CoefficientSource, weights: np.ndarray) -> np.ndarray:
-    """aggregate of P instances as (P, c), from one alphas call; heads sum elements in order.
+    """aggregate of P instances as (P, c): each element's heads mixed by alpha, then summed in order.
 
     centers is (P, d) and counts (P,); elements (E, d) holds each instance's
-    counts[p] elements in turn.
+    counts[p] elements in turn. One (E, d) x (d, K*c) product projects every
+    element by every head, and _sum_rows adds each instance's rows.
     """
-    alpha = source.alphas(np.repeat(centers, counts, axis=0), elements)  # (E, K)
-    terms = alpha[:, :, None] * (elements * LATTICE_SCALE)[:, None, :]  # (E, K, d)
-    sums = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=0)  # (P, K, d)
-    return np.einsum("pkd,kdc->pc", sums, weights)
+    alpha = source.alphas(centers, counts, elements)  # (E, K)
+    k, _, c = weights.shape
+    heads = ((elements * LATTICE_SCALE) @ np.concatenate(weights, axis=1)).reshape(-1, k, c)
+    mixed = np.einsum("ek,ekc->ec", alpha, heads)
+    return ad._sum_rows(mixed, np.repeat(np.arange(len(counts)), counts), len(counts))
 
 
 def _as_arrays(instances):
@@ -225,23 +246,20 @@ def _decode_block(words: np.ndarray):
 def _lattice_instances(draws: np.ndarray, starts: list, d: int):
     """Instances read from draws[starts[i]:starts[i + 1]], elements sorted within each.
 
-    Returns centers (P, d), counts (P,), elements (E, d) and each instance's
-    elements zero-padded to one flat row (P, MAX_ELEMENTS * d).
+    Returns centers (P, d), counts (P,) and elements (E, d), each instance's
+    counts[p] elements in turn.
     """
-    starts = np.array(starts)
+    starts = np.fromiter(starts, dtype=np.int64, count=len(starts))
     counts = (np.diff(starts) - 1) // d - 1
     heads = starts[:-1, None] + np.arange(d + 1)  # the center words, then the size word
-    centers = draws[heads[:, :d]]
+    centers = np.take(draws, heads[:, :d])
     body = np.ones(starts[-1] - starts[0], dtype=bool)
     body[(heads - starts[0]).ravel()] = False
-    elements = draws[starts[0] : starts[-1]][body].reshape(-1, d)
+    elements = np.compress(body, draws[starts[0] : starts[-1]]).reshape(-1, d)
     owner = np.repeat(np.arange(len(counts)), counts)
     # keys of the smallest integer types, which lexsort sorts by radix
     keys = (*elements.T[::-1].astype(np.int8), owner.astype(np.min_scalar_type(len(counts))))
-    elements = elements[np.lexsort(keys)]
-    padded = np.zeros((len(counts), MAX_ELEMENTS, d), dtype=np.int64)
-    padded[owner, np.arange(len(owner)) - np.repeat(np.cumsum(counts) - counts, counts)] = elements
-    return centers, counts, elements, padded.reshape(len(counts), MAX_ELEMENTS * d)
+    return centers, counts, np.take(elements, np.lexsort(keys), axis=0)  # take gathers narrow rows fastest
 
 
 def _scaled(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -253,35 +271,101 @@ def _scaled(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (m >= 1) & np.all(x == m[:, None] * y, axis=1)
 
 
-def _redrawn(centers, counts, padded, independence: bool) -> int:
-    """The first instance that the pair rule redraws, or the instance count if none.
+class _PairRule:
+    """The redraw rule of pairs (a, b) over decoded instances, which stay where they are.
 
-    Instances 2p and 2p + 1 are pair p's a and b. b is redrawn while it equals
-    a; for independence, a while it is all zero, and b while it is all zero or
-    an integer scaling of a either way, as their outputs are parallel.
+    b is redrawn while it equals a; for independence, a while it is all zero,
+    and b while it is all zero or an integer scaling of a either way, as
+    their outputs are parallel. An equal b is then the scaling by 1 of a
+    nonzero a, whatever its center. Elements are compared only for pairs of
+    one size (for injectivity, also of one center), which alone are padded
+    to rows of MAX_ELEMENTS * d.
     """
-    same_size = counts[0::2] == counts[1::2]
-    a, b = padded[0::2], padded[1::2]
-    redraw = np.zeros(len(counts), dtype=bool)
-    redraw[1::2] = same_size & np.all(centers[0::2] == centers[1::2], axis=1) & np.all(a == b, axis=1)
-    if independence:
-        redraw |= ~np.any(padded, axis=1)
-        redraw[1::2] |= same_size & (_scaled(a, b) | _scaled(b, a))
-    first = np.flatnonzero(redraw)
-    return int(first[0]) if len(first) else len(counts)
+
+    def __init__(self, centers, counts, elements, independence: bool):
+        self.centers, self.counts, self.independence = centers, counts, independence
+        self.first = np.cumsum(counts) - counts
+        d = elements.shape[1]
+        self.rows = np.concatenate([elements, np.zeros((1, d), dtype=elements.dtype)])  # the last row pads
+        if independence:
+            self.zero = ~np.logical_or.reduceat(elements.ravel(), self.first * d).astype(bool)
+        self._bad = {}
+
+    def _padded(self, idx: np.ndarray) -> np.ndarray:
+        slots = np.arange(MAX_ELEMENTS)
+        rows = np.where(slots < self.counts[idx, None], self.first[idx, None] + slots, len(self.rows) - 1)
+        return self.rows[rows].reshape(len(idx), -1)
+
+    def redraws_b(self, a: int, b: int, n: int, step: int = 1) -> np.ndarray:
+        """Whether instance b + step * i is redrawn as the partner of instance a + step * i, for i < n."""
+        ia, ib = slice(a, a + step * n, step), slice(b, b + step * n, step)
+        compared = self.counts[ia] == self.counts[ib]
+        if not self.independence:
+            compared &= np.all(self.centers[ia] == self.centers[ib], axis=1)
+        q = step * np.flatnonzero(compared)
+        redraw = self.zero[ib].copy() if self.independence else np.zeros(n, dtype=bool)
+        if len(q):
+            x, y = np.split(self._padded(np.concatenate([a + q, b + q])), 2)
+            if self.independence:
+                redraw[q // step] |= _scaled(x, y) | _scaled(y, x)
+            else:
+                redraw[q // step] = np.all(x == y, axis=1)
+        return redraw
+
+    def _redrawn_pairs(self, parity: int) -> np.ndarray:
+        """The i of parity whose pair (i, i + 1) redraws an instance, found once per parity."""
+        if parity not in self._bad:
+            bad = self.redraws_b(parity, parity + 1, (len(self.counts) - parity) // 2, 2)
+            if self.independence:
+                bad |= self.zero[parity:-1:2]
+            self._bad[parity] = parity + 2 * np.flatnonzero(bad)
+        return self._bad[parity]
+
+    def walk(self):
+        """The instances kept as pairs (a, b) in turn, and where the next pair starts.
+
+        The walk keeps pairs of neighbours (i, i + 1) up to the first one the
+        rule redraws, drops that instance and goes on; a redrawn b leaves a to
+        meet the next instances one by one. Returns the kept mask, the index
+        of the next unread instance, and whether that instance is an a whose
+        later instances were all redrawn.
+        """
+        n = len(self.counts)
+        keep = np.zeros(n, dtype=bool)
+        i = 0
+        while True:
+            redrawn = self._redrawn_pairs(i % 2)
+            j = np.searchsorted(redrawn, i)
+            if j == len(redrawn):  # no redraw among the pairs left
+                end = i + (n - i) // 2 * 2
+                keep[i:end] = True
+                return keep, end, False
+            a = int(redrawn[j])
+            keep[i:a] = True
+            if self.independence and self.zero[a]:
+                i = a + 1
+                continue
+            b = a + 2
+            while b < n and self.redraws_b(a, b, 1)[0]:
+                b += 1
+            if b == n:
+                return keep, a, True
+            keep[a] = keep[b] = True
+            i = b + 1
 
 
 def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
-    """The next pairs that sample_instance and _redrawn's rule draw from the words' Generator.
+    """The next pairs that sample_instance and _PairRule draw from the words' Generator.
 
     Returns the centers, counts and sorted elements of the instances a, b of
-    each pair in turn, as _outputs takes them. Pairs are decoded as arrays up
-    to the first redrawn instance or rejected word, which is then edited out
-    of the stream as numpy's loops read past it. A redrawn instance is dropped
-    whole, which leaves the roles of later words as they were. A word at an
-    instance's start + d is a size draw and any other a lattice draw: it is
-    dropped if its own range rejects it, and decodes as drawn if only the
-    other range does.
+    each pair in turn, as _outputs takes them. Instances are decoded as
+    arrays up to a rejected word, and the pair rule's walk drops redrawn
+    instances by index: a redrawn instance is dropped whole, which leaves the
+    roles of later words as they were. An a whose redrawn partners fill the
+    rest of the scan moves up past them by an edit of the word stream. A word
+    at an instance's start + d is a size draw and any other a lattice draw: it
+    is dropped if its own range rejects it, and decodes as drawn if only the
+    other range does; the instances from there on are decoded anew.
     """
     parts = []
     while pairs:
@@ -300,21 +384,22 @@ def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
             if start > end:
                 break
             starts.append(start)
-        fits = (len(starts) - 1) // 2
-        centers, counts, elements, padded = _lattice_instances(draws, starts[: 2 * fits + 1], d)
-        first = _redrawn(centers, counts, padded, independence)
-        taken = first // 2
-        parts.append((centers[: 2 * taken], counts[: 2 * taken], elements[: counts[: 2 * taken].sum()]))
-        words.pos = starts[2 * taken]
-        pairs -= taken
-        if first < len(counts):
-            words.drop(starts[first], starts[first + 1])
-        elif pairs:  # the scan stopped at the rejected word end, in the instance at starts[-1]
+        cut = len(starts) <= 2 * pairs  # the scan stopped at the rejected word end, in the instance at starts[-1]
+        centers, counts, elements = _lattice_instances(draws, starts, d)
+        keep, resume, waiting = _PairRule(centers, counts, elements, independence).walk()
+        rows = np.repeat(keep, counts)
+        parts.append((np.compress(keep, centers, axis=0), counts[keep], np.compress(rows, elements, axis=0)))
+        pairs -= int(np.count_nonzero(keep)) // 2
+        words.pos = starts[resume]
+        if waiting:
+            words.drop(starts[resume + 1], starts[-1])
+        if cut:
             span = MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1
             if _rejects(int(words.words[end]) * span, span):
                 words.drop(end, end + 1)
             else:
-                words.lattice = draws, sizes, np.delete(rejected, i)
+                rejected = words.lattice[2]  # as the drop above left it
+                words.lattice = draws, sizes, rejected[rejected != end]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

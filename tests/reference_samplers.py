@@ -1,14 +1,16 @@
-"""Scalar references for the multiset pair stream that gclab.verify decodes as arrays.
+"""References for the multiset pairs that gclab.verify decodes and evaluates as arrays.
 
 `ScalarWords` decodes a Generator's 32-bit words one draw at a time, and
 `draw_pair` is one pair's redraw loop, instance by instance, on a Generator
 or a `ScalarWords`. The tests check `verify._decode_chunk` and the trials
 against them, and check `ScalarWords` itself against numpy's own draws.
+`reduceat_outputs` is the aggregate summed per head before the head
+weights apply, the form `verify._outputs` is checked against.
 """
 
 import numpy as np
 
-from gclab.verify import sample_instance
+from gclab.verify import LATTICE_SCALE, sample_instance
 
 
 class ScalarWords:
@@ -74,3 +76,17 @@ def draw_pair(rng, d: int, independence: bool):
     ):
         b = sample_instance(rng, d)
     return a, b
+
+
+def reduceat_outputs(centers, counts, elements, source, weights):
+    """The (P, c) outputs of verify._outputs, summed per head first and weighted after.
+
+    Each element's coefficients come from a call that pairs it with its own
+    copy of its center. The (E, K, d) terms alpha_jk x_j are summed per
+    instance in element order by np.add.reduceat, and one einsum applies
+    the (K, d, c) weights to the (P, K, d) sums.
+    """
+    alpha = source.alphas(np.repeat(centers, counts, axis=0), np.ones(len(elements), dtype=int), elements)
+    terms = alpha[:, :, None] * (elements * LATTICE_SCALE)[:, None, :]
+    sums = np.add.reduceat(terms, np.cumsum(counts) - counts, axis=0)
+    return np.einsum("pkd,kdc->pc", sums, weights)

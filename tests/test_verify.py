@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from reference_samplers import ScalarWords, as_scaled, draw_pair, is_integer_scaling
+from reference_samplers import ScalarWords, as_scaled, draw_pair, is_integer_scaling, reduceat_outputs
 
 import gclab.verify
 from gclab.autodiff import Var, tanh_gate
@@ -308,45 +308,66 @@ class TestCoefficientSource:
         # the same rows through lmgc's scheme functions give the same bits
         k, d, c = 4, 3, 2
         rng = np.random.default_rng(12)
-        centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (40, d))
-        elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (40, d))
-        # pair e as an edge from row 40 + e (its element) into row e (its center)
+        counts = rng.integers(1, MAX_ELEMENTS + 1, 15)
+        centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (15, d))
+        elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (counts.sum(), d))
+        # element e as an edge from row 15 + e into row p, its instance's center
         rows = np.concatenate([centers, elements]) * LATTICE_SCALE
-        dst, src = np.arange(40), np.arange(40, 80)
+        dst, src = np.repeat(np.arange(15), counts), np.arange(15, 15 + counts.sum())
         eq14 = CoefficientSource("lmgc_eq14", k, d, c, seed=11)
         w = np.concatenate(eq14.w, axis=1)
         expected = eq14_coefficients(Var(rows @ w), Var(eq14.gate.T), dst, src).value
-        np.testing.assert_array_equal(eq14.alphas(centers, elements), expected)
+        np.testing.assert_array_equal(eq14.alphas(centers, counts, elements), expected)
         fagcn = CoefficientSource("fagcn_tanh", k, d, c, seed=11)
         expected = tanh_gate(Var(rows), Var(fagcn.gate.T), dst, src).value
-        np.testing.assert_array_equal(fagcn.alphas(centers, elements), expected)
+        np.testing.assert_array_equal(fagcn.alphas(centers, counts, elements), expected)
 
     def test_random_iid_array_keys_equal_scalar_chain(self):
         rng = np.random.default_rng(13)
-        lattice = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (2, 60, 4))
-        centers = np.vstack([[[1, 2, 3, 4]] * 2, lattice[0]])
-        elements = np.vstack([[[-1, 3, 0, 0], [-2, 3, 0, 0]], lattice[1]])  # hash(-1) == hash(-2)
-        keys = _iid_keys(7, 3, centers, elements)
-        assert keys.dtype == np.uint64 and keys.shape == (3, 62)
+        counts = np.concatenate([[2], rng.integers(1, MAX_ELEMENTS + 1, 20)])
+        centers = np.vstack([[[1, 2, 3, 4]], rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (20, 4))])
+        lattice = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (counts.sum() - 2, 4))
+        elements = np.vstack([[[-1, 3, 0, 0], [-2, 3, 0, 0]], lattice])  # hash(-1) == hash(-2)
+        keys = _iid_keys(7, 3, centers, counts, elements)
+        assert keys.dtype == np.uint64 and keys.shape == (3, counts.sum())
+        owner = np.repeat(np.arange(21), counts)
         for head in range(3):
-            for e, (center, element) in enumerate(zip(centers.tolist(), elements.tolist())):
-                scalar = derive_seed(7, head, *center, _FEATURE_SEPARATOR, *element)
+            for e, (p, element) in enumerate(zip(owner, elements.tolist())):
+                scalar = derive_seed(7, head, *centers[p].tolist(), _FEATURE_SEPARATOR, *element)
                 assert int(keys[head, e]) == scalar
 
     def test_random_iid_draws_match_scalar_box_muller(self):
         # np.log may differ from math.log by 1 ulp; the square root and the
         # product carry that to at most 2 ulps of the draw
         rng = np.random.default_rng(14)
-        centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (2000, 3))
-        elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (2000, 3))
-        got = CoefficientSource("random_iid", 2, 3, 3, seed=15).alphas(centers, elements)
+        counts = rng.integers(1, MAX_ELEMENTS + 1, 700)
+        centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (700, 3))
+        elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (counts.sum(), 3))
+        got = CoefficientSource("random_iid", 2, 3, 3, seed=15).alphas(centers, counts, elements)
+        owner = np.repeat(np.arange(700), counts)
         for head in range(2):
-            for e, (center, element) in enumerate(zip(centers.tolist(), elements.tolist())):
-                a = splitmix64(derive_seed(15, head, *center, _FEATURE_SEPARATOR, *element))
+            for e, (p, element) in enumerate(zip(owner, elements.tolist())):
+                a = splitmix64(derive_seed(15, head, *centers[p].tolist(), _FEATURE_SEPARATOR, *element))
                 b = splitmix64(a)
                 u1, u2 = ((a >> 11) + 1) * 2.0**-53, (b >> 11) * 2.0**-53
                 ref = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
                 assert abs(got[e, head] - ref) <= 2 * np.spacing(abs(ref))
+
+    @pytest.mark.parametrize("kind", COEFFICIENT_SOURCES)
+    def test_instance_alphas_equal_the_per_pair_alphas(self, kind):
+        # one center row per instance gives each element the bits it gets paired
+        # with its own copy of the center, keys included
+        rng = np.random.default_rng(16)
+        for d, k in ((1, 1), (3, 2), (4, 4)):
+            counts = np.tile(np.arange(1, MAX_ELEMENTS + 1), 30)
+            centers = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (len(counts), d))
+            elements = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, (counts.sum(), d))
+            assert np.any(centers < 0) and np.any(elements < 0)
+            paired = np.repeat(centers, counts, axis=0), np.ones(len(elements), dtype=int), elements
+            source = CoefficientSource(kind, k, d, 3, seed=17)
+            np.testing.assert_array_equal(source.alphas(centers, counts, elements), source.alphas(*paired))
+            if kind == "random_iid":
+                np.testing.assert_array_equal(_iid_keys(17, k, centers, counts, elements), _iid_keys(17, k, *paired))
 
 
 def loop_aggregate(inst, src, weights):
@@ -364,10 +385,10 @@ class TestAggregate:
     @pytest.mark.parametrize("k", [1, 4])
     @pytest.mark.parametrize("kind", COEFFICIENT_SOURCES)
     def test_batched_outputs_match_per_element_loop(self, kind, k):
-        # one einsum sums the heads in another order than the loop, so outputs
-        # move at ulp level (here 1.2e-14 absolute, 3.4e-15 relative); the tanh
-        # gates' products also round with an instance's place in the batch,
-        # which moved outputs by up to 1.8e-14 over 600 instances
+        # the batch mixes each element's heads before it sums the elements, in
+        # another order than the loop, so outputs move at ulp level (here
+        # 9.6e-15 absolute, 1.3e-15 relative); the matrix products also round
+        # with an instance's place in the batch (up to 3.6e-15 here)
         src = CoefficientSource(kind, k, 4, 4, seed=21)
         weights = np.random.default_rng(22).standard_normal((k, 4, 4))
         rng = np.random.default_rng(23)
@@ -377,6 +398,40 @@ class TestAggregate:
         for got in (_outputs(*_as_arrays(instances), src, weights), np.array(one_by_one)):
             gap = np.linalg.norm(got - ref, axis=1)
             assert np.all(gap <= 1e-13 * np.linalg.norm(ref, axis=1))
+
+    @pytest.mark.parametrize("d", [1, 4])
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    @pytest.mark.parametrize("kind", COEFFICIENT_SOURCES)
+    def test_outputs_stay_within_rounding_of_the_reduceat_form(self, kind, k, d):
+        # the two forms add the same terms in another order, so a row moves by a
+        # few ulps of its terms' size, sum_jk |alpha_jk| |x_j| |W_k|; rows of
+        # d = 1 can cancel to 1e-5 of that size, so only at d = 4 is the
+        # bound also relative to the row itself
+        for seed, independence in ((60, False), (61, True)):
+            chunk = _decode_chunk(_pair_words(seed, d, 1024), d, 1024, independence)
+            source = CoefficientSource(kind, k, d, 4, seed)
+            weights = _weights(seed, k, d, 4)
+            got, want = _outputs(*chunk, source, weights), reduceat_outputs(*chunk, source, weights)
+            _, counts, elements = chunk
+            terms = np.einsum("ek,ed,kdc->ec", np.abs(source.alphas(*chunk)), np.abs(elements), np.abs(weights))
+            size = np.add.reduceat(terms * LATTICE_SCALE, np.cumsum(counts) - counts)
+            gap = np.linalg.norm(got - want, axis=1)
+            assert np.all(gap <= 1e-14 * np.linalg.norm(size, axis=1))
+            if d == 4:
+                assert np.all(gap <= 1e-14 * np.linalg.norm(want, axis=1))
+
+    @pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_benchmark_trials_report_the_same_through_either_form(self, monkeypatch, source, k):
+        # the injectivity trials of the multiset benchmark: 400 pairs at d = c = 4
+        for seed in (70, 71, 72):
+            report = injectivity_trial(400, k, 4, 4, seed, source)
+            with monkeypatch.context() as patch:
+                patch.setattr(gclab.verify, "_outputs", reduceat_outputs)
+                want = injectivity_trial(400, k, 4, 4, seed, source)
+            assert (report.violations, report.witness_pair, report.witness_a, report.witness_b) == (
+                want.violations, want.witness_pair, want.witness_a, want.witness_b)
+            assert abs(report.min_separation - want.min_separation) <= 1e-12 * want.min_separation
 
     def test_hand_computed_single_head(self):
         src = CoefficientSource("random_iid", 1, 2, 2, seed=9)
