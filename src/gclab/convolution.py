@@ -9,17 +9,15 @@ oracles for cross-checking.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ._record import _Frozen
 from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier, inverse_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
 
 
-@dataclass(frozen=True)
-class FilterTensor:
+class FilterTensor(_Frozen):
     """General MIMO filter: values[i, q, p] maps input channel p to output q.
 
     Shape is (n, c, d). The tensor is tied to the spectral basis it was
@@ -27,14 +25,12 @@ class FilterTensor:
     of every entry, so operations check the id.
     """
 
-    values: np.ndarray
-    basis_id: str
-
-    def __post_init__(self):
-        if self.values.ndim != 3:
+    def __init__(self, values: np.ndarray, basis_id: str):
+        if values.ndim != 3:
             raise ValueError("filter tensor must have shape (n, c, d)")
-        if not np.all(np.isfinite(self.values)):
+        if not np.all(np.isfinite(values)):
             raise ValueError("filter tensor has non-finite entries")
+        self._set(values=values, basis_id=basis_id)
 
     @property
     def n(self):
@@ -49,15 +45,13 @@ class FilterTensor:
         return self.values.shape[2]
 
 
-@dataclass(frozen=True)
-class WeightStack:
+class WeightStack(_Frozen):
     """Ordered list of per-component weight matrices W^(k), each d x c."""
 
-    matrices: np.ndarray  # (count, d, c)
-
-    def __post_init__(self):
-        if self.matrices.ndim != 3:
+    def __init__(self, matrices: np.ndarray):  # (count, d, c)
+        if matrices.ndim != 3:
             raise ValueError("weight stack must have shape (count, d, c)")
+        self._set(matrices=matrices)
 
     @property
     def count(self):
@@ -72,12 +66,11 @@ class WeightStack:
         return self.matrices.shape[2]
 
 
-@dataclass(frozen=True)
-class SpectralResponse:
+class SpectralResponse(_Frozen):
     """Per-component filter response sampled at the basis eigenvalues."""
 
-    eigenvalues: np.ndarray
-    response: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, response: np.ndarray):
+        self._set(eigenvalues=eigenvalues, response=response)
 
     def dominance_ratio(self) -> float:
         """|largest| / |second largest| absolute response; inf when n == 1."""

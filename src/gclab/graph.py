@@ -2,16 +2,16 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import chain
 
 import numpy as np
 
+from ._record import _Frozen
+
 MAX_CONNECTIVITY_ATTEMPTS = 1000
 
 
-@dataclass(frozen=True)
-class Graph:
+class Graph(_Frozen):
     """Undirected simple graph with no self-loops.
 
     Edges are stored as a frozenset of unordered pairs (i, j) with i < j.
@@ -20,20 +20,17 @@ class Graph:
     immutable after construction.
     """
 
-    n: int
-    edges: frozenset
-    _cache: dict = field(default_factory=dict, repr=False, compare=False)
-
-    def __post_init__(self):
-        if self.n < 1:
+    def __init__(self, n: int, edges: frozenset):
+        if n < 1:
             raise ValueError("graph needs at least one node")
-        for i, j in self.edges:
+        for i, j in edges:
             if i == j:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
-            if not (0 <= i < self.n and 0 <= j < self.n):
-                raise ValueError(f"edge ({i},{j}) out of range for n={self.n}")
+            if not (0 <= i < n and 0 <= j < n):
+                raise ValueError(f"edge ({i},{j}) out of range for n={n}")
             if i > j:
                 raise ValueError(f"edge ({i},{j}) must be stored with i < j")
+        self._set(n=n, edges=edges, _cache={})
 
     @staticmethod
     def from_edges(n, edges):
@@ -166,11 +163,12 @@ def save_edge_list(g: Graph, path) -> None:
 
 
 def load_edge_list(path) -> Graph:
-    """Inverse of save_edge_list; raises on malformed lines with the line number.
+    """Inverse of save_edge_list; an error names the file and its line.
 
     The body is parsed as whole lists: every line split, then every token
     converted at once. Only a file that fails is read again line by line, to
-    name its first bad line.
+    name its first malformed line or the first edge the graph rejects; a node
+    count below 1 is an error on line 1.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -194,4 +192,15 @@ def load_edge_list(path) -> Graph:
                 raise ValueError(f"{path}:{lineno}: expected two integers, got {line!r}") from None
         raise
     i, j = values[0::2], values[1::2]
-    return Graph(n, frozenset(zip(map(min, i, j), map(max, i, j))))
+    try:
+        return Graph(n, frozenset(zip(map(min, i, j), map(max, i, j))))
+    except ValueError as exc:
+        if n < 1:
+            raise ValueError(f"{path}:1: {exc}") from None
+        linenos = (lineno for lineno, parts in enumerate(fields, start=2) if parts)
+        for lineno, edge in zip(linenos, zip(i, j)):
+            try:
+                Graph.from_edges(n, [edge])
+            except ValueError as bad:
+                raise ValueError(f"{path}:{lineno}: {bad}") from None
+        raise

@@ -16,12 +16,12 @@ pairwise_transform) is the oracle.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from . import autodiff as ad
+from ._record import _Frozen
 from .graph import Graph, inv_sqrt_degrees
 
 LEAKY_RELU_SLOPE = 0.2
@@ -37,8 +37,7 @@ class Variant(Enum):
     RANDOM_IID = "random_iid"
 
 
-@dataclass(frozen=True)
-class CoefficientScheme:
+class CoefficientScheme(_Frozen):
     """Edge-coefficient rule plus its (fixed or learnable) parameters.
 
     vectors holds the per-head gating vectors where the variant needs them:
@@ -46,65 +45,54 @@ class CoefficientScheme:
     vector for FAGCN_TANH, one length-2*K*c vector per head for LMGC_EQ14.
     """
 
-    variant: Variant
-    k: int
-    vectors: tuple = ()
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.k < 1:
+    def __init__(self, variant: Variant, k: int, vectors: tuple = (), seed: int = 0):
+        if k < 1:
             raise ValueError("need at least one computational graph")
-        if self.variant is Variant.GCN_NORM and self.k != 1:
+        if variant is Variant.GCN_NORM and k != 1:
             raise ValueError("degree normalization defines a single graph")
-        if self.variant is Variant.FAGCN_TANH and self.k != 1:
+        if variant is Variant.FAGCN_TANH and k != 1:
             raise ValueError("tanh gating defines a single graph")
-        if self.variant is Variant.ACM_FIXED and self.k != 2:
+        if variant is Variant.ACM_FIXED and k != 2:
             raise ValueError("fixed-operator scheme has K=2: A~ and L")
-        count = {Variant.GATV2_SOFTMAX: self.k, Variant.LMGC_EQ14: self.k, Variant.FAGCN_TANH: 1}
-        if len(self.vectors) != count.get(self.variant, 0):
-            raise ValueError(f"{self.variant.value} takes {count.get(self.variant, 0)} gating "
-                             f"vector(s), one per head; got {len(self.vectors)}")
+        count = {Variant.GATV2_SOFTMAX: k, Variant.LMGC_EQ14: k, Variant.FAGCN_TANH: 1}
+        if len(vectors) != count.get(variant, 0):
+            raise ValueError(f"{variant.value} takes {count.get(variant, 0)} gating "
+                             f"vector(s), one per head; got {len(vectors)}")
+        self._set(variant=variant, k=k, vectors=vectors, seed=seed)
 
 
-@dataclass(frozen=True)
-class ComputationalGraphSet:
-    """K edge-weight matrices over a shared underlying graph."""
+class ComputationalGraphSet(_Frozen):
+    """K edge-weight matrices, shape (K, n, n), over a shared underlying graph."""
 
-    matrices: np.ndarray  # (K, n, n)
-    graph: Graph
-    allow_diagonal: bool = False
-
-    def __post_init__(self):
-        if self.matrices.ndim != 3 or self.matrices.shape[1] != self.matrices.shape[2]:
+    def __init__(self, matrices: np.ndarray, graph: Graph, allow_diagonal: bool = False):
+        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
             raise ValueError("coefficient matrices must be square")
-        if self.matrices.shape[1] != self.graph.n:
+        if matrices.shape[1] != graph.n:
             raise ValueError("coefficient matrices do not match the graph size")
-        if not np.all(np.isfinite(self.matrices)):
+        if not np.all(np.isfinite(matrices)):
             raise ValueError("coefficients must be finite")
-        mask = self.graph.adjacency > 0
-        if self.allow_diagonal:
-            mask |= np.eye(self.graph.n, dtype=bool)
-        if np.any(self.matrices[:, ~mask] != 0.0):
+        mask = graph.adjacency > 0
+        if allow_diagonal:
+            mask |= np.eye(graph.n, dtype=bool)
+        if np.any(matrices[:, ~mask] != 0.0):
             raise ValueError("coefficients present outside the edge support")
+        self._set(matrices=matrices, graph=graph, allow_diagonal=allow_diagonal)
 
 
-@dataclass(frozen=True)
-class LmgcLayer:
+class LmgcLayer(_Frozen):
     """K head matrices (each d x c) combined with a coefficient scheme."""
 
-    weights: np.ndarray  # (K, d, c)
-    scheme: CoefficientScheme
-
-    def __post_init__(self):
-        if self.weights.ndim != 3:
+    def __init__(self, weights: np.ndarray, scheme: CoefficientScheme):
+        if weights.ndim != 3:
             raise ValueError("weights must have shape (K, d, c)")
-        if self.weights.shape[0] != self.scheme.k:
+        if weights.shape[0] != scheme.k:
             raise ValueError("weight count must equal the scheme's K")
-        length = vector_length(self.scheme.variant, *self.weights.shape)
-        shapes = [np.shape(v) for v in self.scheme.vectors]
+        length = vector_length(scheme.variant, *weights.shape)
+        shapes = [np.shape(v) for v in scheme.vectors]
         if any(shape != (length,) for shape in shapes):
-            raise ValueError(f"{self.scheme.variant.value} at (K, d, c) = {self.weights.shape} takes "
+            raise ValueError(f"{scheme.variant.value} at (K, d, c) = {weights.shape} takes "
                              f"gating vectors of length {length}; got shapes {shapes}")
+        self._set(weights=weights, scheme=scheme)
 
     @property
     def k(self):

@@ -7,18 +7,19 @@ the forward transform is U^T applied along the node axis.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
 
 import numpy as np
+
+from ._record import _Frozen
 
 SYMMETRY_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class Spectrum:
+class Spectrum(_Frozen):
     """Eigenvalues (ascending) of a symmetric matrix, without eigenvectors."""
 
-    eigenvalues: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray):
+        self._set(eigenvalues=eigenvalues)
 
     @property
     def n(self) -> int:
@@ -29,7 +30,6 @@ class Spectrum:
         return 1.0 - self.eigenvalues
 
 
-@dataclass(frozen=True)
 class SpectralBasis(Spectrum):
     """Eigenvalues (ascending) and orthonormal eigenvectors, column k per pair.
 
@@ -38,7 +38,8 @@ class SpectralBasis(Spectrum):
     for simple spectra.
     """
 
-    eigenvectors: np.ndarray
+    def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
+        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
 
     @property
     def basis_id(self) -> str:

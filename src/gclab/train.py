@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
+from ._record import _Record
 from .graph import Graph, generate_erdos_renyi, laplacian, node_count_error, normalized_adjacency
 from .graph import probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
@@ -44,8 +44,7 @@ def count_error(value) -> str | None:
     return None if value >= 1 else f"must be at least 1, got {value}"
 
 
-@dataclass
-class ExperimentConfig:
+class ExperimentConfig(_Record):
     """Settings for one training run.
 
     `seed` fixes the (graph, X, Y) instance; `run` selects an independent
@@ -53,34 +52,22 @@ class ExperimentConfig:
     of the fitting experiment.
     """
 
-    n: int = 16
-    d: int = 16
-    c: int = 16
-    p: float = 0.1
-    steps: int = 40000
-    lr: float = 0.03
-    seed: int = REFERENCE_INSTANCE_SEED
-    run: int = 0
-    heads: int = 4
-
-    def __post_init__(self):
+    def __init__(self, n: int = 16, d: int = 16, c: int = 16, p: float = 0.1, steps: int = 40000,
+                 lr: float = 0.03, seed: int = REFERENCE_INSTANCE_SEED, run: int = 0, heads: int = 4):
+        self.n, self.d, self.c, self.p, self.steps = n, d, c, p, steps
+        self.lr, self.seed, self.run, self.heads = lr, seed, run, heads
         errors = [(name, count_error(getattr(self, name))) for name in ("d", "c", "heads", "steps")]
-        errors += [("n", node_count_error(self.n)), ("p", probability_error(self.p))]
-        for name, error in errors + [("lr", rate_error(self.lr))]:
+        errors += [("n", node_count_error(n)), ("p", probability_error(p))]
+        for name, error in errors + [("lr", rate_error(lr))]:
             if error is not None:
                 raise ValueError(f"ExperimentConfig.{name} {error}")
 
 
-@dataclass
-class TrialResult:
-    method: str
-    lr: float
-    seed: int
-    run: int
-    steps: int
-    min_mse: float
-    wall_seconds: float
-    diverged: bool = False
+class TrialResult(_Record):
+    def __init__(self, method: str, lr: float, seed: int, run: int, steps: int, min_mse: float,
+                 wall_seconds: float, diverged: bool = False):
+        self.method, self.lr, self.seed, self.run = method, lr, seed, run
+        self.steps, self.min_mse, self.wall_seconds, self.diverged = steps, min_mse, wall_seconds, diverged
 
 
 def _uniform_init(rng, shape):

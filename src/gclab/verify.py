@@ -27,11 +27,10 @@ element order (autodiff._sum_rows).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import autodiff as ad
+from ._record import _Frozen, _Record
 from .graph import Graph
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from .lmgc import eq14_coefficients, vector_length
@@ -48,26 +47,25 @@ _UNIT = 2.0**-53
 PAIRS_PER_CHUNK = 1024  # pairs evaluated per batch, so memory stays bounded for any pair count
 
 
-@dataclass(frozen=True)
-class MultisetInstance:
-    """A center feature and a neighbor feature multiset, both on the lattice."""
+class MultisetInstance(_Frozen):
+    """A center feature and a neighbor feature multiset, both on the lattice.
 
-    center: tuple
-    elements: tuple  # sorted tuple of integer tuples, repetitions allowed
+    elements is a sorted tuple of integer tuples, repetitions allowed.
+    """
+
+    def __init__(self, center: tuple, elements: tuple):
+        self._set(center=center, elements=elements)
 
 
-@dataclass
-class TrialReport:
-    kind: str
-    k: int
-    d: int
-    c: int
-    trials: int
-    violations: int
-    min_separation: float
-    witness_pair: int  # index in the pair stream of the pair scoring min_separation
-    witness_a: MultisetInstance
-    witness_b: MultisetInstance
+class TrialReport(_Record):
+    """One trial's counts; witness_pair indexes the pair stream at the pair scoring min_separation."""
+
+    def __init__(self, kind: str, k: int, d: int, c: int, trials: int, violations: int,
+                 min_separation: float, witness_pair: int, witness_a: MultisetInstance,
+                 witness_b: MultisetInstance):
+        self.kind, self.k, self.d, self.c, self.trials = kind, k, d, c, trials
+        self.violations, self.min_separation, self.witness_pair = violations, min_separation, witness_pair
+        self.witness_a, self.witness_b = witness_a, witness_b
 
     def ok(self) -> bool:
         return self.violations == 0

@@ -122,6 +122,16 @@ class TestUniversality:
         )
         assert code == EXIT_NUMERIC
 
+    def test_two_jobs_write_what_one_job_writes(self, tmp_path):
+        argv = ["universality", "--method", "fagcn", "--lr", "0.01", "--steps", "20", "--seeds", "2"]
+        one, two = tmp_path / "one", tmp_path / "two"
+        assert main(argv + ["--jobs", "1", "--out", str(one)]) == EXIT_OK
+        assert main(argv + ["--jobs", "2", "--out", str(two)]) == EXIT_OK
+        rows = read_csv(one / "results.csv")
+        assert len(rows) == 1 + 2 and rows[0][-1] == "wall_seconds"
+        assert [r[:-1] for r in read_csv(two / "results.csv")] == [r[:-1] for r in rows]
+        assert (two / "summary.txt").read_bytes() == (one / "summary.txt").read_bytes()
+
     def test_diverged_run_is_flagged_in_results(self, tmp_path):
         out = tmp_path / "div"
         argv = ["universality", "--method", "fagcn", "--lr", "1e200", "--steps", "20"]
@@ -202,6 +212,21 @@ class TestSpectra:
         path.write_text("4\n0 x\n")
         code = main(["spectra", "--graph-file", str(path), "--out", str(tmp_path / "o")])
         assert code == EXIT_USAGE
+
+    @pytest.mark.parametrize("text, lineno, message", [
+        ("3\n0 1\n2 2\n", 3, "self-loop (2,2) not allowed"),
+        ("3\n0 1\n\n1 5\n", 4, "edge (1,5) out of range for n=3"),
+        ("3\n5 1\n", 2, "edge (1,5) out of range for n=3"),
+        ("3\n-1 2\n", 2, "edge (-1,2) out of range for n=3"),
+        ("3\n0 1\n1 7\n2 2\n", 3, "edge (1,7) out of range for n=3"),  # the first bad line is named
+        ("0\n", 1, "graph needs at least one node"),
+        ("-2\n0 1\n", 1, "graph needs at least one node"),
+    ], ids=["self-loop", "after-blank-line", "reversed", "negative", "first-of-two", "no-nodes", "negative-count"])
+    def test_rejected_graph_file_names_its_file_and_line(self, tmp_path, capsys, text, lineno, message):
+        path = tmp_path / "g.txt"
+        path.write_text(text)
+        assert main(["spectra", "--graph-file", str(path), "--out", str(tmp_path / "o")]) == EXIT_USAGE
+        assert capsys.readouterr().err == f"error: {path}:{lineno}: {message}\n"
 
     def test_missing_graph_source_is_usage_error(self, tmp_path):
         assert main(["spectra", "--out", str(tmp_path / "o")]) == EXIT_USAGE
