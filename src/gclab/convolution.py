@@ -207,16 +207,6 @@ def _kron_eye(count: int, block: np.ndarray) -> np.ndarray:
     return out
 
 
-def pairwise_weight(stack: WeightStack, basis: SpectralBasis, i: int, j: int) -> np.ndarray:
-    """Per-node-pair transform W_(i,j) = (sum_k U_ik U_jk W^(k))^T, shape c x d."""
-    _check_stack(stack, basis)
-    if not (0 <= i < basis.n and 0 <= j < basis.n):
-        raise IndexError(f"node pair ({i},{j}) out of range for n={basis.n}")
-    u = basis.eigenvectors
-    coeff = u[i, :] * u[j, :]
-    return np.einsum("k,kdc->cd", coeff, stack.matrices)
-
-
 def mimo_gc_pairwise(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Node-form evaluation: row i = sum_j W_(i,j) X_{j,:}.
 
@@ -258,13 +248,23 @@ def universality_filter(x: np.ndarray, y: np.ndarray, basis: SpectralBasis) -> F
     return filter_from_weight_stack(WeightStack(mats), basis)
 
 
+def _polynomial_terms(v_list) -> list:
+    """The terms V^(0), ..., V^(K) as float arrays; they must be one or more (d, c) matrices."""
+    terms = [np.asarray(v, dtype=float) for v in v_list]
+    shapes = sorted({t.shape for t in terms})
+    if len(shapes) != 1 or len(shapes[0]) != 2:
+        raise ValueError(f"v_list must hold one or more (d, c) matrices of one shape; got shapes {shapes}")
+    return terms
+
+
 def mimo_polynomial(a_sym: np.ndarray, x: np.ndarray, v_list) -> np.ndarray:
     """Polynomial filter sum_{k=0}^K A_sym^k X V^(k)."""
+    terms = _polynomial_terms(v_list)
     x = np.asarray(x, dtype=float)
-    out = np.zeros((x.shape[0], np.asarray(v_list[0]).shape[1]))
+    out = np.zeros((x.shape[0], terms[0].shape[1]))
     power_x = x.copy()
-    for v in v_list:
-        out += power_x @ np.asarray(v, dtype=float)
+    for v in terms:
+        out += power_x @ v
         power_x = a_sym @ power_x
     return out
 
@@ -275,15 +275,10 @@ def polynomial_as_mimo_filter(v_list, basis: SpectralBasis) -> WeightStack:
     mu_j are eigenvalues of A_sym, i.e. 1 - lambda_j of L_sym; the
     conversion is centralized here to keep the two spectra straight.
     """
+    v = np.stack(_polynomial_terms(v_list))  # (K+1, d, c)
     mu = basis.adjacency_eigenvalues()
-    v = np.stack([np.asarray(m, dtype=float) for m in v_list])  # (K+1, d, c)
-    powers = mu[:, None] ** np.arange(len(v_list))[None, :]  # (n, K+1)
+    powers = mu[:, None] ** np.arange(len(v))[None, :]  # (n, K+1)
     return WeightStack(np.einsum("jk,kdc->jdc", powers, v))
-
-
-def gcn_as_mimo_stack(v: np.ndarray, basis: SpectralBasis) -> WeightStack:
-    """First-order case W^(j) = mu_j V, the spectral form of A_sym X V."""
-    return polynomial_as_mimo_filter([np.zeros_like(v), v], basis)
 
 
 def filter_response(stack: WeightStack, basis: SpectralBasis, in_channel: int, out_channel: int) -> SpectralResponse:

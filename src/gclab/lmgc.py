@@ -9,13 +9,12 @@ coefficients of edge_coefficients (the one dispatch on Variant), and
 autodiff.edge_messages; stacked_vectors owns the gating vectors' layout.
 gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
 GIN-0's gin_layer is run the same two ways. The dense (K, n, n) matrix form
-(compute_coefficients, ComputationalGraphSet, forward_from_coefficients,
-pairwise_transform) is the oracle.
+(compute_coefficients, ComputationalGraphSet, pairwise_transform) is the
+oracle the tests check the edge path against.
 """
 
 from __future__ import annotations
 
-import json
 from enum import Enum
 
 import numpy as np
@@ -244,15 +243,6 @@ def lmgc_forward(layer: LmgcLayer, x: np.ndarray, g: Graph) -> np.ndarray:
     return out.value + np.einsum("k,nkc->nc", diag, z.value.reshape(g.n, layer.k, layer.c))
 
 
-def forward_from_coefficients(
-    layer: LmgcLayer, cgs: ComputationalGraphSet, x: np.ndarray
-) -> np.ndarray:
-    out = np.zeros((cgs.graph.n, layer.c))
-    for k in range(layer.k):
-        out += cgs.matrices[k] @ (x @ layer.weights[k])
-    return out
-
-
 def pairwise_transform(
     layer: LmgcLayer, cgs: ComputationalGraphSet, i: int, j: int
 ) -> np.ndarray:
@@ -289,46 +279,3 @@ def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
     if x.shape[1] != mlp[0].shape[0]:
         raise ValueError("MLP input width does not match the features")
     return gin_layer(ad.Var(gin_aggregation(g)), ad.Var(x), *mlp).value
-
-
-_LAYER_KEYS = ("variant", "k", "seed", "weights", "vectors")
-
-
-def serialize_layer(layer: LmgcLayer) -> str:
-    """Flat JSON with exactly the keys _LAYER_KEYS; tensors as row-major lists."""
-    payload = {
-        "variant": layer.scheme.variant.value,
-        "k": layer.k,
-        "seed": layer.scheme.seed,
-        "weights": [w.tolist() for w in layer.weights],
-        "vectors": [np.asarray(v, dtype=float).tolist() for v in layer.scheme.vectors],
-    }
-    return json.dumps(payload)
-
-
-def deserialize_layer(text: str) -> LmgcLayer:
-    """The layer of serialize_layer's JSON; any other key set is rejected, naming the difference."""
-    payload = json.loads(text)
-    missing = sorted(set(_LAYER_KEYS) - payload.keys())
-    unexpected = sorted(payload.keys() - set(_LAYER_KEYS))
-    if missing or unexpected:
-        raise ValueError(f"layer JSON keys differ from {list(_LAYER_KEYS)}: "
-                         f"missing {missing}, unexpected {unexpected}")
-    scheme = CoefficientScheme(
-        variant=Variant(payload["variant"]),
-        k=payload["k"],
-        vectors=tuple(_finite_array("vectors", v) for v in payload["vectors"]),
-        seed=payload["seed"],
-    )
-    return LmgcLayer(_finite_array("weights", payload["weights"]), scheme)
-
-
-def _finite_array(key: str, value) -> np.ndarray:
-    """value as a float array; ragged, non-numeric, null or non-finite entries raise naming key."""
-    try:
-        array = np.asarray(value, dtype=float)
-    except (ValueError, TypeError) as exc:
-        raise ValueError(f"layer JSON {key} are not arrays of finite numbers") from exc
-    if not np.all(np.isfinite(array)):  # numpy reads a JSON null as nan
-        raise ValueError(f"layer JSON {key} are not arrays of finite numbers")
-    return array

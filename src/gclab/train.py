@@ -19,7 +19,7 @@ import time
 import numpy as np
 
 from . import autodiff as ad
-from ._record import _Record
+from ._record import _Frozen, _Record
 from .graph import Graph, generate_erdos_renyi, laplacian, node_count_error, normalized_adjacency
 from .graph import probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
@@ -44,7 +44,7 @@ def count_error(value) -> str | None:
     return None if value >= 1 else f"must be at least 1, got {value}"
 
 
-class ExperimentConfig(_Record):
+class ExperimentConfig(_Frozen):
     """Settings for one training run.
 
     `seed` fixes the (graph, X, Y) instance; `run` selects an independent
@@ -54,8 +54,7 @@ class ExperimentConfig(_Record):
 
     def __init__(self, n: int = 16, d: int = 16, c: int = 16, p: float = 0.1, steps: int = 40000,
                  lr: float = 0.03, seed: int = REFERENCE_INSTANCE_SEED, run: int = 0, heads: int = 4):
-        self.n, self.d, self.c, self.p, self.steps = n, d, c, p, steps
-        self.lr, self.seed, self.run, self.heads = lr, seed, run, heads
+        self._set(n=n, d=d, c=c, p=p, steps=steps, lr=lr, seed=seed, run=run, heads=heads)
         errors = [(name, count_error(getattr(self, name))) for name in ("d", "c", "heads", "steps")]
         errors += [("n", node_count_error(n)), ("p", probability_error(p))]
         for name, error in errors + [("lr", rate_error(lr))]:

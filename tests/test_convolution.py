@@ -2,20 +2,19 @@
 
 import numpy as np
 import pytest
+from dense_oracles import gcn_as_mimo_stack, pairwise_weight
 
 from gclab.convolution import (
     FilterTensor,
     WeightStack,
     filter_from_weight_stack,
     filter_response,
-    gcn_as_mimo_stack,
     mimo_gc,
     mimo_gc_from_stack,
     mimo_gc_oracle,
     mimo_gc_pairwise,
     mimo_gc_vectorized_oracle,
     mimo_polynomial,
-    pairwise_weight,
     polynomial_as_mimo_filter,
     sca_repeated_gcn,
     siso_gc,
@@ -181,8 +180,6 @@ class TestMimoRoutes:
         np.testing.assert_allclose(
             pairwise_weight(stack, basis, i, j), expected, atol=1e-12
         )
-        with pytest.raises(IndexError):
-            pairwise_weight(stack, basis, 0, theta.n)
 
     def test_pairwise_route_matches_pair_by_pair_sum(self):
         rng = np.random.default_rng(24)
@@ -284,6 +281,16 @@ class TestPolynomialStacks:
         np.testing.assert_allclose(
             mimo_polynomial(normalized_adjacency(g), x, [v]), x, atol=0
         )
+
+    @pytest.mark.parametrize("v_list", [[], [np.eye(2), np.ones((2, 3))], [np.ones(2)]],
+                             ids=["empty", "unequal", "vector"])
+    def test_bad_terms_rejected_by_both_forms(self, v_list):
+        g, basis = make_basis(6, seed=32)
+        x = np.ones((6, 2))
+        with pytest.raises(ValueError, match=r"v_list must hold one or more \(d, c\) matrices"):
+            mimo_polynomial(normalized_adjacency(g), x, v_list)
+        with pytest.raises(ValueError, match=r"v_list must hold one or more \(d, c\) matrices"):
+            polynomial_as_mimo_filter(v_list, basis)
 
 
 class TestSpectralResponse:

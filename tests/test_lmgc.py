@@ -1,10 +1,8 @@
-"""Coefficient schemes, the localized layer, pairwise transforms, GIN, IO."""
-
-import json
-import re
+"""Coefficient schemes, the localized layer, pairwise transforms, GIN."""
 
 import numpy as np
 import pytest
+from dense_oracles import forward_from_coefficients
 
 from gclab.graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
 from gclab.lmgc import (
@@ -15,13 +13,10 @@ from gclab.lmgc import (
     LmgcLayer,
     Variant,
     compute_coefficients,
-    deserialize_layer,
-    forward_from_coefficients,
     gin_aggregation,
     gin_forward,
     lmgc_forward,
     pairwise_transform,
-    serialize_layer,
 )
 
 
@@ -428,63 +423,3 @@ class TestGin:
         mlp = (np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="width"):
             gin_forward(np.zeros((2, 2)), g, mlp)
-
-
-class TestSerialization:
-    def test_roundtrip_preserves_forward(self):
-        g, x, weights, scheme = small_setup(variant=Variant.LMGC_EQ14, seed=15)
-        layer = LmgcLayer(weights, scheme)
-        restored = deserialize_layer(serialize_layer(layer))
-        assert restored.scheme.variant is Variant.LMGC_EQ14
-        np.testing.assert_allclose(
-            lmgc_forward(restored, x, g), lmgc_forward(layer, x, g), atol=0
-        )
-
-    def test_roundtrip_of_fixed_scheme(self):
-        _, _, _, _ = small_setup()
-        rng = np.random.default_rng(16)
-        layer = LmgcLayer(
-            rng.standard_normal((2, 3, 3)), CoefficientScheme(Variant.ACM_FIXED, 2)
-        )
-        restored = deserialize_layer(serialize_layer(layer))
-        np.testing.assert_array_equal(restored.weights, layer.weights)
-        assert restored.scheme == layer.scheme
-
-    def test_payload_has_exactly_the_read_keys(self):
-        _, _, weights, scheme = small_setup(seed=17)
-        payload = json.loads(serialize_layer(LmgcLayer(weights, scheme)))
-        assert sorted(payload) == ["k", "seed", "variant", "vectors", "weights"]
-
-    @staticmethod
-    def acm_payload():
-        rng = np.random.default_rng(18)
-        layer = LmgcLayer(rng.standard_normal((2, 3, 3)), CoefficientScheme(Variant.ACM_FIXED, 2))
-        return json.loads(serialize_layer(layer))
-
-    @pytest.mark.parametrize("key, value", [("leaky_slope", 0.1), ("include_identity", True)])
-    def test_old_layer_keys_rejected(self, key, value):
-        payload = self.acm_payload()
-        payload[key] = value
-        with pytest.raises(ValueError, match=re.escape(f"unexpected ['{key}']")):
-            deserialize_layer(json.dumps(payload))
-
-    def test_missing_key_rejected(self):
-        payload = self.acm_payload()
-        del payload["seed"]
-        with pytest.raises(ValueError, match=re.escape("missing ['seed'], unexpected []")):
-            deserialize_layer(json.dumps(payload))
-
-    @pytest.mark.parametrize("entry", [lambda w: w[:2], lambda w: [None] + w[1:], lambda w: [{}] + w[1:]])
-    def test_bad_weights_rejected(self, entry):
-        payload = self.acm_payload()
-        payload["weights"][1][0] = entry(payload["weights"][1][0])
-        with pytest.raises(ValueError, match="layer JSON weights are not arrays of finite numbers"):
-            deserialize_layer(json.dumps(payload))
-
-    @pytest.mark.parametrize("vector", [[[1.0], [2.0, 3.0]], [1.0, None, 2.0]])
-    def test_bad_vectors_rejected(self, vector):
-        _, _, weights, scheme = small_setup(seed=19)
-        payload = json.loads(serialize_layer(LmgcLayer(weights, scheme)))
-        payload["vectors"][0] = vector
-        with pytest.raises(ValueError, match="layer JSON vectors are not arrays of finite numbers"):
-            deserialize_layer(json.dumps(payload))
