@@ -29,7 +29,7 @@ class Var:
 
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
-    def __init__(self, value, parents=(), backward=None, requires_grad=True):
+    def __init__(self, value, parents=(), requires_grad=True):
         self.value = np.asarray(value, dtype=float)
         self.grad = None
         if parents:
@@ -38,7 +38,7 @@ class Var:
                 requires_grad = requires_grad or p.requires_grad
         self.requires_grad = requires_grad
         self._parents = parents
-        self._backward = backward
+        self._backward = None
 
     @property
     def shape(self):

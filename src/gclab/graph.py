@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numbers
 from itertools import chain
 
 import numpy as np
@@ -98,9 +99,16 @@ def is_connected(g: Graph) -> bool:
     return all(seen)
 
 
+def integer_error(value) -> str | None:
+    """Why value is no integer (a bool is none here, though Python counts it one), or None."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        return f"must be an integer, got {value!r}"
+    return None
+
+
 def node_count_error(n) -> str | None:
-    """Why n is no node count for a random graph (it needs at least 2 nodes), or None."""
-    return None if n >= 2 else f"must be at least 2, got {n}"
+    """Why n is no node count for a random graph (an integer of at least 2), or None."""
+    return integer_error(n) or (None if n >= 2 else f"must be at least 2, got {n}")
 
 
 def probability_error(p) -> str | None:

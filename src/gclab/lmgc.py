@@ -5,8 +5,10 @@ K coefficients per edge, plus a fixed diagonal weight per head (1 for ACM's
 Laplacian channel); the forward pass is sum_k A~^(k) X W^(k). Every
 leaky ReLU of the schemes has slope LEAKY_RELU_SLOPE.
 The layer is one autodiff expression, edge_layer: z = x W, the (E, K) edge
-coefficients of edge_coefficients (the one dispatch on Variant), and
-autodiff.edge_messages; stacked_vectors owns the gating vectors' layout.
+coefficients of edge_coefficients (the forward pass's one branch on
+Variant), and autodiff.edge_messages. CoefficientScheme checks each
+variant's K and vector count, and vector_length and stacked_vectors own the
+gating vectors' length and layout.
 gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
 GIN-0's gin_layer is run the same two ways. The dense (K, n, n) matrix form
 (compute_coefficients, ComputationalGraphSet, pairwise_transform) is the
@@ -275,7 +277,7 @@ def gin_layer(agg, x, w1, b1, w2, b2):
 def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
     """gin_layer on constants; mlp is (W1, b1, W2, b2)."""
     x = _check_features(x, g)
-    mlp = [ad.Var(m) for m in mlp]
-    if x.shape[1] != mlp[0].shape[0]:
+    if x.shape[1] != np.shape(mlp[0])[0]:
         raise ValueError("MLP input width does not match the features")
-    return gin_layer(ad.Var(gin_aggregation(g)), ad.Var(x), *mlp).value
+    arrays = (gin_aggregation(g), x, *mlp)
+    return gin_layer(*(ad.Var(a, requires_grad=False) for a in arrays)).value

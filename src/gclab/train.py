@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen, _Record
-from .graph import Graph, generate_erdos_renyi, laplacian, node_count_error, normalized_adjacency
-from .graph import probability_error
+from .graph import Graph, generate_erdos_renyi, integer_error, laplacian, node_count_error
+from .graph import normalized_adjacency, probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
 from .lmgc import vector_length
 from .optim import Adam, rate_error
@@ -40,8 +40,8 @@ REFERENCE_INSTANCE_SEED = 8211762302750656350
 
 
 def count_error(value) -> str | None:
-    """Why value is no count (a width, head, step or CLI count must be at least 1), or None."""
-    return None if value >= 1 else f"must be at least 1, got {value}"
+    """Why value is no count (a width, head, step or CLI count is an integer of at least 1), or None."""
+    return integer_error(value) or (None if value >= 1 else f"must be at least 1, got {value}")
 
 
 class ExperimentConfig(_Frozen):

@@ -12,10 +12,11 @@ The suites read their Generator through _LatticeWords: raw 32-bit words in
 blocks, which _decode_chunk decodes as arrays by numpy's own bounded-integer
 rule, so they draw the same pair stream as sample_instance calls on the bare
 Generator. numpy's loops read past a redrawn instance and a word its range
-rejects. A redrawn instance is dropped by index from the decoded ones, which
-stay decoded; a rejected word is dropped from the stream, and the decoder
-decodes on from there. The redraw rule pads an instance's elements to one row
-only for the pairs it must compare element by element.
+rejects. The decoder reads the words once, in order: a redrawn instance is
+dropped by index from the decoded ones, an a still without a b at the end
+of a round is carried, decoded, into the next, and a rejected word is
+dropped from the stream. The redraw rule pads an instance's elements to one
+row only for the pairs it must compare element by element.
 
 A chunk's work is done once per instance where it depends only on the
 instance: random_iid keys chain each center once and extend the chain by
@@ -79,16 +80,17 @@ class _LatticeWords:
     redrawn while m mod 2^32 < 2^32 mod span (_rejects), and yields
     low + (m >> 32). rng.integers(0, 2**32, n, dtype=np.uint32) reads the
     same words, so decoding them by that rule gives the Generator's own
-    draws. _decode_chunk decodes the block as arrays and moves pos past the
-    words it used. The reader holds words it has not returned yet, so it must
-    be rng's only user.
+    draws. Each refill decodes the words for both ranges (_decode_block);
+    _decode_chunk moves pos past the words it decoded, and settle reads a
+    flagged word once its range is known. The reader holds words it has not
+    returned yet, so it must be rng's only user.
     """
 
     def __init__(self, rng: np.random.Generator, block: int):
         self._rng, self._block = rng, block
         self.words = np.empty(0, dtype=np.uint64)
         self.pos = 0
-        self.lattice = None  # _decode_block(words), kept until the next refill
+        self.lattice = None  # _decode_block(words), set by each refill
 
     def reserve(self, count: int) -> None:
         """Hold at least count unread words, appending a block to the unread ones if needed."""
@@ -96,19 +98,17 @@ class _LatticeWords:
             fresh = self._rng.integers(0, 2**32, max(self._block, count), dtype=np.uint32)
             self.words = np.concatenate([self.words[self.pos :], fresh.astype(np.uint64)])
             self.pos = 0
-            self.lattice = None
+            self.lattice = _decode_block(self.words)
 
-    def drop(self, lo: int, hi: int) -> None:
-        """Read words [lo, hi) and discard them: the unread words before lo move up to end at hi.
-
-        Their decoded draws move with them, so words [pos, lo) must hold no rejected word.
-        """
-        n = hi - lo
+    def settle(self, i: int, span: int) -> None:
+        """Read the flagged word i by the range of span: drop it if that range rejects it, else unflag it."""
         draws, sizes, rejected = self.lattice
-        for array in (self.words, draws, sizes):
-            array[self.pos + n : hi] = array[self.pos : lo]
-        self.lattice = draws, sizes, rejected[(rejected < lo) | (rejected >= hi)]
-        self.pos += n
+        rejected = rejected[rejected != i]
+        if _rejects(int(self.words[i]) * span, span):  # numpy's loop reads past it
+            self.words, draws = np.delete(self.words, i), np.delete(draws, i)
+            del sizes[i]
+            rejected[rejected > i] -= 1
+        self.lattice = draws, sizes, rejected
 
 
 def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
@@ -175,11 +175,11 @@ class CoefficientSource:
         rows = np.concatenate([centers, elements]) * LATTICE_SCALE
         dst = np.repeat(np.arange(len(centers)), counts)
         src = np.arange(len(centers), len(rows))
-        gate = ad.Var(self.gate.T)  # head k's gating vector in column k
+        gate = ad.Var(self.gate.T, requires_grad=False)  # head k's gating vector in column k
         if self.kind == "fagcn_tanh":
-            return ad.tanh_gate(ad.Var(rows), gate, dst, src).value
+            return ad.tanh_gate(ad.Var(rows, requires_grad=False), gate, dst, src).value
         w = np.concatenate(self.w, axis=1)  # (d, K*c), head k in columns k*c:(k+1)*c
-        return eq14_coefficients(ad.Var(rows @ w), gate, dst, src).value
+        return eq14_coefficients(ad.Var(rows @ w, requires_grad=False), gate, dst, src).value
 
     def alpha(self, head: int, center: tuple, element: tuple) -> float:
         return float(self.alphas([center], [1], [element])[0, head])
@@ -320,13 +320,12 @@ class _PairRule:
         return self._bad[parity]
 
     def walk(self):
-        """The instances kept as pairs (a, b) in turn, and where the next pair starts.
+        """The instances kept as pairs (a, b) in turn, and the a still waiting for its b.
 
         The walk keeps pairs of neighbours (i, i + 1) up to the first one the
         rule redraws, drops that instance and goes on; a redrawn b leaves a to
-        meet the next instances one by one. Returns the kept mask, the index
-        of the next unread instance, and whether that instance is an a whose
-        later instances were all redrawn.
+        meet the next instances one by one. Returns the kept mask and the
+        index of the one a left without a b, or n when none is.
         """
         n = len(self.counts)
         keep = np.zeros(n, dtype=bool)
@@ -337,7 +336,7 @@ class _PairRule:
             if j == len(redrawn):  # no redraw among the pairs left
                 end = i + (n - i) // 2 * 2
                 keep[i:end] = True
-                return keep, end, False
+                return keep, end
             a = int(redrawn[j])
             keep[i:a] = True
             if self.independence and self.zero[a]:
@@ -347,7 +346,7 @@ class _PairRule:
             while b < n and self.redraws_b(a, b, 1)[0]:
                 b += 1
             if b == n:
-                return keep, a, True
+                return keep, a
             keep[a] = keep[b] = True
             i = b + 1
 
@@ -356,48 +355,45 @@ def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
     """The next pairs that sample_instance and _PairRule draw from the words' Generator.
 
     Returns the centers, counts and sorted elements of the instances a, b of
-    each pair in turn, as _outputs takes them. Instances are decoded as
-    arrays up to a rejected word, and the pair rule's walk drops redrawn
-    instances by index: a redrawn instance is dropped whole, which leaves the
-    roles of later words as they were. An a whose redrawn partners fill the
-    rest of the scan moves up past them by an edit of the word stream. A word
-    at an instance's start + d is a size draw and any other a lattice draw: it
-    is dropped if its own range rejects it, and decodes as drawn if only the
-    other range does; the instances from there on are decoded anew.
+    each pair in turn, as _outputs takes them. A round decodes instances as
+    arrays from pos up to a flagged word, which words.settle then reads as a
+    size draw if it sits at an instance's start + d, else as a lattice draw.
+    The walk drops redrawn instances whole, which leaves the roles of later
+    words as they were, and an a left without a b joins the next round's
+    batch. A call ends on a round that keeps all 2r instances of its r pairs.
     """
-    parts = []
+    parts, carried = [], None
     while pairs:
-        words.reserve(2 * pairs * (d + 1 + MAX_ELEMENTS * d))  # the most words the pairs read without a redraw
-        if words.lattice is None:
-            words.lattice = _decode_block(words.words)
+        todo = 2 * pairs - (carried is not None)
+        words.reserve(todo * (d + 1 + MAX_ELEMENTS * d))  # the most words todo instances read without a redraw
         draws, sizes, rejected = words.lattice
         start = words.pos
         i = np.searchsorted(rejected, start)
         end = int(rejected[i]) if i < len(rejected) else len(draws)  # words before end decode as drawn
         starts = [start]
-        for _ in range(2 * pairs):
+        for _ in range(todo):
             if start + d >= end:
                 break
             start += d + 1 + sizes[start + d] * d
             if start > end:
                 break
             starts.append(start)
-        cut = len(starts) <= 2 * pairs  # the scan stopped at the rejected word end, in the instance at starts[-1]
-        centers, counts, elements = _lattice_instances(draws, starts, d)
-        keep, resume, waiting = _PairRule(centers, counts, elements, independence).walk()
+        batch = _lattice_instances(draws, starts, d)
+        words.pos = starts[-1]
+        if len(starts) <= todo:  # the scan stopped at the flagged word end, in the instance at starts[-1]
+            words.settle(end, MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1)
+        if carried is not None:
+            batch = tuple(np.concatenate(arrays) for arrays in zip(carried, batch))
+        centers, counts, elements = batch
+        rule = _PairRule(centers, counts, elements, independence)
+        keep, left = rule.walk()
         rows = np.repeat(keep, counts)
         parts.append((np.compress(keep, centers, axis=0), counts[keep], np.compress(rows, elements, axis=0)))
         pairs -= int(np.count_nonzero(keep)) // 2
-        words.pos = starts[resume]
-        if waiting:
-            words.drop(starts[resume + 1], starts[-1])
-        if cut:
-            span = MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1
-            if _rejects(int(words.words[end]) * span, span):
-                words.drop(end, end + 1)
-            else:
-                rejected = words.lattice[2]  # as the drop above left it
-                words.lattice = draws, sizes, rejected[rejected != end]
+        carried = None
+        if left < len(counts):
+            first = rule.first[left]
+            carried = centers[left : left + 1], counts[left : left + 1], elements[first : first + counts[left]]
     return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 

@@ -15,7 +15,7 @@ import pytest
 import reference_writers as ref
 
 from gclab import cli
-from gclab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, build_parser, main
+from gclab.cli import EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, EXIT_VIOLATION, build_parser, main
 from gclab.convolution import sca_repeated_gcn
 from gclab.graph import generate_erdos_renyi, laplacian, save_edge_list
 from gclab.seeding import derive_seed
@@ -231,6 +231,11 @@ class TestSpectra:
     def test_missing_graph_source_is_usage_error(self, tmp_path):
         assert main(["spectra", "--out", str(tmp_path / "o")]) == EXIT_USAGE
 
+    def test_unreachable_connectivity_is_numeric_failure(self, tmp_path, capsys):
+        # G(2, 1e-9) draws its one edge about once in 10^9 attempts
+        assert main(["spectra", "--er", "2", "1e-9", "--out", str(tmp_path / "o")]) == EXIT_NUMERIC
+        assert capsys.readouterr().err.startswith("numeric failure: connectivity unreachable: ")
+
 
 class TestVerify:
     def test_injectivity_passes(self, tmp_path, capsys):
@@ -295,6 +300,15 @@ class TestVerify:
         assert code == EXIT_OK
         assert "0 violations" in capsys.readouterr().out
         assert len(read_csv(out / "results.csv")) == 6
+
+    def test_equivalence_gap_is_a_violation(self, tmp_path, capsys, monkeypatch):
+        # one route off by 1e-6 everywhere, above the 1e-9 tolerance
+        pairwise = cli.mimo_gc_pairwise
+        monkeypatch.setattr(cli, "mimo_gc_pairwise", lambda *args: pairwise(*args) + 1e-6)
+        out = tmp_path / "eq"
+        assert main(["verify", "--kind", "equivalence", "--pairs", "3", "--out", str(out)]) == EXIT_VIOLATION
+        assert "3 trials, 3 violations, worst 1.000e-06" in capsys.readouterr().out
+        assert [row[-1] for row in read_csv(out / "results.csv")] == ["violation", "1", "1", "1"]
 
 
 class TestUsageErrors:

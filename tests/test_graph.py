@@ -145,6 +145,10 @@ class TestErdosRenyi:
     def test_invalid_arguments(self):
         with pytest.raises(ValueError, match=r"^n must be at least 2, got 1$"):
             generate_erdos_renyi(1, 0.5, seed=0)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got 2.5$"):
+            generate_erdos_renyi(2.5, 0.5, seed=0)
+        with pytest.raises(ValueError, match=r"^n must be an integer, got True$"):
+            generate_erdos_renyi(True, 0.5, seed=0)
         with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 0.0$"):
             generate_erdos_renyi(5, 0.0, seed=0)
         with pytest.raises(ValueError, match=r"^p must be in \(0, 1\], got 1.5$"):

@@ -126,6 +126,12 @@ class TestGraphSetValidation:
         with pytest.raises(ValueError, match="graph size"):
             ComputationalGraphSet(np.zeros((1, 3, 3)), g)
 
+    @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 2)])
+    def test_non_square_rejected(self, shape):
+        g = Graph.from_edges(2, [(0, 1)])
+        with pytest.raises(ValueError, match="must be square"):
+            ComputationalGraphSet(np.zeros(shape), g)
+
 
 class TestCoefficientSchemes:
     def test_gcn_norm_is_normalized_adjacency(self):
@@ -351,6 +357,11 @@ class TestLayerAndPairwise:
         with pytest.raises(ValueError, match="weight count"):
             LmgcLayer(np.zeros((3, 2, 2)), scheme)
 
+    def test_layer_rejects_2d_weights(self):
+        scheme = CoefficientScheme(Variant.RANDOM_IID, 1)
+        with pytest.raises(ValueError, match=r"weights must have shape \(K, d, c\)"):
+            LmgcLayer(np.zeros((2, 2)), scheme)
+
     def test_forward_equals_pairwise_accumulation(self):
         g, x, weights, scheme = small_setup(seed=10)
         layer = LmgcLayer(weights, scheme)
@@ -393,6 +404,8 @@ class TestLayerAndPairwise:
         layer = LmgcLayer(weights, scheme)
         with pytest.raises(ValueError, match="channels"):
             lmgc_forward(layer, x[:, :2], g)
+        with pytest.raises(ValueError, match=rf"features must be \({g.n}, d\)"):
+            lmgc_forward(layer, x[:-1], g)
 
 
 class TestGin:
@@ -423,3 +436,9 @@ class TestGin:
         mlp = (np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="width"):
             gin_forward(np.zeros((2, 2)), g, mlp)
+
+    def test_feature_rows_checked(self):
+        g = Graph.from_edges(2, [(0, 1)])
+        mlp = (np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match=r"features must be \(2, d\)"):
+            gin_forward(np.zeros((3, 2)), g, mlp)

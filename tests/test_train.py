@@ -565,6 +565,11 @@ class TestExperiment:
         ("c", 0, "at least 1"),
         ("heads", 0, "at least 1"),
         ("steps", -5, "at least 1"),
+        ("d", 3.5, "an integer, got 3.5"),
+        ("c", True, "an integer, got True"),
+        ("steps", 2.0, "an integer, got 2.0"),
+        ("n", 16.0, "an integer, got 16.0"),
+        ("n", False, "an integer, got False"),
         ("lr", -1.0, "a finite number above 0"),
         ("lr", np.nan, "a finite number above 0"),
         ("n", 1, "at least 2, got 1"),

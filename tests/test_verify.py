@@ -230,6 +230,9 @@ CRAFTED = {  # (independence, words that draw_pair reads as the pair (A, B); "la
     "zero a, rejected in its successor": (True, instance_words(*ZERO) + inserted(CLEAN, 0, REJECTED)),
     "zero b": (True, instance_words(*A) + instance_words(*ZERO) + instance_words(*B)),
     "scaled b": (True, instance_words(*A) + instance_words(*SCALED) + instance_words(*B)),
+    "b redrawn three times": (False, 4 * instance_words(*A) + instance_words(*B)),
+    "zero a, scaled bs": (True, instance_words(*ZERO) + instance_words(*A) + 2 * instance_words(*SCALED)
+                          + instance_words(*B)),
 }
 
 
@@ -237,19 +240,22 @@ CRAFTED = {  # (independence, words that draw_pair reads as the pair (A, B); "la
 def test_crafted_fallbacks_equal_the_scalar_reader(case):
     # three clean pairs, the crafted pair, then clean pairs and the Generator's
     # words; the scalar reader redraws across the crafted words, and the chunk
-    # decoder must do the same
+    # decoder must do the same, in one chunk and one pair at a time, where an
+    # a whose partners are redrawn waits across rounds
     independence, crafted = CRAFTED[case]
     prefix = 3 * CLEAN + crafted + 2 * CLEAN
     d, count = 2, 12
-    sources = CraftedWords(prefix), CraftedWords(prefix)
-    scalar, words = (_LatticeWords(source, 64) for source in sources)
-    reference = ScalarWords(scalar)
-    want = [draw_pair(reference, d, independence) for _ in range(count)]
-    clean = 3 if case == "lattice-only size" else 6  # A read at size 4 moves every word after it
-    assert want[:clean] == [(MultisetInstance(*A), MultisetInstance(*B))] * clean
-    assert decoded_pairs(_decode_chunk(words, d, count, independence)) == want
-    read = [source.pos - len(reader.words) + reader.pos for source, reader in zip(sources, (scalar, words))]
-    assert read[0] == read[1]
+    for chunk in (count, 1):
+        sources = CraftedWords(prefix), CraftedWords(prefix)
+        scalar, words = (_LatticeWords(source, 64) for source in sources)
+        reference = ScalarWords(scalar)
+        want = [draw_pair(reference, d, independence) for _ in range(count)]
+        clean = 3 if case == "lattice-only size" else 6  # A read at size 4 moves every word after it
+        assert want[:clean] == [(MultisetInstance(*A), MultisetInstance(*B))] * clean
+        chunks = [_decode_chunk(words, d, chunk, independence) for _ in range(count // chunk)]
+        assert [pair for got in chunks for pair in decoded_pairs(got)] == want
+        read = [source.pos - len(reader.words) + reader.pos for source, reader in zip(sources, (scalar, words))]
+        assert read[0] == read[1]
 
 
 class TestCoefficientSource:
@@ -475,6 +481,17 @@ class TestInjectivity:
 def test_counts_below_one_rejected(trial, name, counts):
     num_pairs, d, c = counts
     with pytest.raises(ValueError, match=f"{name} must be at least 1"):
+        trial(num_pairs, 2, d, c, 0)
+
+
+@pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
+@pytest.mark.parametrize(
+    "name, counts, shown", [("num_pairs", (10.5, 4, 4), "10.5"), ("d", (5, True, 4), "True"),
+                            ("c", (5, 4, 4.0), "4.0")], ids=["num_pairs", "d", "c"]
+)
+def test_non_integer_counts_rejected(trial, name, counts, shown):
+    num_pairs, d, c = counts
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
         trial(num_pairs, 2, d, c, 0)
 
 
