@@ -22,6 +22,8 @@ class Graph(_Frozen):
     """
 
     def __init__(self, n: int, edges: frozenset):
+        if (error := integer_error(n)) is not None:
+            raise ValueError(f"n {error}")
         if n < 1:
             raise ValueError("graph needs at least one node")
         for i, j in edges:

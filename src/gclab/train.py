@@ -149,7 +149,15 @@ class GinModel(Model):
         return gin_layer(self.agg, x, *self.params)
 
 
+def check_counts(**counts) -> None:
+    """Raise a ValueError naming the first argument that is no count (count_error)."""
+    for name, value in counts.items():
+        if (error := count_error(value)) is not None:
+            raise ValueError(f"{name} {error}")
+
+
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:
+    check_counts(d=d, c=c, heads=heads)
     method = method.lower()
     edges = EdgeIndex.of(g)
     if method in EDGE_VARIANTS:

@@ -8,25 +8,32 @@ gates lmgc runs, over chunks of PAIRS_PER_CHUNK pairs. Identical instances
 get identical coefficients, exactly for random_iid and up to rounding for the
 tanh sources, whose matrix products round with an instance's place in a chunk.
 
-The suites read their Generator through _LatticeWords: raw 32-bit words in
-blocks, which _decode_chunk decodes as arrays by numpy's own bounded-integer
-rule, so they draw the same pair stream as sample_instance calls on the bare
-Generator. numpy's loops read past a redrawn instance and a word its range
-rejects. The decoder reads the words once, in order: a redrawn instance is
-dropped by index from the decoded ones, an a still without a b at the end
-of a round is carried, decoded, into the next, and a rejected word is
-dropped from the stream. The redraw rule pads an instance's elements to one
-row only for the pairs it must compare element by element.
+The suites read their Generator through _LatticeWords: its uint32 words in
+blocks, each decoded once by numpy's own bounded-integer rule into an int8
+lattice draw, a flag if either range rejects it, and a step table entry, so
+they draw the same pair stream as sample_instance calls on the bare
+Generator. _decode_chunk chains instance starts through the step table in
+one comprehension, cuts the chain at the first flagged word, and sorts every
+instance's elements in one lexsort by owner, then coordinates. numpy's loops
+read past a redrawn instance and a word its range rejects. The decoder reads
+the words once, in order: a redrawn instance is dropped by index from the
+decoded ones, an a still without a b at the end of a round is carried,
+decoded, into the next, and a rejected word is dropped from the stream. The
+redraw rule pads an instance's elements to one row only for the pairs it
+must compare element by element.
 
 A chunk's work is done once per instance where it depends only on the
 instance: random_iid keys chain each center once and extend the chain by
-each element, and the tanh gates project P center rows and E element rows.
+each element, in place on uint64 arrays, and the tanh gates project P
+center rows and E element rows.
 The aggregate projects every element by every head in one product, mixes
 each element's heads by its coefficients and sums each instance's rows in
 element order (autodiff._sum_rows).
 """
 
 from __future__ import annotations
+
+from bisect import bisect_right
 
 import numpy as np
 
@@ -36,7 +43,7 @@ from .graph import Graph
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from .lmgc import eq14_coefficients, vector_length
 from .seeding import derive_seed, extend_seed, splitmix64
-from .train import count_error
+from .train import check_counts
 
 LATTICE_RANGE = 5
 LATTICE_SCALE = 1.0 / 3.0
@@ -80,7 +87,8 @@ class _LatticeWords:
     redrawn while m mod 2^32 < 2^32 mod span (_rejects), and yields
     low + (m >> 32). rng.integers(0, 2**32, n, dtype=np.uint32) reads the
     same words, so decoding them by that rule gives the Generator's own
-    draws. Each refill decodes the words for both ranges (_decode_block);
+    draws. decode(d) decodes each word once (_decode_block): a refill keeps
+    the unread words' decoding, and decode appends the fresh block's.
     _decode_chunk moves pos past the words it decoded, and settle reads a
     flagged word once its range is known. The reader holds words it has not
     returned yet, so it must be rng's only user.
@@ -88,27 +96,36 @@ class _LatticeWords:
 
     def __init__(self, rng: np.random.Generator, block: int):
         self._rng, self._block = rng, block
-        self.words = np.empty(0, dtype=np.uint64)
+        self.words = np.empty(0, dtype=np.uint32)
         self.pos = 0
-        self.lattice = None  # _decode_block(words), set by each refill
+        self._d = None  # the dimension draws, hops and flagged decode a prefix of words for
+        self.draws = self.hops = self.flagged = self.words
 
     def reserve(self, count: int) -> None:
         """Hold at least count unread words, appending a block to the unread ones if needed."""
         if len(self.words) - self.pos < count:
             fresh = self._rng.integers(0, 2**32, max(self._block, count), dtype=np.uint32)
-            self.words = np.concatenate([self.words[self.pos :], fresh.astype(np.uint64)])
-            self.pos = 0
-            self.lattice = _decode_block(self.words)
+            pos, self.pos = self.pos, 0
+            self.words = np.concatenate([self.words[pos:], fresh]) if pos < len(self.words) else fresh
+            self.draws, self.hops = self.draws[pos:], self.hops[pos:]
+            self.flagged = self.flagged[np.searchsorted(self.flagged, pos) :] - pos
+
+    def decode(self, d: int):
+        """The held words' draws, flagged words and steps, steps[s] = hops[s + d] for an instance at word s."""
+        if d != self._d:
+            self._d, (self.draws, self.hops, self.flagged) = d, _decode_block(self.words, d)
+        elif (done := len(self.draws)) < len(self.words):
+            draws, hops, flagged = _decode_block(self.words[done:], d)
+            self.draws, self.hops = np.concatenate([self.draws, draws]), np.concatenate([self.hops, hops])
+            self.flagged = np.concatenate([self.flagged, flagged + done])
+        return self.draws, memoryview(self.hops)[d:], self.flagged  # a memoryview indexes to Python ints
 
     def settle(self, i: int, span: int) -> None:
         """Read the flagged word i by the range of span: drop it if that range rejects it, else unflag it."""
-        draws, sizes, rejected = self.lattice
-        rejected = rejected[rejected != i]
-        if _rejects(int(self.words[i]) * span, span):  # numpy's loop reads past it
-            self.words, draws = np.delete(self.words, i), np.delete(draws, i)
-            del sizes[i]
-            rejected[rejected > i] -= 1
-        self.lattice = draws, sizes, rejected
+        self.flagged = self.flagged[self.flagged != i]
+        if _rejects(self.words[i], span):  # numpy's loop reads past it
+            self.words, self.draws, self.hops = (np.delete(a, i) for a in (self.words, self.draws, self.hops))
+            self.flagged[self.flagged > i] -= 1
 
 
 def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
@@ -124,15 +141,15 @@ def _iid_keys(seed: int, k: int, centers: np.ndarray, counts: np.ndarray, elemen
 
     centers is (P, d), counts (P,) and elements (E, d) holds each instance's
     counts[p] elements in turn. The chain over head and center runs once per
-    instance and is repeated to each of its elements, which extend it. It runs
-    over uint64 arrays, where a negative coordinate enters as its two's
-    complement, the value idx & MASK gives for a Python int.
+    instance and is repeated to each of its elements, which extend it in
+    place. It runs over uint64 arrays, where a negative coordinate enters as
+    its two's complement, the value idx & MASK gives for a Python int.
     """
     def columns(rows):
         return rows.astype(np.int64).view(np.uint64).T
 
-    heads = np.arange(k, dtype=np.uint64)[:, None]
-    state = derive_seed(seed, heads, *columns(centers), _FEATURE_SEPARATOR)  # (K, P)
+    heads = derive_seed(seed, np.arange(k, dtype=np.uint64)[:, None])  # (K, 1)
+    state = extend_seed(np.repeat(heads, len(centers), axis=1), *columns(centers), _FEATURE_SEPARATOR)
     return extend_seed(np.repeat(state, counts, axis=1), *columns(elements))
 
 
@@ -167,9 +184,8 @@ class CoefficientSource:
         centers, counts, elements = np.asarray(centers), np.asarray(counts), np.asarray(elements)
         if self.kind == "random_iid":  # two splitmix64 outputs per key -> Box-Muller normal
             a = splitmix64(_iid_keys(self.seed, self.k, centers, counts, elements))
-            b = splitmix64(a)
             u1 = ((a >> 11) + 1) * _UNIT  # (0, 1], keeps the log finite
-            u2 = (b >> 11) * _UNIT
+            u2 = (splitmix64(a) >> 11) * _UNIT  # the second output, mixed in place from a
             return (np.sqrt(-2.0 * np.log(u1)) * np.cos(2.0 * np.pi * u2)).T
         # element e is an edge from "node" P + e into node p, its instance's center
         rows = np.concatenate([centers, elements]) * LATTICE_SCALE
@@ -220,44 +236,44 @@ def aggregate(instance: MultisetInstance, source: CoefficientSource, weights: np
     return _outputs(*_as_arrays([instance]), source, weights)[0]
 
 
-def _rejects(m, span: int):
-    """Whether Lemire's rule redraws the word u with m = u * span; m is an int or a uint64 array."""
-    return m & 0xFFFF_FFFF < 2**32 % span
+def _rejects(words, span: int):
+    """Whether Lemire's rule redraws each word u (a uint32 array or an int): u * span mod 2^32 < 2^32 mod span."""
+    return np.multiply(words, span, dtype=np.uint32) < 2**32 % span
 
 
-def _decode_block(words: np.ndarray):
-    """Lattice and size draws of every word of a block, and the words either range rejects.
+def _decode_block(words: np.ndarray, d: int):
+    """Each uint32 word's int8 lattice draw and hop, and the words either range rejects, wherever they sit.
 
-    The size draws are a bytearray, which the scan over instance starts
-    indexes fastest. A word is flagged if either range rejects it, wherever
-    it sits.
+    hops[j] = d + 1 + size * d, in the narrowest type that holds it, is the
+    length of an instance whose size word is j.
     """
-    span = 2 * LATTICE_RANGE + 1
-    m = words * np.uint64(span)
-    m_size = words * np.uint64(MAX_ELEMENTS)
-    draws = (m >> np.uint64(32)).astype(np.int64) - LATTICE_RANGE
-    sizes = (m_size >> np.uint64(32)).astype(np.uint8) + 1
-    rejected = _rejects(m, span) | _rejects(m_size, MAX_ELEMENTS)
-    return draws, bytearray(sizes), np.flatnonzero(rejected)
+    wide = words.astype(np.uint64)
+    draws = (wide * (2 * LATTICE_RANGE + 1) >> 32).astype(np.int8)
+    draws -= LATTICE_RANGE
+    hops = (wide * MAX_ELEMENTS >> 32).astype(np.min_scalar_type(d + 1 + MAX_ELEMENTS * d))
+    hops *= d
+    hops += 2 * d + 1
+    flagged = _rejects(words, 2 * LATTICE_RANGE + 1) | _rejects(words, MAX_ELEMENTS)
+    return draws, hops, np.flatnonzero(flagged)
 
 
 def _lattice_instances(draws: np.ndarray, starts: list, d: int):
     """Instances read from draws[starts[i]:starts[i + 1]], elements sorted within each.
 
-    Returns centers (P, d), counts (P,) and elements (E, d), each instance's
-    counts[p] elements in turn.
+    Returns centers (P, d), counts (P,) and elements (E, d), int8 lattice
+    coordinates, each instance's counts[p] elements in turn.
     """
-    starts = np.fromiter(starts, dtype=np.int64, count=len(starts))
-    counts = (np.diff(starts) - 1) // d - 1
+    starts = np.array(starts, dtype=np.int64)
+    counts = (np.diff(starts) - (d + 1)) // d
     heads = starts[:-1, None] + np.arange(d + 1)  # the center words, then the size word
     centers = np.take(draws, heads[:, :d])
     body = np.ones(starts[-1] - starts[0], dtype=bool)
     body[(heads - starts[0]).ravel()] = False
     elements = np.compress(body, draws[starts[0] : starts[-1]]).reshape(-1, d)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    # keys of the smallest integer types, which lexsort sorts by radix
-    keys = (*elements.T[::-1].astype(np.int8), owner.astype(np.min_scalar_type(len(counts))))
-    return centers, counts, np.take(elements, np.lexsort(keys), axis=0)  # take gathers narrow rows fastest
+    owner = np.repeat(np.arange(len(counts), dtype=np.min_scalar_type(len(counts))), counts)
+    # int8 columns and the narrowest owner type, which lexsort sorts by radix
+    order = np.lexsort((*elements.T[::-1], owner))
+    return centers, counts, np.take(elements, order, axis=0)  # take gathers narrow rows fastest
 
 
 def _scaled(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -355,46 +371,45 @@ def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
     """The next pairs that sample_instance and _PairRule draw from the words' Generator.
 
     Returns the centers, counts and sorted elements of the instances a, b of
-    each pair in turn, as _outputs takes them. A round decodes instances as
-    arrays from pos up to a flagged word, which words.settle then reads as a
-    size draw if it sits at an instance's start + d, else as a lattice draw.
-    The walk drops redrawn instances whole, which leaves the roles of later
-    words as they were, and an a left without a b joins the next round's
-    batch. A call ends on a round that keeps all 2r instances of its r pairs.
+    each pair in turn, as _outputs takes them. A round chains instance ends
+    from pos through the step table and cuts them at the first flagged word,
+    which an instance that reaches it also ends past; words.settle then reads
+    that word as a size draw if it sits at an instance's start + d, else as a
+    lattice draw. The walk drops redrawn instances whole, which leaves the
+    roles of later words as they were, and an a left without a b joins the
+    next round's batch. A call ends on a round that keeps all 2r instances of
+    its r pairs.
     """
     parts, carried = [], None
     while pairs:
         todo = 2 * pairs - (carried is not None)
         words.reserve(todo * (d + 1 + MAX_ELEMENTS * d))  # the most words todo instances read without a redraw
-        draws, sizes, rejected = words.lattice
+        draws, steps, flagged = words.decode(d)
         start = words.pos
-        i = np.searchsorted(rejected, start)
-        end = int(rejected[i]) if i < len(rejected) else len(draws)  # words before end decode as drawn
-        starts = [start]
-        for _ in range(todo):
-            if start + d >= end:
-                break
-            start += d + 1 + sizes[start + d] * d
-            if start > end:
-                break
-            starts.append(start)
+        i = np.searchsorted(flagged, start)
+        end = int(flagged[i]) if i < len(flagged) else len(draws)  # words before end decode as drawn
+        ends = [start := start + steps[start] for _ in range(todo)]
+        starts = [words.pos, *ends[: bisect_right(ends, end)]]
         batch = _lattice_instances(draws, starts, d)
         words.pos = starts[-1]
-        if len(starts) <= todo:  # the scan stopped at the flagged word end, in the instance at starts[-1]
+        if len(starts) <= todo:  # the instance at starts[-1] holds the flagged word end
             words.settle(end, MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1)
         if carried is not None:
             batch = tuple(np.concatenate(arrays) for arrays in zip(carried, batch))
         centers, counts, elements = batch
         rule = _PairRule(centers, counts, elements, independence)
         keep, left = rule.walk()
-        rows = np.repeat(keep, counts)
-        parts.append((np.compress(keep, centers, axis=0), counts[keep], np.compress(rows, elements, axis=0)))
-        pairs -= int(np.count_nonzero(keep)) // 2
+        kept = int(np.count_nonzero(keep))
+        if kept < len(counts):
+            rows = np.repeat(keep, counts)
+            batch = np.compress(keep, centers, axis=0), counts[keep], np.compress(rows, elements, axis=0)
+        parts.append(batch)
+        pairs -= kept // 2
         carried = None
         if left < len(counts):
             first = rule.first[left]
             carried = centers[left : left + 1], counts[left : left + 1], elements[first : first + counts[left]]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
+    return parts[0] if len(parts) == 1 else tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _pair_words(seed: int, d: int, num_pairs: int) -> _LatticeWords:
@@ -426,9 +441,7 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     A pair violates when its _scores value is below COLLISION_RTOL, or for
     injectivity equal to it. The report keeps the pair with the least score.
     """
-    for name, value in (("num_pairs", num_pairs), ("k", k), ("d", d), ("c", c)):
-        if (error := count_error(value)) is not None:
-            raise ValueError(f"{name} {error}")
+    check_counts(num_pairs=num_pairs, k=k, d=d, c=c)
     independence = kind == "independence"
     if independence and c < 2:  # two outputs in R^1 are always parallel
         raise ValueError(f"c must be at least 2 for independence, got {c}")
@@ -472,6 +485,7 @@ def independence_trial(
 
 def parallel_control(k: int, d: int, c: int, seed: int):
     """Excluded-case inversion: same coefficients, multiset doubled -> parallel outputs."""
+    check_counts(k=k, d=d, c=c)
     base = sample_instance(np.random.default_rng(derive_seed(seed, 1)), d)
     weights = _weights(seed, k, d, c)
     # the scaled multiset keeps the base instance's coefficient draws

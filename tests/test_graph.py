@@ -42,6 +42,14 @@ class TestConstruction:
         with pytest.raises(ValueError, match="at least one node"):
             Graph(0, frozenset())
 
+    @pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'")])
+    def test_non_integer_node_count_rejected_at_construction(self, n, shown):
+        with pytest.raises(ValueError, match=f"^n must be an integer, got {shown}$"):
+            Graph(n, frozenset())
+
+    def test_numpy_integer_node_count_accepted(self):
+        assert Graph(np.int64(3), frozenset({(0, 1)})).adjacency.shape == (3, 3)
+
     def test_adjacency_symmetric_zero_diagonal(self):
         g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
         a = g.adjacency

@@ -214,6 +214,19 @@ class TestBuildModel:
             assert len(model.params) > 0
 
     @pytest.mark.parametrize("method", METHODS)
+    @pytest.mark.parametrize("name, sizes, error", [
+        ("heads", (2, 2, 0), "must be at least 1, got 0"),
+        ("d", (0, 2, 2), "must be at least 1, got 0"),
+        ("c", (2, 2.5, 2), "must be an integer, got 2.5"),
+        ("heads", (2, 2, True), "must be an integer, got True"),
+    ])
+    def test_sizes_that_are_no_counts_rejected(self, method, name, sizes, error):
+        g, _, _ = small_instance()
+        d, c, heads = sizes
+        with pytest.raises(ValueError, match=f"^{name} {error}$"):
+            build_model(method, g, d, c, np.random.default_rng(0), heads=heads)
+
+    @pytest.mark.parametrize("method", METHODS)
     def test_isolated_node_rejected(self, method):
         g = Graph.from_edges(3, [(0, 1)])
         with pytest.raises(ValueError, match="isolated node 2"):
@@ -589,3 +602,8 @@ class TestExperiment:
         assert a.method == "gin" and a.steps == 50 and a.lr == 0.01
         assert a.run == 0 and not a.diverged and a.wall_seconds > 0
         assert a.min_mse == b.min_mse  # bitwise reproducible
+
+    def test_numpy_integer_seed_fits_as_the_int_seed(self):
+        a = run_universality_experiment("gin", ExperimentConfig(steps=2, seed=np.int64(7)))
+        b = run_universality_experiment("gin", ExperimentConfig(steps=2, seed=7))
+        assert a.min_mse == b.min_mse

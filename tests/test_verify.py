@@ -20,12 +20,14 @@ from gclab.verify import (
     CoefficientSource,
     MultisetInstance,
     _as_arrays,
+    _decode_block,
     _decode_chunk,
     _iid_keys,
     _instance,
     _LatticeWords,
     _outputs,
     _pair_words,
+    _rejects,
     _scaled,
     _scores,
     _weights,
@@ -142,6 +144,36 @@ def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
         for _ in range(-(-600 // chunk)):
             want = [draw_pair(rng, d, independence) for _ in range(chunk)]
             assert decoded_pairs(_decode_chunk(words, d, chunk, independence)) == want
+
+
+@pytest.mark.parametrize("d", [1, 2, 4, 7, 15, 20])
+def test_decoder_draws_the_generator_pairs_at_any_d(d):
+    # d = 15 and 20 lie past what one int64 key of owner and coordinates
+    # could sort, and at d = 20 an instance is up to 121 words long; the
+    # second chunk crosses a refill
+    for independence in (False, True):
+        words = _pair_words(47, d, 300)
+        rng = np.random.default_rng(derive_seed(47, 1))
+        for _ in range(2):
+            want = [draw_pair(rng, d, independence) for _ in range(300)]
+            assert decoded_pairs(_decode_chunk(words, d, 300, independence)) == want
+
+
+def test_decode_block_decodes_and_flags_each_word_by_the_scalar_rule():
+    # 0 is rejected by both ranges, and k / 11 mod 2^32 (11u = k) by the lattice range alone
+    crafted = [0, *(k * pow(11, -1, 2**32) % 2**32 for k in (1, 2, 3))]
+    plain = np.random.default_rng(48).integers(0, 2**32, 4000, dtype=np.uint32).tolist()
+    words = np.array(crafted + plain, dtype=np.uint32)
+    lattice, size = 2 * LATTICE_RANGE + 1, MAX_ELEMENTS
+    for d in (1, 4, 20):
+        draws, hops, flagged = _decode_block(words, d)
+        assert draws.dtype == np.int8
+        assert draws.tolist() == [(u * lattice >> 32) - LATTICE_RANGE for u in crafted + plain]
+        assert hops.tolist() == [d + 1 + ((u * size >> 32) + 1) * d for u in crafted + plain]
+        want = [i for i, u in enumerate(crafted + plain) if _rejects(u, lattice) or _rejects(u, size)]
+        assert flagged.tolist() == want == [0, 1, 2, 3]
+    assert [bool(_rejects(u, size)) for u in crafted] == [True, False, False, False]
+    assert [u * lattice % 2**32 < 2**32 % lattice for u in crafted] == [True] * 4
 
 
 def scalar_trial(trial, num_pairs, k, d, c, seed, source):
@@ -469,6 +501,9 @@ class TestInjectivity:
             report = injectivity_trial(100, k=2, d=3, c=3, seed=12, source=source)
             assert report.ok(), source
 
+    def test_numpy_integer_seed_gives_the_int_seed_report(self):
+        assert injectivity_trial(50, 1, 4, 4, np.int64(3)) == injectivity_trial(50, 1, 4, 4, 3)
+
     def test_k_zero_rejected(self):
         with pytest.raises(ValueError, match="k must be at least 1"):
             injectivity_trial(1, k=0, d=2, c=2, seed=0)
@@ -626,6 +661,15 @@ class TestIndependence:
         # any two rows in R^1 are parallel, so c = 1 cannot test independence
         with pytest.raises(ValueError, match="c must be at least 2 for independence, got 1"):
             independence_trial(10, k=2, d=1, c=1, seed=1)
+
+    @pytest.mark.parametrize("name, sizes, error", [
+        ("k", (0, 4, 3), "must be at least 1, got 0"),
+        ("d", (2, 1.5, 3), "must be an integer, got 1.5"),
+        ("c", (2, 4, 0), "must be at least 1, got 0"),
+    ])
+    def test_parallel_control_sizes_that_are_no_counts_rejected(self, name, sizes, error):
+        with pytest.raises(ValueError, match=f"^{name} {error}$"):
+            parallel_control(*sizes, 3)
 
     def test_parallel_control_inverts_the_exclusion(self):
         # the doubled multiset with shared coefficients produces exactly parallel rows
