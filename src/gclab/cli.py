@@ -14,7 +14,6 @@ import argparse
 import contextlib
 import csv
 import functools
-import itertools
 import os
 import sys
 from pathlib import Path
@@ -30,20 +29,13 @@ from .convolution import (
     sca_repeated_gcn,
     weight_stack_from_filter,
 )
-from .graph import generate_erdos_renyi, laplacian, load_edge_list
+from .graph import count_error, generate_erdos_renyi, laplacian, load_edge_list
 from .lmgc import Variant
 from .optim import rate_error
 from .seeding import derive_seed
 from .spectral import eigendecompose_symmetric, symmetric_spectrum
 from .svgplot import line_plot_svg
-from .train import (
-    DEFAULT_LR_GRID,
-    METHODS,
-    REFERENCE_INSTANCE_SEED,
-    ExperimentConfig,
-    count_error,
-    run_universality_experiment,
-)
+from .train import DEFAULT_LR_GRID, METHODS, REFERENCE_INSTANCE_SEED, run_grid
 from .verify import (
     independence_trial,
     injectivity_trial,
@@ -125,33 +117,12 @@ def cmd_universality(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     methods = list(METHODS) if args.method == "all" else [args.method]
     lrs = [args.lr] if args.lr is not None else list(DEFAULT_LR_GRID)
-    instance = (
-        args.instance_seed if args.instance_seed is not None else REFERENCE_INSTANCE_SEED
-    )
-    jobs = []
-    run_ids = []
-    for method in methods:
-        for lr in lrs:
-            for s in range(args.seeds):
-                config = ExperimentConfig(
-                    steps=args.steps,
-                    lr=lr,
-                    seed=instance,
-                    run=derive_seed(args.seed, s),
-                )
-                jobs.append((method, config))
-                run_ids.append(s)
-    if args.jobs > 1:
-        import multiprocessing  # here, not at the top: it costs every other run about 9 ms to import
+    runs = [derive_seed(args.seed, s) for s in range(args.seeds)]
+    results = run_grid(methods, lrs, runs, args.steps, args.instance_seed, args.jobs)
 
-        with multiprocessing.Pool(args.jobs) as pool:
-            results = pool.starmap(run_universality_experiment, jobs)
-    else:
-        results = list(itertools.starmap(run_universality_experiment, jobs))
-
-    rows = [
-        (r.method, r.lr, s, r.steps, f"{r.min_mse:.6e}", int(r.diverged), f"{r.wall_seconds:.2f}")
-        for r, s in zip(results, run_ids)
+    rows = [  # the seed column is the run's index s, which cycles fastest in the job order
+        (r.method, r.lr, i % args.seeds, r.steps, f"{r.min_mse:.6e}", int(r.diverged), f"{r.wall_seconds:.2f}")
+        for i, r in enumerate(results)
     ]
     header = ["method", "lr", "seed", "steps", "min_mse", "diverged", "wall_seconds"]
     _write_csv(out / "results.csv", header, rows)
@@ -331,7 +302,7 @@ def build_parser() -> _Parser:
     p_uni.add_argument(
         "--instance-seed",
         type=int,
-        default=None,
+        default=REFERENCE_INSTANCE_SEED,
         help="seed of the fixed (graph, X, Y) instance; defaults to the reference instance",
     )
     p_uni.add_argument("--jobs", type=positive_int, default=1)

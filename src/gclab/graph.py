@@ -27,6 +27,10 @@ class Graph(_Frozen):
         if n < 1:
             raise ValueError("graph needs at least one node")
         for i, j in edges:
+            if type(i) is int and type(j) is int and 0 <= i < j < n:
+                continue  # the common case, which passes every check below
+            if (error := integer_error(i) or integer_error(j)) is not None:
+                raise ValueError(f"edge ({i!r},{j!r}): endpoint {error}")
             if i == j:
                 raise ValueError(f"self-loop ({i},{i}) not allowed")
             if not (0 <= i < n and 0 <= j < n):
@@ -106,6 +110,18 @@ def integer_error(value) -> str | None:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         return f"must be an integer, got {value!r}"
     return None
+
+
+def count_error(value) -> str | None:
+    """Why value is no count (a width, head, step or CLI count is an integer of at least 1), or None."""
+    return integer_error(value) or (None if value >= 1 else f"must be at least 1, got {value}")
+
+
+def check_counts(**counts) -> None:
+    """Raise a ValueError naming the first argument that is no count (count_error)."""
+    for name, value in counts.items():
+        if (error := count_error(value)) is not None:
+            raise ValueError(f"{name} {error}")
 
 
 def node_count_error(n) -> str | None:

@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen
-from .graph import Graph, inv_sqrt_degrees
+from .graph import Graph, integer_error, inv_sqrt_degrees
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -47,6 +47,8 @@ class CoefficientScheme(_Frozen):
     """
 
     def __init__(self, variant: Variant, k: int, vectors: tuple = (), seed: int = 0):
+        if (error := integer_error(k)) is not None:
+            raise ValueError(f"k {error}")
         if k < 1:
             raise ValueError("need at least one computational graph")
         if variant is Variant.GCN_NORM and k != 1:

@@ -20,8 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen, _Record
-from .graph import Graph, generate_erdos_renyi, integer_error, laplacian, node_count_error
-from .graph import normalized_adjacency, probability_error
+from .graph import Graph, check_counts, count_error, generate_erdos_renyi, integer_error, laplacian
+from .graph import node_count_error, normalized_adjacency, probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
 from .lmgc import vector_length
 from .optim import Adam, rate_error
@@ -39,11 +39,6 @@ DEFAULT_LR_GRID = (0.03, 0.01, 0.003)
 REFERENCE_INSTANCE_SEED = 8211762302750656350
 
 
-def count_error(value) -> str | None:
-    """Why value is no count (a width, head, step or CLI count is an integer of at least 1), or None."""
-    return integer_error(value) or (None if value >= 1 else f"must be at least 1, got {value}")
-
-
 class ExperimentConfig(_Frozen):
     """Settings for one training run.
 
@@ -56,8 +51,9 @@ class ExperimentConfig(_Frozen):
                  lr: float = 0.03, seed: int = REFERENCE_INSTANCE_SEED, run: int = 0, heads: int = 4):
         self._set(n=n, d=d, c=c, p=p, steps=steps, lr=lr, seed=seed, run=run, heads=heads)
         errors = [(name, count_error(getattr(self, name))) for name in ("d", "c", "heads", "steps")]
-        errors += [("n", node_count_error(n)), ("p", probability_error(p))]
-        for name, error in errors + [("lr", rate_error(lr))]:
+        errors += [(name, integer_error(getattr(self, name))) for name in ("seed", "run")]
+        errors += [("n", node_count_error(n)), ("p", probability_error(p)), ("lr", rate_error(lr))]
+        for name, error in errors:
             if error is not None:
                 raise ValueError(f"ExperimentConfig.{name} {error}")
 
@@ -149,34 +145,32 @@ class GinModel(Model):
         return gin_layer(self.agg, x, *self.params)
 
 
-def check_counts(**counts) -> None:
-    """Raise a ValueError naming the first argument that is no count (count_error)."""
-    for name, value in counts.items():
-        if (error := count_error(value)) is not None:
-            raise ValueError(f"{name} {error}")
+def method_error(method) -> str | None:
+    """Why method names none of METHODS (in any case), or None."""
+    return None if method.lower() in METHODS else f"unknown method {method!r}; expected one of {METHODS}"
 
 
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:
     check_counts(d=d, c=c, heads=heads)
+    if (error := method_error(method)) is not None:
+        raise ValueError(error)
     method = method.lower()
     edges = EdgeIndex.of(g)
     if method in EDGE_VARIANTS:
         return EdgeModel(EDGE_VARIANTS[method], edges, d, c, heads, rng)
     if method == "acm":
         return AcmModel(g, d, c, rng)
-    if method == "gin":
-        return GinModel(g, d, c, rng)
-    raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
+    return GinModel(g, d, c, rng)
 
 
 def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: float):
     """Adam loop returning (minimum MSE seen, diverged flag).
 
-    steps = 0 evaluates the initial loss only; a negative count, or an x
-    whose shape is not the model's (n, d), is rejected before the first step.
+    steps = 0 evaluates the initial loss only; a non-integer or negative count,
+    or an x whose shape is not the model's (n, d), is rejected before the first step.
     """
-    if steps < 0:
-        raise ValueError(f"steps must be at least 0, got {steps}")
+    if (error := integer_error(steps) or (None if steps >= 0 else f"must be at least 0, got {steps}")):
+        raise ValueError(f"steps {error}")
     if np.shape(x) != model.input_shape:
         raise ValueError(f"x has shape {np.shape(x)}, but the model takes x of shape {model.input_shape}")
     x_var = ad.Var(x, requires_grad=False)
@@ -232,3 +226,24 @@ def run_universality_experiment(method: str, config: ExperimentConfig) -> TrialR
         wall_seconds=wall,
         diverged=diverged,
     )
+
+
+def run_grid(methods, lrs, runs, steps: int, seed: int = REFERENCE_INSTANCE_SEED, jobs: int = 1) -> list:
+    """The TrialResult of run_universality_experiment for every (method, lr, run), in that order.
+
+    Every job's config is built and every method checked before the first
+    fit, so a bad value fails at once. jobs = 1 fits in this process; more
+    fit on a pool of that many processes.
+    """
+    check_counts(jobs=jobs)
+    for method in methods:
+        if (error := method_error(method)) is not None:
+            raise ValueError(error)
+    grid = [(method, ExperimentConfig(steps=steps, lr=lr, seed=seed, run=run))
+            for method in methods for lr in lrs for run in runs]
+    if jobs == 1:
+        return [run_universality_experiment(method, config) for method, config in grid]
+    import multiprocessing  # here, not at the top: it costs every other run about 9 ms to import
+
+    with multiprocessing.Pool(jobs) as pool:
+        return pool.starmap(run_universality_experiment, grid)

@@ -39,11 +39,10 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen, _Record
-from .graph import Graph
+from .graph import Graph, check_counts, integer_error
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
 from .lmgc import eq14_coefficients, vector_length
 from .seeding import derive_seed, extend_seed, splitmix64
-from .train import check_counts
 
 LATTICE_RANGE = 5
 LATTICE_SCALE = 1.0 / 3.0
@@ -442,6 +441,8 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     injectivity equal to it. The report keeps the pair with the least score.
     """
     check_counts(num_pairs=num_pairs, k=k, d=d, c=c)
+    if (error := integer_error(seed)) is not None:
+        raise ValueError(f"seed {error}")
     independence = kind == "independence"
     if independence and c < 2:  # two outputs in R^1 are always parallel
         raise ValueError(f"c must be at least 2 for independence, got {c}")

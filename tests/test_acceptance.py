@@ -7,7 +7,6 @@ limits) are stated inline next to each criterion.
 
 import ast
 import inspect
-import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -37,12 +36,7 @@ from gclab.graph import generate_erdos_renyi, laplacian, normalized_adjacency
 from gclab.lmgc import EdgeIndex, Variant
 from gclab.seeding import derive_seed
 from gclab.spectral import eigendecompose_symmetric, graph_fourier
-from gclab.train import (
-    METHODS,
-    ExperimentConfig,
-    build_model,
-    run_universality_experiment,
-)
+from gclab.train import METHODS, build_model, run_grid
 from gclab.verify import (
     COLLISION_RTOL,
     independence_trial,
@@ -139,12 +133,6 @@ def test_criterion_3_polynomial_stacks():
     )
 
 
-def _fitting_job(args):
-    method, lr, run = args
-    config = ExperimentConfig(steps=40000, lr=lr, run=run)
-    return run_universality_experiment(method, config)
-
-
 @pytest.mark.slow
 def test_criterion_4_fitting_experiment():
     """Full target-fitting experiment on the reference instance: every method,
@@ -155,11 +143,9 @@ def test_criterion_4_fitting_experiment():
     execution)."""
     grid = (0.03, 0.01, 0.003)
     runs = (0, 1, 2)
-    jobs = [(m, lr, r) for m in METHODS for lr in grid for r in runs]
     budget = 600.0 if (os.cpu_count() or 1) >= 4 else 1800.0
     start = time.perf_counter()
-    with multiprocessing.Pool(4) as pool:
-        results = pool.map(_fitting_job, jobs)
+    results = run_grid(METHODS, grid, runs, 40000, jobs=4)
     wall = time.perf_counter() - start
 
     best = {}  # (method, run) -> best finite loss over the rate grid

@@ -1,5 +1,7 @@
 """Graph construction, random generation, operators, and edge-list IO."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -46,6 +48,21 @@ class TestConstruction:
     def test_non_integer_node_count_rejected_at_construction(self, n, shown):
         with pytest.raises(ValueError, match=f"^n must be an integer, got {shown}$"):
             Graph(n, frozenset())
+
+    @pytest.mark.parametrize("edges, shown", [
+        ([(0, 1.5), (1.5, 2)], "(0,1.5)"),
+        ([(0, True)], "(0,True)"),
+        ([(np.float64(1.0), 2)], "(np.float64(1.0),2)"),
+    ], ids=["float", "bool", "numpy-float"])
+    def test_non_integer_endpoint_rejected(self, edges, shown):
+        # 1.5 used to be truncated to node 1 in the adjacency while edges still held 1.5
+        with pytest.raises(ValueError, match="^" + re.escape(f"edge {shown}: endpoint must be an integer")):
+            Graph.from_edges(3, edges)
+
+    def test_numpy_integer_endpoints_accepted(self):
+        g = Graph.from_edges(3, [(np.int64(0), np.int32(1)), (np.uint8(1), 2)])
+        np.testing.assert_array_equal(g.adjacency, path_graph(3).adjacency)
+        assert is_connected(g)
 
     def test_numpy_integer_node_count_accepted(self):
         assert Graph(np.int64(3), frozenset({(0, 1)})).adjacency.shape == (3, 3)

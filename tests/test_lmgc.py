@@ -42,6 +42,14 @@ class TestSchemeValidation:
         with pytest.raises(ValueError, match="at least one"):
             CoefficientScheme(Variant.RANDOM_IID, 0)
 
+    @pytest.mark.parametrize("k, shown", [(2.5, "2.5"), (True, "True"), (2.0, "2.0")])
+    def test_non_integer_k_rejected(self, k, shown):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {shown}$"):
+            CoefficientScheme(Variant.RANDOM_IID, k)
+
+    def test_numpy_integer_k_accepted(self):
+        assert CoefficientScheme(Variant.RANDOM_IID, np.int64(2)).k == 2
+
     def test_gcn_and_fagcn_are_single_graph(self):
         with pytest.raises(ValueError):
             CoefficientScheme(Variant.GCN_NORM, 2)

@@ -1,5 +1,6 @@
 """Adam optimizer, trainable layer models, and the fitting experiment driver."""
 
+import multiprocessing
 import re
 
 import numpy as np
@@ -18,6 +19,7 @@ from gclab.train import (
     ExperimentConfig,
     build_model,
     experiment_data,
+    run_grid,
     run_training,
     run_universality_experiment,
 )
@@ -542,6 +544,13 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=f"steps must be at least 0, got {steps}"):
             run_training(model, x, y, steps=steps, lr=0.01)
 
+    @pytest.mark.parametrize("steps, shown", [(2.5, "2.5"), (True, "True"), (3.0, "3.0")])
+    def test_non_integer_steps_rejected(self, steps, shown):
+        g, x, y = small_instance(seed=7)
+        model = build_model("gin", g, 3, 3, np.random.default_rng(11))
+        with pytest.raises(ValueError, match=f"^steps must be an integer, got {shown}$"):
+            run_training(model, x, y, steps=steps, lr=0.01)
+
 
 class TestExperiment:
     def test_instance_is_deterministic_in_seed(self):
@@ -590,6 +599,10 @@ class TestExperiment:
         ("p", 0.0, r"in \(0, 1\], got 0.0"),
         ("p", 1.5, r"in \(0, 1\], got 1.5"),
         ("p", np.nan, r"in \(0, 1\], got nan"),
+        ("seed", 1.5, "an integer, got 1.5"),
+        ("seed", True, "an integer, got True"),
+        ("run", 1.5, "an integer, got 1.5"),
+        ("run", True, "an integer, got True"),
     ])
     def test_bad_config_rejected(self, field, value, rule):
         with pytest.raises(ValueError, match=f"ExperimentConfig.{field} must be {rule}"):
@@ -607,3 +620,46 @@ class TestExperiment:
         a = run_universality_experiment("gin", ExperimentConfig(steps=2, seed=np.int64(7)))
         b = run_universality_experiment("gin", ExperimentConfig(steps=2, seed=7))
         assert a.min_mse == b.min_mse
+
+
+class TestRunGrid:
+    METHODS, LRS, RUNS, STEPS = ("gin", "fagcn"), (0.03, 0.01), (0, 5), 20
+
+    @staticmethod
+    def fields(r):
+        return (r.method, r.lr, r.seed, r.run, r.steps, r.min_mse, r.diverged)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_job_order_and_results_equal_serial_fits(self, jobs):
+        results = run_grid(self.METHODS, self.LRS, self.RUNS, self.STEPS, seed=7, jobs=jobs)
+        serial = [run_universality_experiment(m, ExperimentConfig(steps=self.STEPS, lr=lr, seed=7, run=r))
+                  for m in self.METHODS for lr in self.LRS for r in self.RUNS]
+        assert [(r.method, r.lr, r.run) for r in results] == [(m, lr, r) for m in self.METHODS
+                                                              for lr in self.LRS for r in self.RUNS]
+        assert list(map(self.fields, results)) == list(map(self.fields, serial))  # min_mse bit for bit
+
+    def test_default_instance_is_the_reference_instance(self):
+        (result,) = run_grid(["gin"], [0.01], [0], 3)
+        assert result.seed == REFERENCE_INSTANCE_SEED
+        assert result.min_mse == run_universality_experiment("gin", ExperimentConfig(steps=3, lr=0.01)).min_mse
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    @pytest.mark.parametrize("methods, lrs, runs, message", [
+        (("gin", "transformer"), (0.01,), (0,), "unknown method 'transformer'"),
+        (("gin",), (0.01, -1.0), (0,), "ExperimentConfig.lr must be a finite number above 0"),
+        (("gin",), (0.01,), (0, 1.5), "ExperimentConfig.run must be an integer, got 1.5"),
+    ], ids=["method", "rate", "run"])
+    def test_bad_value_fails_before_any_fit(self, monkeypatch, jobs, methods, lrs, runs, message):
+        fits = []
+        monkeypatch.setattr("gclab.train.run_universality_experiment", lambda *job: fits.append(job))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_grid(methods, lrs, runs, 5, jobs=jobs)
+        assert fits == []
+
+    def test_zero_jobs_rejected(self):
+        with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+            run_grid(["gin"], [0.01], [0], 5, jobs=0)
+
+    def test_pool_leaves_no_process_running(self):
+        run_grid(["gin"], [0.01], [0, 1], 2, jobs=2)
+        assert multiprocessing.active_children() == []

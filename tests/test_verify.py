@@ -1,6 +1,7 @@
 """Randomized multiset property checks, controls, and dominance reports."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -528,6 +529,13 @@ def test_non_integer_counts_rejected(trial, name, counts, shown):
     num_pairs, d, c = counts
     with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
         trial(num_pairs, 2, d, c, 0)
+
+
+@pytest.mark.parametrize("trial", [injectivity_trial, independence_trial])
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True"), (np.float64(3.0), "np.float64(3.0)")])
+def test_non_integer_seed_rejected(trial, seed, shown):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {shown}")):
+        trial(10, 2, 4, 4, seed)
 
 
 @pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
