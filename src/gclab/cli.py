@@ -11,9 +11,9 @@ overwrites the files it writes and leaves any other file there alone.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
 import functools
+import io
 import os
 import sys
 from pathlib import Path
@@ -78,25 +78,32 @@ class _ErdosRenyi(argparse.Action):
             raise argparse.ArgumentError(self, "expected an integer N and a number P, got %r %r" % tuple(values))
 
 
-@contextlib.contextmanager
-def _rewrite(path: Path):
-    """A text handle that writes path from its start and cuts any longer old tail.
+def _rewrite(path: Path, text: str) -> None:
+    """Write text to path as UTF-8 from its start through one descriptor and cut any longer old tail.
 
     open(path, "w") would truncate the old file to zero on open, and on ext4
     (auto_da_alloc) the close after such a truncation waits on a flush to
     disk; writing over the old bytes and truncating at the end gives the same
-    file without that wait.
+    file without that wait. os.write may write fewer bytes than it is given,
+    so the rest is written until none is left.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8", newline="\n") as fh:
-        yield fh
-        fh.truncate()
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = 0
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        os.ftruncate(fd, written)
+    finally:
+        os.close(fd)
 
 
 def _write_csv(path: Path, header, rows):
-    with _rewrite(path) as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    _rewrite(path, buf.getvalue())
 
 
 def _write_table(path: Path, header, formats, columns):
@@ -107,9 +114,7 @@ def _write_table(path: Path, header, formats, columns):
     """
     table = np.column_stack(columns)
     row = ",".join(formats) + "\n"
-    with _rewrite(path) as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write((row * len(table)) % tuple(table.ravel().tolist()))
+    _rewrite(path, ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
 def cmd_universality(args) -> int:
@@ -135,10 +140,9 @@ def cmd_universality(args) -> int:
         if key not in best or r.min_mse < best[key].min_mse:
             best[key] = r
     ranked = sorted(best.values(), key=lambda r: r.min_mse)
-    with _rewrite(out / "summary.txt") as fh:
-        fh.write(f"{'method':<8} {'lr':>8} {'min_mse':>14}\n")
-        for r in ranked:
-            fh.write(f"{r.method:<8} {r.lr:>8} {r.min_mse:>14.3e}\n")
+    lines = [f"{'method':<8} {'lr':>8} {'min_mse':>14}\n"]
+    lines += [f"{r.method:<8} {r.lr:>8} {r.min_mse:>14.3e}\n" for r in ranked]
+    _rewrite(out / "summary.txt", "".join(lines))
     failed = [r for r in results if r.diverged]
     if len(failed) == len(results):
         print("all trials diverged", file=sys.stderr)
@@ -166,8 +170,7 @@ def cmd_spectra(args) -> int:
         _write_table(
             out / f"{name}.csv", ["eigenvalue"] + labels, ["%.12g"] * (1 + len(series)), [lam, *series]
         )
-        with _rewrite(out / f"{name}.svg") as fh:
-            fh.write(line_plot_svg(lam, series, title=title, labels=labels))
+        _rewrite(out / f"{name}.svg", line_plot_svg(lam, series, title=title, labels=labels))
 
     random_series = [rng.standard_normal(n) for _ in range(3)]
     dump("random_filter", "Random spectral filters", random_series, ["r1", "r2", "r3"])

@@ -121,17 +121,18 @@ def weight_stack_from_filter(theta: FilterTensor, basis: SpectralBasis) -> Weigh
 
 def _weight_stack(theta: FilterTensor, basis: SpectralBasis) -> WeightStack:
     """weight_stack_from_filter for a filter whose basis is already checked."""
-    # mode-1 product U^T x_1 theta, one c x d slab per spectral component
-    hat = np.einsum("ik,icd->kcd", basis.eigenvectors, theta.values)
+    # mode-1 product U^T x_1 theta as one (n, n) by (n, c d) product, a c x d slab per component
+    n, c, d = theta.values.shape
+    hat = graph_fourier(basis, theta.values.reshape(n, c * d)).reshape(n, c, d)
     return WeightStack(np.transpose(hat, (0, 2, 1)).copy())
 
 
 def filter_from_weight_stack(stack: WeightStack, basis: SpectralBasis) -> FilterTensor:
     """Inverse of weight_stack_from_filter; stack must hold n matrices."""
     _check_stack(stack, basis)
-    hat = np.transpose(stack.matrices, (0, 2, 1))
-    values = np.einsum("ik,kcd->icd", basis.eigenvectors, hat)
-    return FilterTensor(values, basis.basis_id)
+    n, d, c = stack.matrices.shape
+    hat = np.transpose(stack.matrices, (0, 2, 1)).reshape(n, c * d)
+    return FilterTensor(inverse_fourier(basis, hat).reshape(n, c, d), basis.basis_id)
 
 
 def mimo_gc(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -208,20 +209,22 @@ def _kron_eye(count: int, block: np.ndarray) -> np.ndarray:
 
 
 def mimo_gc_pairwise(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Node-form evaluation: row i = sum_j W_(i,j) X_{j,:}.
+    """Node-form evaluation: row i = sum_j X_{j,:} W_(i,j).
 
-    The transforms W_(i,j) are built explicitly, one row i at a time, so
-    the route stays an independent oracle without an (n, n, d, c) temporary.
+    The transforms W_(i,j) = sum_k U[i,k] U[j,k] W^(k) are built explicitly,
+    one weight entry (p, q) at a time: entry (p, q) of every W_(i,j) is entry
+    (i, j) of the n x n matrix U diag(W^(k)[p, q]) U^T. So the route stays an
+    independent oracle, holds one n x n matrix at a time and no (n, n, d, c)
+    temporary, and runs d c square products.
     """
     _check_stack(stack, basis)
     x = _check_channels(x, stack.d, basis)
     u = basis.eigenvectors
-    n, d, c = stack.count, stack.d, stack.c
-    flat = stack.matrices.reshape(n, d * c)
-    out = np.empty((n, c))
-    for i in range(n):
-        w_i = (u @ (u[i][:, None] * flat)).reshape(n, d, c)  # w_i[j] = W_(i,j)^T
-        out[i] = np.einsum("jd,jdc->c", x, w_i)
+    out = np.zeros((stack.count, stack.c))
+    for p in range(stack.d):
+        for q in range(stack.c):
+            w_pq = (u * stack.matrices[:, p, q]) @ u.T  # w_pq[i, j] = W_(i,j)[p, q]
+            out[:, q] += w_pq @ x[:, p]
     return out
 
 

@@ -127,6 +127,12 @@ class _LatticeWords:
             self.flagged[self.flagged > i] -= 1
 
 
+def _check_seed(seed) -> None:
+    """Raise a ValueError naming seed when it is no integer (integer_error: a bool is none)."""
+    if (error := integer_error(seed)) is not None:
+        raise ValueError(f"seed {error}")
+
+
 def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
     """d center draws, one size draw, then the elements as one (size, d) draw."""
     center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d).tolist()
@@ -164,6 +170,7 @@ class CoefficientSource:
     def __init__(self, kind: str, k: int, d: int, c: int, seed: int):
         if kind not in COEFFICIENT_SOURCES:
             raise ValueError(f"unknown coefficient source {kind!r}")
+        _check_seed(seed)
         self.kind = kind
         self.k = k
         self.seed = seed
@@ -441,8 +448,7 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     injectivity equal to it. The report keeps the pair with the least score.
     """
     check_counts(num_pairs=num_pairs, k=k, d=d, c=c)
-    if (error := integer_error(seed)) is not None:
-        raise ValueError(f"seed {error}")
+    _check_seed(seed)
     independence = kind == "independence"
     if independence and c < 2:  # two outputs in R^1 are always parallel
         raise ValueError(f"c must be at least 2 for independence, got {c}")
@@ -487,6 +493,7 @@ def independence_trial(
 def parallel_control(k: int, d: int, c: int, seed: int):
     """Excluded-case inversion: same coefficients, multiset doubled -> parallel outputs."""
     check_counts(k=k, d=d, c=c)
+    _check_seed(seed)
     base = sample_instance(np.random.default_rng(derive_seed(seed, 1)), d)
     weights = _weights(seed, k, d, c)
     # the scaled multiset keeps the base instance's coefficient draws
@@ -501,6 +508,7 @@ def multiset_counterexample_outputs(variant: Variant, seed: int):
     the same feature; softmax-normalized attention cannot tell the two
     apart, while tanh-gated schemes can.
     """
+    _check_seed(seed)
     g = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4)])
     rng = np.random.default_rng(derive_seed(seed, 7))
     d, c, k = 3, 3, 2 if variant in (Variant.GATV2_SOFTMAX, Variant.LMGC_EQ14) else 1

@@ -444,6 +444,26 @@ class TestRewriteInPlace:
             ["verify", "--kind", "injectivity", "--pairs", "50"],
         )
 
+    def test_short_writes_still_write_every_byte(self, tmp_path, monkeypatch):
+        argv = ["--seed", "4", "spectra", "--er", "40", "0.1", "--out"]
+        assert main([*argv, str(tmp_path / "fresh")]) == EXIT_OK
+        real_write, sizes = os.write, []
+
+        def short_write(fd, data):  # the kernel may write fewer bytes than it is given
+            sizes.append(len(data))
+            return real_write(fd, data[:7])
+
+        monkeypatch.setattr(cli.os, "write", short_write)
+        assert main([*argv, str(tmp_path / "short")]) == EXIT_OK
+        assert files(tmp_path / "short") == files(tmp_path / "fresh")
+        assert len(sizes) > 1000 and max(sizes) > 7  # every file came in many partial writes
+
+    def test_longer_old_file_is_cut_to_the_new_length(self, tmp_path):
+        path = tmp_path / "table.csv"
+        path.write_bytes(b"x" * 5000)
+        cli._rewrite(path, "λ,mu\n1,2\n")  # the cut is at the byte length, not the character count
+        assert path.read_bytes() == "λ,mu\n1,2\n".encode("utf-8")
+
     def test_output_path_that_is_a_directory_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "inj"
         (out / "results.csv").mkdir(parents=True)

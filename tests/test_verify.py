@@ -409,6 +409,81 @@ class TestCoefficientSource:
                 np.testing.assert_array_equal(_iid_keys(17, k, centers, counts, elements), _iid_keys(17, k, *paired))
 
 
+def upper_normal_quantile(p: float) -> float:
+    """z with P(Z > z) = p for a standard normal Z, by bisection on math.erfc."""
+    lo, hi = 0.0, 40.0
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if 0.5 * math.erfc(mid / math.sqrt(2.0)) > p else (lo, mid)
+    return lo
+
+
+class TestRandomIidIsIid:
+    """random_iid draws behave as i.i.d. N(0, 1) over the whole d <= 2 lattices.
+
+    Each of the CHECKS checks below has a bound at its null distribution's
+    quantile for ALPHA / CHECKS, so a source of truly i.i.d. normals fails any
+    of them with probability at most ALPHA = 1e-3 over seeds (Bonferroni).
+    Pearson's r of m independent normal pairs is close to N(0, 1/m); sqrt(m)
+    times the KS distance of m draws exceeds t with probability close to
+    2 exp(-2 t^2), the first term of Kolmogorov's series.
+    """
+
+    SEED, HEADS = 20261020, 7
+    ALPHA, CHECKS = 1e-3, 50  # KS 1, head pairs 21, neighbours 2 * 7, swapped roles 7, seeds 7
+
+    @staticmethod
+    def lattice(d: int) -> np.ndarray:
+        axis = np.arange(-LATTICE_RANGE, LATTICE_RANGE + 1)
+        return np.stack(np.meshgrid(*[axis] * d, indexing="ij"), axis=-1).reshape(-1, d)
+
+    def pairs(self, d: int):
+        """Every (center, element) pair of the lattice as alphas' (centers, counts, elements)."""
+        points = self.lattice(d)
+        return points, np.full(len(points), len(points)), np.tile(points, (len(points), 1))
+
+    def draws(self, d: int, seed: int) -> np.ndarray:
+        """(K, P, P) draws: [k, p, q] is head k's coefficient of element q at center p."""
+        p = len(self.lattice(d))
+        alphas = CoefficientSource("random_iid", self.HEADS, d, 1, seed).alphas(*self.pairs(d))
+        return alphas.T.reshape(self.HEADS, p, p)
+
+    def assert_uncorrelated(self, a, b, what):
+        a, b = np.ravel(a), np.ravel(b)
+        bound = upper_normal_quantile(self.ALPHA / self.CHECKS / 2) / math.sqrt(len(a))
+        r = np.corrcoef(a, b)[0, 1]
+        assert abs(r) < bound, f"{what}: r = {r:.4f} over {len(a)} pairs, bound {bound:.4f}"
+
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_keys_and_draws_are_distinct_over_the_lattice(self, d):
+        keys = _iid_keys(self.SEED, self.HEADS, *self.pairs(d))
+        assert len(np.unique(keys)) == keys.size == self.HEADS * 11 ** (2 * d)
+        draws = self.draws(d, self.SEED)
+        assert len(np.unique(draws)) == draws.size
+
+    def test_draws_are_standard_normal(self):
+        x = np.sort(self.draws(2, self.SEED).ravel())  # 7 * 11^4 = 102 487 draws
+        m = len(x)
+        cdf = np.array([0.5 * math.erfc(-v / math.sqrt(2.0)) for v in x.tolist()])
+        ks = max(np.max(np.arange(1, m + 1) / m - cdf), np.max(cdf - np.arange(m) / m))
+        bound = math.sqrt(math.log(2 * self.CHECKS / self.ALPHA) / 2) / math.sqrt(m)
+        assert ks < bound, f"KS distance {ks:.5f} over {m} draws, bound {bound:.5f}"
+
+    def test_draws_are_uncorrelated(self):
+        draws = self.draws(2, self.SEED)  # (K, 121, 121)
+        for i in range(self.HEADS):
+            for j in range(i + 1, self.HEADS):
+                self.assert_uncorrelated(draws[i], draws[j], f"heads {i} and {j}")
+        grid = draws.reshape(self.HEADS, 121, 11, 11)  # the element's two coordinates as axes
+        upper = np.triu_indices(121, 1)
+        other_seed = self.draws(2, self.SEED + 1)
+        for k in range(self.HEADS):
+            self.assert_uncorrelated(grid[k, :, :-1], grid[k, :, 1:], f"head {k}, x and x + e_0")
+            self.assert_uncorrelated(grid[k, :, :, :-1], grid[k, :, :, 1:], f"head {k}, x and x + e_1")
+            self.assert_uncorrelated(draws[k][upper], draws[k].T[upper], f"head {k}, (center, x) and (x, center)")
+            self.assert_uncorrelated(draws[k], other_seed[k], f"head {k}, seeds {self.SEED} and {self.SEED + 1}")
+
+
 def loop_aggregate(inst, src, weights):
     """The per-element reference: each head sums alpha * x_j in order, then applies W^(k)."""
     out = np.zeros(weights.shape[2])
@@ -536,6 +611,27 @@ def test_non_integer_counts_rejected(trial, name, counts, shown):
 def test_non_integer_seed_rejected(trial, seed, shown):
     with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {shown}")):
         trial(10, 2, 4, 4, seed)
+
+
+SEEDED_CALLS = {  # the seeded entry points outside the two trials
+    "parallel_control": lambda seed: parallel_control(2, 4, 4, seed),
+    "CoefficientSource": lambda seed: CoefficientSource("random_iid", 2, 4, 4, seed).alphas(
+        [(1, -2, 3, 0)], [2], [(0, 1, -5, 2), (4, 4, 0, -1)]
+    ),
+    "multiset_counterexample_outputs": lambda seed: multiset_counterexample_outputs(Variant.GATV2_SOFTMAX, seed),
+}
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS.keys())
+@pytest.mark.parametrize("seed, shown", [(1.5, "1.5"), (True, "True"), (np.float64(3.0), "np.float64(3.0)")])
+def test_seeded_calls_reject_non_integer_seed(call, seed, shown):
+    with pytest.raises(ValueError, match=re.escape(f"seed must be an integer, got {shown}")):
+        call(seed)
+
+
+@pytest.mark.parametrize("call", SEEDED_CALLS.values(), ids=SEEDED_CALLS.keys())
+def test_seeded_calls_give_numpy_integer_seeds_the_int_seed_result(call):
+    np.testing.assert_array_equal(np.asarray(call(np.int64(3))), np.asarray(call(3)))
 
 
 @pytest.mark.parametrize("source", COEFFICIENT_SOURCES)
