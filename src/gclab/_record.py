@@ -1,12 +1,19 @@
-"""Bases of gclab's record classes: repr, value equality and immutability.
+"""The base of gclab's record classes: repr, value equality and immutability.
 
 A record's fields are its public instance attributes, in the order its
 __init__ sets them; a name starting with "_" (Graph's cache) is no field.
 """
 
 
-class _Record:
-    """Repr and value equality over the fields."""
+class _Frozen:
+    """A hashable record whose __init__ sets every field through _set; none is reassigned or deleted.
+
+    Repr, equality and the hash are over the fields. The records are plain
+    classes on purpose. Made by the standard library's data-class decorator,
+    every class exec-compiles generated methods each time gclab is imported,
+    which was about a third of the import without a bytecode cache (README,
+    "Start-up"). Keep them hand-written.
+    """
 
     def _fields(self) -> dict:
         return {name: value for name, value in vars(self).items() if name[0] != "_"}
@@ -19,16 +26,6 @@ class _Record:
         if other.__class__ is not self.__class__:
             return NotImplemented
         return self._fields() == other._fields()
-
-
-class _Frozen(_Record):
-    """A hashable record whose __init__ sets every field through _set; none is reassigned or deleted.
-
-    The records are plain classes on purpose. Made by the standard library's
-    data-class decorator, every class exec-compiles generated methods each
-    time gclab is imported, which was about a third of the import without a
-    bytecode cache (README, "Start-up"). Keep them hand-written.
-    """
 
     def _set(self, **fields) -> None:
         vars(self).update(fields)

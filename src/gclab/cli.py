@@ -117,9 +117,7 @@ def _write_table(path: Path, header, formats, columns):
     _rewrite(path, ",".join(header) + "\n" + (row * len(table)) % tuple(table.ravel().tolist()))
 
 
-def cmd_universality(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_universality(args, out: Path) -> int:
     methods = list(METHODS) if args.method == "all" else [args.method]
     lrs = [args.lr] if args.lr is not None else list(DEFAULT_LR_GRID)
     runs = [derive_seed(args.seed, s) for s in range(args.seeds)]
@@ -150,9 +148,7 @@ def cmd_universality(args) -> int:
     return EXIT_OK
 
 
-def cmd_spectra(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_spectra(args, out: Path) -> int:
     if args.graph_file:
         g = load_edge_list(args.graph_file)
     else:
@@ -252,9 +248,7 @@ def _write_report(path: Path, report) -> None:
     )
 
 
-def cmd_verify(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+def cmd_verify(args, out: Path) -> int:
     if args.kind == "equivalence":
         rows, violations, worst = _equivalence_suite(args.pairs, args.seed)
         _write_csv(
@@ -336,11 +330,13 @@ def main(argv=None) -> int:
     if getattr(args, "k", None) is None and getattr(args, "command", "") == "verify":
         args.k = 2 if args.kind == "independence" else 1
     try:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
         if args.command == "universality":
-            return cmd_universality(args)
+            return cmd_universality(args, out)
         if args.command == "spectra":
-            return cmd_spectra(args)
-        return cmd_verify(args)
+            return cmd_spectra(args, out)
+        return cmd_verify(args, out)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

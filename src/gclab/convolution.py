@@ -116,11 +116,6 @@ def siso_gc(theta: np.ndarray, x: np.ndarray, basis: SpectralBasis) -> np.ndarra
 def weight_stack_from_filter(theta: FilterTensor, basis: SpectralBasis) -> WeightStack:
     """Fourier-transform the filter along the node axis: W^(k) = (F(theta)_k)^T."""
     _check_basis(theta, basis)
-    return _weight_stack(theta, basis)
-
-
-def _weight_stack(theta: FilterTensor, basis: SpectralBasis) -> WeightStack:
-    """weight_stack_from_filter for a filter whose basis is already checked."""
     # mode-1 product U^T x_1 theta as one (n, n) by (n, c d) product, a c x d slab per component
     n, c, d = theta.values.shape
     hat = graph_fourier(basis, theta.values.reshape(n, c * d)).reshape(n, c, d)
@@ -137,9 +132,7 @@ def filter_from_weight_stack(stack: WeightStack, basis: SpectralBasis) -> Filter
 
 def mimo_gc(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Exact MIMO convolution: sum_k U_{:,k} (U_{:,k}^T X) W^(k)."""
-    _check_basis(theta, basis)
-    x = _check_channels(x, theta.d, basis)
-    return mimo_gc_from_stack(_weight_stack(theta, basis), x, basis)
+    return mimo_gc_from_stack(weight_stack_from_filter(theta, basis), x, basis)
 
 
 def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:

@@ -22,8 +22,7 @@ class Graph(_Frozen):
     """
 
     def __init__(self, n: int, edges: frozenset):
-        if (error := integer_error(n)) is not None:
-            raise ValueError(f"n {error}")
+        check(integer_error, n=n)
         if n < 1:
             raise ValueError("graph needs at least one node")
         for i, j in edges:
@@ -117,11 +116,16 @@ def count_error(value) -> str | None:
     return integer_error(value) or (None if value >= 1 else f"must be at least 1, got {value}")
 
 
-def check_counts(**counts) -> None:
-    """Raise a ValueError naming the first argument that is no count (count_error)."""
-    for name, value in counts.items():
-        if (error := count_error(value)) is not None:
+def check(rule, **values) -> None:
+    """Raise a ValueError "name why" for the first value whose rule (count_error, ...) gives a why."""
+    for name, value in values.items():
+        if (error := rule(value)) is not None:
             raise ValueError(f"{name} {error}")
+
+
+def finite_error(values) -> str | None:
+    """Why an array is not all finite (it holds a NaN or an infinity), or None."""
+    return None if np.isfinite(values).all() else "must hold finite values only"
 
 
 def node_count_error(n) -> str | None:
@@ -143,10 +147,8 @@ def generate_erdos_renyi(n: int, p: float, seed: int) -> Graph:
     values are stable. Disconnected samples are rejected and regenerated
     with fresh draws.
     """
-    if (error := node_count_error(n)) is not None:
-        raise ValueError(f"n {error}")
-    if (error := probability_error(p)) is not None:
-        raise ValueError(f"p {error}")
+    check(node_count_error, n=n)
+    check(probability_error, p=p)
     rng = np.random.default_rng(seed)
     rows, cols = np.triu_indices(n, 1)
     for _ in range(MAX_CONNECTIVITY_ATTEMPTS):

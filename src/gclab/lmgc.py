@@ -6,9 +6,9 @@ Laplacian channel); the forward pass is sum_k A~^(k) X W^(k). Every
 leaky ReLU of the schemes has slope LEAKY_RELU_SLOPE.
 The layer is one autodiff expression, edge_layer: z = x W, the (E, K) edge
 coefficients of edge_coefficients (the forward pass's one branch on
-Variant), and autodiff.edge_messages. CoefficientScheme checks each
-variant's K and vector count, and vector_length and stacked_vectors own the
-gating vectors' length and layout.
+Variant), and autodiff.edge_messages. head_count gives each variant's K,
+stacked_weights the heads' (d, K*c) layout, and vector_length and
+stacked_vectors the gating vectors' length and layout.
 gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
 GIN-0's gin_layer is run the same two ways. The dense (K, n, n) matrix form
 (compute_coefficients, ComputationalGraphSet, pairwise_transform) is the
@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen
-from .graph import Graph, integer_error, inv_sqrt_degrees
+from .graph import Graph, check, finite_error, integer_error, inv_sqrt_degrees
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -38,6 +38,16 @@ class Variant(Enum):
     RANDOM_IID = "random_iid"
 
 
+def variant_error(variant) -> str | None:
+    """Why variant is no Variant member (its value string is none), or None."""
+    return None if isinstance(variant, Variant) else f"must be a Variant, got {variant!r}"
+
+
+def head_count(variant: Variant, heads: int) -> int:
+    """The K of a variant's layer: 1 for GCN and FAGCN, 2 for ACM_FIXED (A~ and L), else heads."""
+    return {Variant.GCN_NORM: 1, Variant.FAGCN_TANH: 1, Variant.ACM_FIXED: 2}.get(variant, heads)
+
+
 class CoefficientScheme(_Frozen):
     """Edge-coefficient rule plus its (fixed or learnable) parameters.
 
@@ -47,20 +57,15 @@ class CoefficientScheme(_Frozen):
     """
 
     def __init__(self, variant: Variant, k: int, vectors: tuple = (), seed: int = 0):
-        if (error := integer_error(k)) is not None:
-            raise ValueError(f"k {error}")
+        check(variant_error, variant=variant)
+        check(integer_error, k=k)
         if k < 1:
             raise ValueError("need at least one computational graph")
-        if variant is Variant.GCN_NORM and k != 1:
-            raise ValueError("degree normalization defines a single graph")
-        if variant is Variant.FAGCN_TANH and k != 1:
-            raise ValueError("tanh gating defines a single graph")
-        if variant is Variant.ACM_FIXED and k != 2:
-            raise ValueError("fixed-operator scheme has K=2: A~ and L")
-        count = {Variant.GATV2_SOFTMAX: k, Variant.LMGC_EQ14: k, Variant.FAGCN_TANH: 1}
-        if len(vectors) != count.get(variant, 0):
-            raise ValueError(f"{variant.value} takes {count.get(variant, 0)} gating "
-                             f"vector(s), one per head; got {len(vectors)}")
+        if k != (want := head_count(variant, k)):
+            raise ValueError(f"{variant.value} defines K={want} computational graph(s); got k={k}")
+        count = k if variant in (Variant.GATV2_SOFTMAX, Variant.FAGCN_TANH, Variant.LMGC_EQ14) else 0
+        if len(vectors) != count:
+            raise ValueError(f"{variant.value} takes {count} gating vector(s), one per head; got {len(vectors)}")
         self._set(variant=variant, k=k, vectors=vectors, seed=seed)
 
 
@@ -154,6 +159,7 @@ def _check_features(x, g: Graph):
     x = np.asarray(x, dtype=float)
     if x.ndim != 2 or x.shape[0] != g.n:
         raise ValueError(f"features must be ({g.n}, d)")
+    check(finite_error, features=x)
     return x
 
 
@@ -161,6 +167,11 @@ def vector_length(variant: Variant, k: int, d: int, c: int) -> int:
     """Length of one head's gating vector: c for GATv2, 2d for FAGCN, 2*K*c for eq. 14, else 0."""
     lengths = {Variant.GATV2_SOFTMAX: c, Variant.FAGCN_TANH: 2 * d, Variant.LMGC_EQ14: 2 * k * c}
     return lengths.get(variant, 0)
+
+
+def stacked_weights(weights) -> np.ndarray:
+    """The K (d, c) head weights side by side, (d, K*c) with head k in columns k*c:(k+1)*c."""
+    return np.concatenate(weights, axis=1)
 
 
 def stacked_vectors(variant: Variant, vectors) -> np.ndarray:
@@ -177,11 +188,11 @@ def stacked_vectors(variant: Variant, vectors) -> np.ndarray:
 def edge_coefficients(variant: Variant, x, z, v, edges: EdgeIndex, k=1, seed=0):
     """The scheme's coefficients: alpha (E, K) on the edges dst[e] <- src[e], a Var, and diag (K,).
 
-    x is the (n, d) features, z = x W the (n, K*c) head projections (head k in
-    columns k*c:(k+1)*c) and v the gating vectors in stacked_vectors' layout,
-    all Vars. A gated scheme is one fused block (FAGCN's is the tanh gate
-    times 1/sqrt(deg_i deg_j)); the others are a constant. diag[k] is head k's
-    weight on a node's own features: 1 for ACM's Laplacian, else 0.
+    x is the (n, d) features, z = x W the (n, K*c) head projections and v the
+    gating vectors in stacked_vectors' layout, all Vars. A gated scheme is one
+    fused block (FAGCN's is the tanh gate times 1/sqrt(deg_i deg_j)); the
+    others are a constant. diag[k] is head k's weight on a node's own
+    features: 1 for ACM's Laplacian, else 0.
     """
     dst, src, diag = edges.dst, edges.src, np.zeros(k)
     if variant is Variant.GATV2_SOFTMAX:
@@ -206,7 +217,7 @@ def edge_coefficients(variant: Variant, x, z, v, edges: EdgeIndex, k=1, seed=0):
 def edge_layer(variant: Variant, x, w, v, edges: EdgeIndex, k=1, seed=0):
     """One localized MIMO layer sum_k A~^(k) x W^(k) over the edge arrays, on Vars.
 
-    w is (d, K*c), head k's weights in columns k*c:(k+1)*c. Returns the (n, c)
+    w holds the heads in stacked_weights' layout. Returns the (n, c)
     edge messages, z = x w and the scheme's diag (K,), whose term diag[k] z_k
     (ACM's) lmgc_forward adds.
     """
@@ -221,7 +232,7 @@ def _constants(layer: LmgcLayer, x: np.ndarray, g: Graph):
     if x.shape[1] != layer.d:
         raise ValueError(f"features have {x.shape[1]} channels, layer expects {layer.d}")
     s = layer.scheme
-    arrays = (x, np.concatenate(layer.weights, axis=1), stacked_vectors(s.variant, s.vectors))
+    arrays = (x, stacked_weights(layer.weights), stacked_vectors(s.variant, s.vectors))
     return [ad.Var(a, requires_grad=False) for a in arrays]
 
 

@@ -11,6 +11,8 @@ import math
 
 import numpy as np
 
+from .graph import check
+
 BETA1 = 0.9  # first-moment decay
 BETA2 = 0.999  # second-moment decay
 EPS = 1e-8  # added to the root of the second moment
@@ -33,8 +35,7 @@ class Adam:
     """
 
     def __init__(self, params, lr):
-        if (error := rate_error(lr)) is not None:
-            raise ValueError(f"lr {error}")
+        check(rate_error, lr=lr)
         self.params = list(params)
         self.lr = lr
         self.t = 0

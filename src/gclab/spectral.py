@@ -11,6 +11,7 @@ import hashlib
 import numpy as np
 
 from ._record import _Frozen
+from .graph import check, finite_error
 
 SYMMETRY_TOL = 1e-10
 
@@ -93,6 +94,7 @@ def _check_signal(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"signal has {x.shape[0]} nodes, basis has {basis.n}"
         )
+    check(finite_error, signal=x)
     return x
 
 

@@ -19,11 +19,11 @@ import time
 import numpy as np
 
 from . import autodiff as ad
-from ._record import _Frozen, _Record
-from .graph import Graph, check_counts, count_error, generate_erdos_renyi, integer_error, laplacian
+from ._record import _Frozen
+from .graph import Graph, check, count_error, finite_error, generate_erdos_renyi, integer_error, laplacian
 from .graph import node_count_error, normalized_adjacency, probability_error
-from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, stacked_vectors
-from .lmgc import vector_length
+from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, head_count, stacked_vectors
+from .lmgc import stacked_weights, vector_length
 from .optim import Adam, rate_error
 from .seeding import derive_seed
 
@@ -58,11 +58,11 @@ class ExperimentConfig(_Frozen):
                 raise ValueError(f"ExperimentConfig.{name} {error}")
 
 
-class TrialResult(_Record):
+class TrialResult(_Frozen):
     def __init__(self, method: str, lr: float, seed: int, run: int, steps: int, min_mse: float,
                  wall_seconds: float, diverged: bool = False):
-        self.method, self.lr, self.seed, self.run = method, lr, seed, run
-        self.steps, self.min_mse, self.wall_seconds, self.diverged = steps, min_mse, wall_seconds, diverged
+        self._set(method=method, lr=lr, seed=seed, run=run, steps=steps, min_mse=min_mse,
+                  wall_seconds=wall_seconds, diverged=diverged)
 
 
 def _uniform_init(rng, shape):
@@ -86,19 +86,19 @@ class Model:
 class EdgeModel(Model):
     """One lmgc.edge_layer on parameters: multi-head GATv2, FAGCN (one head) or eq. 14's LMGC.
 
-    W is (d, K*c), head k's weights in columns k*c:(k+1)*c; V holds the K
-    gating vectors in lmgc.stacked_vectors' layout. Each head's (d, c) weights
-    are drawn in turn, then each head's vector.
+    K is lmgc.head_count's. W holds the K heads in lmgc.stacked_weights'
+    layout and V the K gating vectors in lmgc.stacked_vectors'. Each head's
+    (d, c) weights are drawn in turn, then each head's vector.
     """
 
     def __init__(self, variant: Variant, edges: EdgeIndex, d, c, heads, rng):
         self.variant, self.edges = variant, edges
         self.input_shape = (edges.n, d)
-        self.k = 1 if variant is Variant.FAGCN_TANH else heads
+        self.k = head_count(variant, heads)
         length = vector_length(variant, self.k, d, c)
         w = [_uniform_init(rng, (d, c)) for _ in range(self.k)]
         v = [_uniform_init(rng, (length,)) for _ in range(self.k)]
-        self.w = ad.Var(np.concatenate(w, axis=1))
+        self.w = ad.Var(stacked_weights(w))
         self.v = ad.Var(stacked_vectors(variant, v))
         self.params = [self.w, self.v]
 
@@ -151,7 +151,7 @@ def method_error(method) -> str | None:
 
 
 def build_model(method: str, g: Graph, d: int, c: int, rng, heads: int = 4) -> Model:
-    check_counts(d=d, c=c, heads=heads)
+    check(count_error, d=d, c=c, heads=heads)
     if (error := method_error(method)) is not None:
         raise ValueError(error)
     method = method.lower()
@@ -167,12 +167,14 @@ def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: flo
     """Adam loop returning (minimum MSE seen, diverged flag).
 
     steps = 0 evaluates the initial loss only; a non-integer or negative count,
-    or an x whose shape is not the model's (n, d), is rejected before the first step.
+    an x whose shape is not the model's (n, d), or an x or y that is not all
+    finite is rejected before the first step, so bad input is no divergence.
     """
     if (error := integer_error(steps) or (None if steps >= 0 else f"must be at least 0, got {steps}")):
         raise ValueError(f"steps {error}")
     if np.shape(x) != model.input_shape:
         raise ValueError(f"x has shape {np.shape(x)}, but the model takes x of shape {model.input_shape}")
+    check(finite_error, x=x, y=y)
     x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf
@@ -235,7 +237,7 @@ def run_grid(methods, lrs, runs, steps: int, seed: int = REFERENCE_INSTANCE_SEED
     fit, so a bad value fails at once. jobs = 1 fits in this process; more
     fit on a pool of that many processes.
     """
-    check_counts(jobs=jobs)
+    check(count_error, jobs=jobs)
     for method in methods:
         if (error := method_error(method)) is not None:
             raise ValueError(error)

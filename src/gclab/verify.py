@@ -38,10 +38,10 @@ from bisect import bisect_right
 import numpy as np
 
 from . import autodiff as ad
-from ._record import _Frozen, _Record
-from .graph import Graph, check_counts, integer_error
+from ._record import _Frozen
+from .graph import Graph, check, count_error, integer_error
 from .lmgc import CoefficientScheme, LmgcLayer, Variant, lmgc_forward
-from .lmgc import eq14_coefficients, vector_length
+from .lmgc import eq14_coefficients, head_count, stacked_weights, vector_length
 from .seeding import derive_seed, extend_seed, splitmix64
 
 LATTICE_RANGE = 5
@@ -64,15 +64,15 @@ class MultisetInstance(_Frozen):
         self._set(center=center, elements=elements)
 
 
-class TrialReport(_Record):
+class TrialReport(_Frozen):
     """One trial's counts; witness_pair indexes the pair stream at the pair scoring min_separation."""
 
     def __init__(self, kind: str, k: int, d: int, c: int, trials: int, violations: int,
                  min_separation: float, witness_pair: int, witness_a: MultisetInstance,
                  witness_b: MultisetInstance):
-        self.kind, self.k, self.d, self.c, self.trials = kind, k, d, c, trials
-        self.violations, self.min_separation, self.witness_pair = violations, min_separation, witness_pair
-        self.witness_a, self.witness_b = witness_a, witness_b
+        self._set(kind=kind, k=k, d=d, c=c, trials=trials, violations=violations,
+                  min_separation=min_separation, witness_pair=witness_pair, witness_a=witness_a,
+                  witness_b=witness_b)
 
     def ok(self) -> bool:
         return self.violations == 0
@@ -127,12 +127,6 @@ class _LatticeWords:
             self.flagged[self.flagged > i] -= 1
 
 
-def _check_seed(seed) -> None:
-    """Raise a ValueError naming seed when it is no integer (integer_error: a bool is none)."""
-    if (error := integer_error(seed)) is not None:
-        raise ValueError(f"seed {error}")
-
-
 def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
     """d center draws, one size draw, then the elements as one (size, d) draw."""
     center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d).tolist()
@@ -170,7 +164,8 @@ class CoefficientSource:
     def __init__(self, kind: str, k: int, d: int, c: int, seed: int):
         if kind not in COEFFICIENT_SOURCES:
             raise ValueError(f"unknown coefficient source {kind!r}")
-        _check_seed(seed)
+        check(count_error, k=k, d=d, c=c)
+        check(integer_error, seed=seed)
         self.kind = kind
         self.k = k
         self.seed = seed
@@ -200,8 +195,8 @@ class CoefficientSource:
         gate = ad.Var(self.gate.T, requires_grad=False)  # head k's gating vector in column k
         if self.kind == "fagcn_tanh":
             return ad.tanh_gate(ad.Var(rows, requires_grad=False), gate, dst, src).value
-        w = np.concatenate(self.w, axis=1)  # (d, K*c), head k in columns k*c:(k+1)*c
-        return eq14_coefficients(ad.Var(rows @ w, requires_grad=False), gate, dst, src).value
+        z = rows @ stacked_weights(self.w)
+        return eq14_coefficients(ad.Var(z, requires_grad=False), gate, dst, src).value
 
     def alpha(self, head: int, center: tuple, element: tuple) -> float:
         return float(self.alphas([center], [1], [element])[0, head])
@@ -216,7 +211,7 @@ def _outputs(centers, counts, elements, source: CoefficientSource, weights: np.n
     """
     alpha = source.alphas(centers, counts, elements)  # (E, K)
     k, _, c = weights.shape
-    heads = ((elements * LATTICE_SCALE) @ np.concatenate(weights, axis=1)).reshape(-1, k, c)
+    heads = ((elements * LATTICE_SCALE) @ stacked_weights(weights)).reshape(-1, k, c)
     mixed = np.einsum("ek,ekc->ec", alpha, heads)
     return ad._sum_rows(mixed, np.repeat(np.arange(len(counts)), counts), len(counts))
 
@@ -447,9 +442,11 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     A pair violates when its _scores value is below COLLISION_RTOL, or for
     injectivity equal to it. The report keeps the pair with the least score.
     """
-    check_counts(num_pairs=num_pairs, k=k, d=d, c=c)
-    _check_seed(seed)
+    check(count_error, num_pairs=num_pairs, k=k, d=d, c=c)
+    check(integer_error, seed=seed)
     independence = kind == "independence"
+    if independence and k <= 1:
+        raise ValueError("linear independence requires K > 1")
     if independence and c < 2:  # two outputs in R^1 are always parallel
         raise ValueError(f"c must be at least 2 for independence, got {c}")
     words = _pair_words(seed, d, num_pairs)
@@ -485,19 +482,16 @@ def independence_trial(
     The family includes 0 * b: a multiset of zero vectors aggregates to the
     zero output, so it is redrawn on either side of a pair.
     """
-    if k <= 1:
-        raise ValueError("linear independence requires K > 1")
     return _trial("independence", num_pairs, k, d, c, seed, source)
 
 
 def parallel_control(k: int, d: int, c: int, seed: int):
     """Excluded-case inversion: same coefficients, multiset doubled -> parallel outputs."""
-    check_counts(k=k, d=d, c=c)
-    _check_seed(seed)
+    source = CoefficientSource("random_iid", k, d, c, seed)  # built first: it checks k, d, c and seed
     base = sample_instance(np.random.default_rng(derive_seed(seed, 1)), d)
     weights = _weights(seed, k, d, c)
     # the scaled multiset keeps the base instance's coefficient draws
-    fa = aggregate(base, CoefficientSource("random_iid", k, d, c, seed), weights)
+    fa = aggregate(base, source, weights)
     return fa, 2 * fa
 
 
@@ -508,10 +502,10 @@ def multiset_counterexample_outputs(variant: Variant, seed: int):
     the same feature; softmax-normalized attention cannot tell the two
     apart, while tanh-gated schemes can.
     """
-    _check_seed(seed)
+    check(integer_error, seed=seed)
     g = Graph.from_edges(5, [(0, 1), (2, 3), (2, 4)])
     rng = np.random.default_rng(derive_seed(seed, 7))
-    d, c, k = 3, 3, 2 if variant in (Variant.GATV2_SOFTMAX, Variant.LMGC_EQ14) else 1
+    d, c, k = 3, 3, head_count(variant, 2)
     center = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d).astype(float)
     shared = rng.integers(-LATTICE_RANGE, LATTICE_RANGE + 1, d).astype(float)
     while not np.any(shared):

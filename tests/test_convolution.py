@@ -163,6 +163,14 @@ class TestMimoRoutes:
         with pytest.raises(ValueError, match="7.* basis has 8"):
             self.ROUTES[route](theta, x, basis)
 
+    @pytest.mark.parametrize("route", ROUTES)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_signal_rejected(self, route, bad):
+        theta, x, basis = self.random_instance(5)
+        x[2, 0] = bad
+        with pytest.raises(ValueError, match="^signal must hold finite values only$"):
+            self.ROUTES[route](theta, x, basis)
+
     def test_stack_count_must_be_n(self):
         _, x, basis = self.random_instance(6)
         bad = WeightStack(np.zeros((basis.n + 1, x.shape[1], 2)))

@@ -1,9 +1,14 @@
 """Coefficient schemes, the localized layer, pairwise transforms, GIN."""
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from dense_oracles import forward_from_coefficients
 
+import gclab
 from gclab.graph import Graph, generate_erdos_renyi, laplacian, normalized_adjacency
 from gclab.lmgc import (
     LEAKY_RELU_SLOPE,
@@ -15,9 +20,12 @@ from gclab.lmgc import (
     compute_coefficients,
     gin_aggregation,
     gin_forward,
+    head_count,
     lmgc_forward,
     pairwise_transform,
 )
+
+GATED = (Variant.GATV2_SOFTMAX, Variant.FAGCN_TANH, Variant.LMGC_EQ14)
 
 
 def small_setup(seed=0, n=6, d=3, c=2, k=2, variant=Variant.GATV2_SOFTMAX):
@@ -49,6 +57,23 @@ class TestSchemeValidation:
 
     def test_numpy_integer_k_accepted(self):
         assert CoefficientScheme(Variant.RANDOM_IID, np.int64(2)).k == 2
+
+    @pytest.mark.parametrize("variant", list(Variant))
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_scheme_takes_the_k_of_head_count(self, variant, k):
+        want = head_count(variant, k)
+        vectors = (np.zeros(1),) * k if variant in GATED else ()
+        if k == want:
+            assert CoefficientScheme(variant, k, vectors).k == k
+            return
+        message = f"{variant.value} defines K={want} computational graph(s); got k={k}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            CoefficientScheme(variant, k, vectors)
+
+    @pytest.mark.parametrize("variant, vectors", [("gatv2_softmax", (np.zeros(2),)), ("gcn_norm", ()), (None, ())])
+    def test_variant_that_is_no_variant_rejected(self, variant, vectors):
+        with pytest.raises(ValueError, match=f"^variant must be a Variant, got {re.escape(repr(variant))}$"):
+            CoefficientScheme(variant, 1, vectors)
 
     def test_gcn_and_fagcn_are_single_graph(self):
         with pytest.raises(ValueError):
@@ -450,3 +475,40 @@ class TestGin:
         mlp = (np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
         with pytest.raises(ValueError, match=r"features must be \(2, d\)"):
             gin_forward(np.zeros((3, 2)), g, mlp)
+
+
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+@pytest.mark.parametrize("call", ["lmgc_forward", "compute_coefficients", "gin_forward"])
+def test_non_finite_features_rejected(call, bad):
+    g, x, weights, scheme = small_setup()
+    x[1, 2] = bad
+    mlp = (np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
+    calls = {
+        "lmgc_forward": lambda: lmgc_forward(LmgcLayer(weights, scheme), x, g),
+        "compute_coefficients": lambda: compute_coefficients(scheme, x, g, weights),
+        "gin_forward": lambda: gin_forward(x, g, mlp),
+    }
+    with pytest.raises(ValueError, match="^features must hold finite values only$"):
+        calls[call]()
+
+
+def _names_a_variant_member(node) -> bool:
+    """Whether the expression names a member Variant.X (or a module's .Variant.X)."""
+    for leaf in ast.walk(node):
+        if isinstance(leaf, ast.Attribute):
+            owner = leaf.value
+            if getattr(owner, "id", None) == "Variant" or getattr(owner, "attr", None) == "Variant":
+                return True
+    return False
+
+
+def test_only_lmgc_compares_a_value_with_a_variant_member():
+    """Each scheme's rules, its K included (head_count), are written once, in gclab.lmgc."""
+    found = []
+    for path in sorted(Path(gclab.__file__).parent.glob("*.py")):
+        if path.name == "lmgc.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Compare) and any(map(_names_a_variant_member, [node.left, *node.comparators])):
+                found.append(f"{path.name}:{node.lineno}")
+    assert found == []

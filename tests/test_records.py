@@ -89,7 +89,6 @@ DEFAULTS = {
                        "seed": gclab.REFERENCE_INSTANCE_SEED, "run": 0, "heads": 4},
     TrialResult: {"diverged": False},
 }
-MUTABLE = (TrialResult, TrialReport)
 # a field and another value for it, for the records compared by value
 CHANGED = {
     Graph: ("edges", frozenset({(0, 1)})),
@@ -136,7 +135,7 @@ def test_pickle_round_trip_keeps_the_fields(cls):
     np.testing.assert_equal(plain(copy), plain(record))
 
 
-@pytest.mark.parametrize("cls", [c for c in FIELDS if c not in MUTABLE], ids=lambda cls: cls.__name__)
+@RECORDS
 def test_frozen_records_reject_assignment_and_deletion(cls):
     fields = FIELDS[cls]()
     record = cls(**fields)

@@ -537,6 +537,16 @@ class TestRunTraining:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_training(model, x, y, steps=5, lr=0.01)
 
+    @pytest.mark.parametrize("name", ["x", "y"])
+    @pytest.mark.parametrize("bad", [np.inf, np.nan])
+    def test_non_finite_input_rejected_not_reported_as_divergence(self, name, bad):
+        g, x, y = small_instance(seed=7)
+        model = build_model("gin", g, 3, 3, np.random.default_rng(11))
+        arrays = {"x": x, "y": y}
+        arrays[name][0, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must hold finite values only$"):
+            run_training(model, x, y, steps=5, lr=0.01)
+
     @pytest.mark.parametrize("steps", [-1, -5])
     def test_negative_steps_rejected(self, steps):
         g, x, y = small_instance(seed=7)

@@ -296,6 +296,17 @@ class TestCoefficientSource:
         with pytest.raises(ValueError, match="unknown coefficient source"):
             CoefficientSource("softmax", 1, 2, 2, 0)
 
+    @pytest.mark.parametrize("kind", COEFFICIENT_SOURCES)
+    @pytest.mark.parametrize("name, sizes, error", [
+        ("k", (0, 4, 4), "must be at least 1, got 0"),
+        ("k", (2.5, 4, 4), "must be an integer, got 2.5"),
+        ("d", (2, 0, 4), "must be at least 1, got 0"),
+        ("c", (2, 4, -1), "must be at least 1, got -1"),
+    ])
+    def test_sizes_that_are_no_counts_rejected(self, kind, name, sizes, error):
+        with pytest.raises(ValueError, match=f"^{name} {error}$"):
+            CoefficientSource(kind, *sizes, 0)
+
     def test_deterministic_per_seed_and_inputs(self):
         for kind in ("random_iid", "fagcn_tanh", "lmgc_eq14"):
             s1 = CoefficientSource(kind, 2, 3, 3, seed=5)
@@ -760,6 +771,11 @@ class TestIndependence:
     def test_requires_multiple_graphs(self):
         with pytest.raises(ValueError, match="requires K > 1"):
             independence_trial(1, k=1, d=2, c=2, seed=0)
+
+    @pytest.mark.parametrize("k, shown", [("2", "'2'"), (None, "None")])
+    def test_k_is_checked_as_a_count_before_the_k_rule(self, k, shown):
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {shown}$"):
+            independence_trial(10, k, 4, 4, 1)
 
     def test_requires_two_output_channels(self):
         # any two rows in R^1 are parallel, so c = 1 cannot test independence
