@@ -12,6 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import _Frozen
+from .graph import check, finite_error, integer_error
 from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier, inverse_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
@@ -28,8 +29,7 @@ class FilterTensor(_Frozen):
     def __init__(self, values: np.ndarray, basis_id: str):
         if values.ndim != 3:
             raise ValueError("filter tensor must have shape (n, c, d)")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("filter tensor has non-finite entries")
+        check(finite_error, values=values)
         self._set(values=values, basis_id=basis_id)
 
     @property
@@ -51,6 +51,7 @@ class WeightStack(_Frozen):
     def __init__(self, matrices: np.ndarray):  # (count, d, c)
         if matrices.ndim != 3:
             raise ValueError("weight stack must have shape (count, d, c)")
+        check(finite_error, matrices=matrices)
         self._set(matrices=matrices)
 
     @property
@@ -250,6 +251,7 @@ def _polynomial_terms(v_list) -> list:
     shapes = sorted({t.shape for t in terms})
     if len(shapes) != 1 or len(shapes[0]) != 2:
         raise ValueError(f"v_list must hold one or more (d, c) matrices of one shape; got shapes {shapes}")
+    check(finite_error, v_list=terms)
     return terms
 
 
@@ -280,6 +282,7 @@ def polynomial_as_mimo_filter(v_list, basis: SpectralBasis) -> WeightStack:
 def filter_response(stack: WeightStack, basis: SpectralBasis, in_channel: int, out_channel: int) -> SpectralResponse:
     """Response of one input/output channel pair across spectral components."""
     _check_stack(stack, basis)
+    check(integer_error, in_channel=in_channel, out_channel=out_channel)
     if not 0 <= in_channel < stack.d:
         raise IndexError(f"input channel {in_channel} out of range")
     if not 0 <= out_channel < stack.c:

@@ -116,6 +116,11 @@ def count_error(value) -> str | None:
     return integer_error(value) or (None if value >= 1 else f"must be at least 1, got {value}")
 
 
+def natural_error(value) -> str | None:
+    """Why value is no natural number (a step count or a seed is an integer of at least 0), or None."""
+    return integer_error(value) or (None if value >= 0 else f"must be at least 0, got {value}")
+
+
 def check(rule, **values) -> None:
     """Raise a ValueError "name why" for the first value whose rule (count_error, ...) gives a why."""
     for name, value in values.items():

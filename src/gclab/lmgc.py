@@ -23,7 +23,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen
-from .graph import Graph, check, finite_error, integer_error, inv_sqrt_degrees
+from .graph import Graph, check, finite_error, integer_error, inv_sqrt_degrees, natural_error
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -66,6 +66,7 @@ class CoefficientScheme(_Frozen):
         count = k if variant in (Variant.GATV2_SOFTMAX, Variant.FAGCN_TANH, Variant.LMGC_EQ14) else 0
         if len(vectors) != count:
             raise ValueError(f"{variant.value} takes {count} gating vector(s), one per head; got {len(vectors)}")
+        check(natural_error, seed=seed)
         self._set(variant=variant, k=k, vectors=vectors, seed=seed)
 
 
@@ -77,8 +78,7 @@ class ComputationalGraphSet(_Frozen):
             raise ValueError("coefficient matrices must be square")
         if matrices.shape[1] != graph.n:
             raise ValueError("coefficient matrices do not match the graph size")
-        if not np.all(np.isfinite(matrices)):
-            raise ValueError("coefficients must be finite")
+        check(finite_error, matrices=matrices)
         mask = graph.adjacency > 0
         if allow_diagonal:
             mask |= np.eye(graph.n, dtype=bool)
@@ -100,6 +100,7 @@ class LmgcLayer(_Frozen):
         if any(shape != (length,) for shape in shapes):
             raise ValueError(f"{scheme.variant.value} at (K, d, c) = {weights.shape} takes "
                              f"gating vectors of length {length}; got shapes {shapes}")
+        check(finite_error, weights=weights, vectors=scheme.vectors)
         self._set(weights=weights, scheme=scheme)
 
     @property
@@ -292,5 +293,6 @@ def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
     x = _check_features(x, g)
     if x.shape[1] != np.shape(mlp[0])[0]:
         raise ValueError("MLP input width does not match the features")
+    check(finite_error, **dict(zip(("W1", "b1", "W2", "b2"), mlp)))
     arrays = (gin_aggregation(g), x, *mlp)
     return gin_layer(*(ad.Var(a, requires_grad=False) for a in arrays)).value

@@ -11,7 +11,7 @@ import hashlib
 import numpy as np
 
 from ._record import _Frozen
-from .graph import check, finite_error
+from .graph import check, finite_error, integer_error
 
 SYMMETRY_TOL = 1e-10
 
@@ -55,8 +55,7 @@ def _symmetrized(m) -> np.ndarray:
     m = np.asarray(m, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
         raise ValueError(f"input must be a non-empty square matrix, got shape {m.shape}")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("input matrix has non-finite entries")
+    check(finite_error, m=m)
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError("input matrix is not symmetric within 1e-10")
     return 0.5 * (m + m.T)
@@ -110,6 +109,7 @@ def inverse_fourier(basis: SpectralBasis, x_hat: np.ndarray) -> np.ndarray:
 
 def rank_one_graph(basis: SpectralBasis, k: int) -> np.ndarray:
     """Spectral projector U_{:,k} U_{:,k}^T onto component k (0-indexed)."""
+    check(integer_error, k=k)
     if not 0 <= k < basis.n:
         raise IndexError(f"component index {k} out of range [0, {basis.n})")
     u = basis.eigenvectors[:, k]

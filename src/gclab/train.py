@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from ._record import _Frozen
 from .graph import Graph, check, count_error, finite_error, generate_erdos_renyi, integer_error, laplacian
-from .graph import node_count_error, normalized_adjacency, probability_error
+from .graph import natural_error, node_count_error, normalized_adjacency, probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, head_count, stacked_vectors
 from .lmgc import stacked_weights, vector_length
 from .optim import Adam, rate_error
@@ -170,8 +170,7 @@ def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: flo
     an x whose shape is not the model's (n, d), or an x or y that is not all
     finite is rejected before the first step, so bad input is no divergence.
     """
-    if (error := integer_error(steps) or (None if steps >= 0 else f"must be at least 0, got {steps}")):
-        raise ValueError(f"steps {error}")
+    check(natural_error, steps=steps)
     if np.shape(x) != model.input_shape:
         raise ValueError(f"x has shape {np.shape(x)}, but the model takes x of shape {model.input_shape}")
     check(finite_error, x=x, y=y)

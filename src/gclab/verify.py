@@ -9,18 +9,19 @@ get identical coefficients, exactly for random_iid and up to rounding for the
 tanh sources, whose matrix products round with an instance's place in a chunk.
 
 The suites read their Generator through _LatticeWords: its uint32 words in
-blocks, each decoded once by numpy's own bounded-integer rule into an int8
-lattice draw, a flag if either range rejects it, and a step table entry, so
-they draw the same pair stream as sample_instance calls on the bare
-Generator. _decode_chunk chains instance starts through the step table in
-one comprehension, cuts the chain at the first flagged word, and sorts every
-instance's elements in one lexsort by owner, then coordinates. numpy's loops
-read past a redrawn instance and a word its range rejects. The decoder reads
-the words once, in order: a redrawn instance is dropped by index from the
-decoded ones, an a still without a b at the end of a round is carried,
-decoded, into the next, and a rejected word is dropped from the stream. The
-redraw rule pads an instance's elements to one row only for the pairs it
-must compare element by element.
+blocks, each block decoded once, as it is fetched, by numpy's own
+bounded-integer rule into an int8 lattice draw, a flag if either range
+rejects it, and a step table entry per word, so they draw the same pair
+stream as sample_instance calls on the bare Generator. _decode_chunk chains
+instance starts through the step table in one comprehension, cuts the chain
+at the first flagged word, and sorts every instance's elements in one
+lexsort by owner, then coordinates. numpy's loops read past a redrawn
+instance and a word its range rejects. The decoder reads the words once, in
+order: a redrawn instance is dropped by index from the decoded ones, an a
+still without a b at the end of a round is carried, decoded, into the next,
+and a rejected word is dropped from the stream. The redraw rule finds every
+neighbour pair it redraws once per round, and pads an instance's elements to
+one row only for the pairs it must compare element by element.
 
 A chunk's work is done once per instance where it depends only on the
 instance: random_iid keys chain each center once and extend the chain by
@@ -86,38 +87,32 @@ class _LatticeWords:
     redrawn while m mod 2^32 < 2^32 mod span (_rejects), and yields
     low + (m >> 32). rng.integers(0, 2**32, n, dtype=np.uint32) reads the
     same words, so decoding them by that rule gives the Generator's own
-    draws. decode(d) decodes each word once (_decode_block): a refill keeps
-    the unread words' decoding, and decode appends the fresh block's.
+    draws. reserve, which fetches the first block when the reader is built,
+    decodes each block once as it fetches it (_decode_block, for instances
+    of dimension d), so draws, hops and flagged always describe exactly the
+    held words; flagged holds the sorted indices of the words either range
+    rejects, less those settle has read.
     _decode_chunk moves pos past the words it decoded, and settle reads a
     flagged word once its range is known. The reader holds words it has not
     returned yet, so it must be rng's only user.
     """
 
-    def __init__(self, rng: np.random.Generator, block: int):
-        self._rng, self._block = rng, block
-        self.words = np.empty(0, dtype=np.uint32)
-        self.pos = 0
-        self._d = None  # the dimension draws, hops and flagged decode a prefix of words for
-        self.draws = self.hops = self.flagged = self.words
+    def __init__(self, rng: np.random.Generator, block: int, d: int):
+        self._rng, self._block, self.d = rng, block, d
+        self.words, self.pos = np.empty(0, dtype=np.uint32), 0
+        self.reserve(block)
 
     def reserve(self, count: int) -> None:
-        """Hold at least count unread words, appending a block to the unread ones if needed."""
+        """Hold at least count unread words, appending a decoded block to the unread ones if needed."""
         if len(self.words) - self.pos < count:
             fresh = self._rng.integers(0, 2**32, max(self._block, count), dtype=np.uint32)
-            pos, self.pos = self.pos, 0
-            self.words = np.concatenate([self.words[pos:], fresh]) if pos < len(self.words) else fresh
-            self.draws, self.hops = self.draws[pos:], self.hops[pos:]
-            self.flagged = self.flagged[np.searchsorted(self.flagged, pos) :] - pos
-
-    def decode(self, d: int):
-        """The held words' draws, flagged words and steps, steps[s] = hops[s + d] for an instance at word s."""
-        if d != self._d:
-            self._d, (self.draws, self.hops, self.flagged) = d, _decode_block(self.words, d)
-        elif (done := len(self.draws)) < len(self.words):
-            draws, hops, flagged = _decode_block(self.words[done:], d)
-            self.draws, self.hops = np.concatenate([self.draws, draws]), np.concatenate([self.hops, hops])
-            self.flagged = np.concatenate([self.flagged, flagged + done])
-        return self.draws, memoryview(self.hops)[d:], self.flagged  # a memoryview indexes to Python ints
+            block = [fresh, *_decode_block(fresh, self.d)]  # words, draws, hops, flagged
+            if (pos := self.pos) < len(self.words):  # the unread words, decoded already, go first
+                block[3] += len(self.words) - pos
+                unread = [a[pos:] for a in (self.words, self.draws, self.hops)]
+                unread.append(self.flagged[np.searchsorted(self.flagged, pos) :] - pos)
+                block = [np.concatenate(pair) for pair in zip(unread, block)]
+            (self.words, self.draws, self.hops, self.flagged), self.pos = block, 0
 
     def settle(self, i: int, span: int) -> None:
         """Read the flagged word i by the range of span: drop it if that range rejects it, else unflag it."""
@@ -242,6 +237,11 @@ def _rejects(words, span: int):
     return np.multiply(words, span, dtype=np.uint32) < 2**32 % span
 
 
+def _max_words(d: int) -> int:
+    """The most words one instance reads without a redraw: d center words, a size word, MAX_ELEMENTS * d elements."""
+    return d + 1 + MAX_ELEMENTS * d
+
+
 def _decode_block(words: np.ndarray, d: int):
     """Each uint32 word's int8 lattice draw and hop, and the words either range rejects, wherever they sit.
 
@@ -251,7 +251,7 @@ def _decode_block(words: np.ndarray, d: int):
     wide = words.astype(np.uint64)
     draws = (wide * (2 * LATTICE_RANGE + 1) >> 32).astype(np.int8)
     draws -= LATTICE_RANGE
-    hops = (wide * MAX_ELEMENTS >> 32).astype(np.min_scalar_type(d + 1 + MAX_ELEMENTS * d))
+    hops = (wide * MAX_ELEMENTS >> 32).astype(np.min_scalar_type(_max_words(d)))
     hops *= d
     hops += 2 * d + 1
     flagged = _rejects(words, 2 * LATTICE_RANGE + 1) | _rejects(words, MAX_ELEMENTS)
@@ -294,7 +294,8 @@ class _PairRule:
     their outputs are parallel. An equal b is then the scaling by 1 of a
     nonzero a, whatever its center. Elements are compared only for pairs of
     one size (for injectivity, also of one center), which alone are padded
-    to rows of MAX_ELEMENTS * d.
+    to rows of MAX_ELEMENTS * d. The neighbour pairs (i, i + 1) it redraws
+    are found once, when the rule is built, and kept by the parity of i.
     """
 
     def __init__(self, centers, counts, elements, independence: bool):
@@ -304,37 +305,32 @@ class _PairRule:
         self.rows = np.concatenate([elements, np.zeros((1, d), dtype=elements.dtype)])  # the last row pads
         if independence:
             self.zero = ~np.logical_or.reduceat(elements.ravel(), self.first * d).astype(bool)
-        self._bad = {}
+        redrawn = self.redraws_b(0, 1, max(len(counts) - 1, 0))
+        if independence:
+            redrawn |= self.zero[:-1]
+        i = np.flatnonzero(redrawn)
+        self.redrawn = i[i % 2 == 0], i[i % 2 == 1]  # the i of each parity whose pair (i, i + 1) redraws
 
     def _padded(self, idx: np.ndarray) -> np.ndarray:
         slots = np.arange(MAX_ELEMENTS)
         rows = np.where(slots < self.counts[idx, None], self.first[idx, None] + slots, len(self.rows) - 1)
         return self.rows[rows].reshape(len(idx), -1)
 
-    def redraws_b(self, a: int, b: int, n: int, step: int = 1) -> np.ndarray:
-        """Whether instance b + step * i is redrawn as the partner of instance a + step * i, for i < n."""
-        ia, ib = slice(a, a + step * n, step), slice(b, b + step * n, step)
+    def redraws_b(self, a: int, b: int, n: int) -> np.ndarray:
+        """Whether instance b + i is redrawn as the partner of instance a + i, for i < n."""
+        ia, ib = slice(a, a + n), slice(b, b + n)
         compared = self.counts[ia] == self.counts[ib]
         if not self.independence:
             compared &= np.all(self.centers[ia] == self.centers[ib], axis=1)
-        q = step * np.flatnonzero(compared)
+        q = np.flatnonzero(compared)
         redraw = self.zero[ib].copy() if self.independence else np.zeros(n, dtype=bool)
         if len(q):
             x, y = np.split(self._padded(np.concatenate([a + q, b + q])), 2)
             if self.independence:
-                redraw[q // step] |= _scaled(x, y) | _scaled(y, x)
+                redraw[q] |= _scaled(x, y) | _scaled(y, x)
             else:
-                redraw[q // step] = np.all(x == y, axis=1)
+                redraw[q] = np.all(x == y, axis=1)
         return redraw
-
-    def _redrawn_pairs(self, parity: int) -> np.ndarray:
-        """The i of parity whose pair (i, i + 1) redraws an instance, found once per parity."""
-        if parity not in self._bad:
-            bad = self.redraws_b(parity, parity + 1, (len(self.counts) - parity) // 2, 2)
-            if self.independence:
-                bad |= self.zero[parity:-1:2]
-            self._bad[parity] = parity + 2 * np.flatnonzero(bad)
-        return self._bad[parity]
 
     def walk(self):
         """The instances kept as pairs (a, b) in turn, and the a still waiting for its b.
@@ -348,7 +344,7 @@ class _PairRule:
         keep = np.zeros(n, dtype=bool)
         i = 0
         while True:
-            redrawn = self._redrawn_pairs(i % 2)
+            redrawn = self.redrawn[i % 2]
             j = np.searchsorted(redrawn, i)
             if j == len(redrawn):  # no redraw among the pairs left
                 end = i + (n - i) // 2 * 2
@@ -368,7 +364,7 @@ class _PairRule:
             i = b + 1
 
 
-def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
+def _decode_chunk(words: _LatticeWords, pairs: int, independence: bool):
     """The next pairs that sample_instance and _PairRule draw from the words' Generator.
 
     Returns the centers, counts and sorted elements of the instances a, b of
@@ -381,17 +377,17 @@ def _decode_chunk(words: _LatticeWords, d: int, pairs: int, independence: bool):
     next round's batch. A call ends on a round that keeps all 2r instances of
     its r pairs.
     """
-    parts, carried = [], None
+    d, parts, carried = words.d, [], None
     while pairs:
         todo = 2 * pairs - (carried is not None)
-        words.reserve(todo * (d + 1 + MAX_ELEMENTS * d))  # the most words todo instances read without a redraw
-        draws, steps, flagged = words.decode(d)
-        start = words.pos
+        words.reserve(todo * _max_words(d))
+        steps = memoryview(words.hops)[d:]  # steps[s] = hops[s + d] for an instance at word s, as Python ints
+        start, flagged = words.pos, words.flagged
         i = np.searchsorted(flagged, start)
-        end = int(flagged[i]) if i < len(flagged) else len(draws)  # words before end decode as drawn
+        end = int(flagged[i]) if i < len(flagged) else len(words.words)  # words before end decode as drawn
         ends = [start := start + steps[start] for _ in range(todo)]
         starts = [words.pos, *ends[: bisect_right(ends, end)]]
-        batch = _lattice_instances(draws, starts, d)
+        batch = _lattice_instances(words.draws, starts, d)
         words.pos = starts[-1]
         if len(starts) <= todo:  # the instance at starts[-1] holds the flagged word end
             words.settle(end, MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1)
@@ -418,8 +414,8 @@ def _pair_words(seed: int, d: int, num_pairs: int) -> _LatticeWords:
 
     A trial of fewer than PAIRS_PER_CHUNK pairs refills by its own pairs' words.
     """
-    block = min(num_pairs, PAIRS_PER_CHUNK) * 2 * (d + 1 + MAX_ELEMENTS * d)
-    return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), block)
+    block = min(num_pairs, PAIRS_PER_CHUNK) * 2 * _max_words(d)
+    return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), block, d)
 
 
 def _weights(seed: int, k: int, d: int, c: int) -> np.ndarray:
@@ -455,7 +451,7 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
     violations, min_score, witness = 0, np.inf, (-1, None, None)
     for start in range(0, num_pairs, PAIRS_PER_CHUNK):
         size = min(PAIRS_PER_CHUNK, num_pairs - start)
-        chunk = _decode_chunk(words, d, size, independence)
+        chunk = _decode_chunk(words, size, independence)
         out = _outputs(*chunk, coeffs, weights)
         score = _scores(out[0::2], out[1::2], independence)
         violated = score < COLLISION_RTOL if independence else score <= COLLISION_RTOL

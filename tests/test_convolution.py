@@ -38,12 +38,19 @@ class TestContainers:
     def test_filter_tensor_rejects_non_finite(self):
         values = np.zeros((2, 2, 2))
         values[0, 0, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^values must hold finite values only$"):
             FilterTensor(values, "x")
 
     def test_weight_stack_shape_validated(self):
         with pytest.raises(ValueError, match=r"\(count, d, c\)"):
             WeightStack(np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("bad", [np.nan, -np.inf])
+    def test_weight_stack_rejects_non_finite(self, bad):
+        matrices = np.zeros((3, 2, 2))
+        matrices[1, 0, 1] = bad
+        with pytest.raises(ValueError, match="^matrices must hold finite values only$"):
+            WeightStack(matrices)
 
     def test_dimension_properties(self):
         theta = FilterTensor(np.zeros((5, 3, 2)), "x")
@@ -300,6 +307,15 @@ class TestPolynomialStacks:
         with pytest.raises(ValueError, match=r"v_list must hold one or more \(d, c\) matrices"):
             polynomial_as_mimo_filter(v_list, basis)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_terms_rejected_by_both_forms(self, bad):
+        g, basis = make_basis(6, seed=32)
+        v_list = [np.eye(2), np.array([[1.0, bad], [0.0, 1.0]])]
+        with pytest.raises(ValueError, match="^v_list must hold finite values only$"):
+            mimo_polynomial(normalized_adjacency(g), np.ones((6, 2)), v_list)
+        with pytest.raises(ValueError, match="^v_list must hold finite values only$"):
+            polynomial_as_mimo_filter(v_list, basis)
+
 
 class TestSpectralResponse:
     def test_gcn_stack_response_is_mu_scaled(self):
@@ -319,6 +335,15 @@ class TestSpectralResponse:
             filter_response(stack, basis, 2, 0)
         with pytest.raises(IndexError):
             filter_response(stack, basis, 0, 2)
+
+    @pytest.mark.parametrize("name, channels, shown", [("in_channel", (True, 0), "True"),
+                                                       ("out_channel", (0, 1.5), "1.5"),
+                                                       ("in_channel", (1.0, 0), "1.0")])
+    def test_response_non_integer_channel_named(self, name, channels, shown):
+        _, basis = make_basis(5, seed=41)
+        stack = gcn_as_mimo_stack(np.eye(2), basis)
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {shown}$"):
+            filter_response(stack, basis, *channels)
 
     def test_repeated_gcn_response_closed_form(self):
         _, basis = make_basis(8, seed=42)

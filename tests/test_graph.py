@@ -14,6 +14,7 @@ from gclab.graph import (
     is_connected,
     laplacian,
     load_edge_list,
+    natural_error,
     normalized_adjacency,
     save_edge_list,
 )
@@ -99,6 +100,18 @@ def loop_adjacency(g):
 
 def bits_equal(a, b):
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+class TestNaturalError:
+    @pytest.mark.parametrize("value", [0, 1, 2**40, np.int64(3), np.uint8(0)])
+    def test_integers_of_at_least_zero_pass(self, value):
+        assert natural_error(value) is None
+
+    @pytest.mark.parametrize("value, error", [(-1, "must be at least 0, got -1"), (1.5, "must be an integer, got 1.5"),
+                                              (True, "must be an integer, got True"),
+                                              (2.0, "must be an integer, got 2.0")])
+    def test_others_give_a_reason(self, value, error):
+        assert natural_error(value) == error
 
 
 class TestDenseArrays:

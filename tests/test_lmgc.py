@@ -58,6 +58,15 @@ class TestSchemeValidation:
     def test_numpy_integer_k_accepted(self):
         assert CoefficientScheme(Variant.RANDOM_IID, np.int64(2)).k == 2
 
+    @pytest.mark.parametrize("seed, error", [(1.5, "must be an integer, got 1.5"), (True, "must be an integer, got True"),
+                                             (-1, "must be at least 0, got -1")])
+    def test_seed_must_be_a_natural_number(self, seed, error):
+        with pytest.raises(ValueError, match=f"^seed {error}$"):
+            CoefficientScheme(Variant.RANDOM_IID, 2, seed=seed)
+
+    def test_numpy_integer_seed_accepted(self):
+        assert CoefficientScheme(Variant.RANDOM_IID, 2, seed=np.uint32(7)).seed == 7
+
     @pytest.mark.parametrize("variant", list(Variant))
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_scheme_takes_the_k_of_head_count(self, variant, k):
@@ -151,7 +160,7 @@ class TestGraphSetValidation:
         g = Graph.from_edges(2, [(0, 1)])
         mats = np.zeros((1, 2, 2))
         mats[0, 0, 1] = np.inf
-        with pytest.raises(ValueError, match="finite"):
+        with pytest.raises(ValueError, match="^matrices must hold finite values only$"):
             ComputationalGraphSet(mats, g)
 
     def test_size_mismatch_rejected(self):
@@ -395,6 +404,18 @@ class TestLayerAndPairwise:
         with pytest.raises(ValueError, match=r"weights must have shape \(K, d, c\)"):
             LmgcLayer(np.zeros((2, 2)), scheme)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("variant", GATED)
+    def test_layer_rejects_non_finite_weights_and_vectors(self, variant, bad):
+        _, _, weights, scheme = small_setup(variant=variant, k=head_count(variant, 2))
+        weights[0, 1, 0] = bad
+        with pytest.raises(ValueError, match="^weights must hold finite values only$"):
+            LmgcLayer(weights, scheme)
+        weights[0, 1, 0] = 0.0
+        vectors = (np.full_like(scheme.vectors[0], bad), *scheme.vectors[1:])
+        with pytest.raises(ValueError, match="^vectors must hold finite values only$"):
+            LmgcLayer(weights, CoefficientScheme(variant, scheme.k, vectors))
+
     def test_forward_equals_pairwise_accumulation(self):
         g, x, weights, scheme = small_setup(seed=10)
         layer = LmgcLayer(weights, scheme)
@@ -469,6 +490,14 @@ class TestGin:
         mlp = (np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
         with pytest.raises(ValueError, match="width"):
             gin_forward(np.zeros((2, 2)), g, mlp)
+
+    @pytest.mark.parametrize("name, at", [("W1", 0), ("b1", 1), ("W2", 2), ("b2", 3)])
+    def test_non_finite_mlp_rejected(self, name, at):
+        g = Graph.from_edges(2, [(0, 1)])
+        mlp = [np.eye(2), np.zeros(2), np.eye(2), np.zeros(2)]
+        mlp[at] = np.full_like(mlp[at], np.nan)
+        with pytest.raises(ValueError, match=f"^{name} must hold finite values only$"):
+            gin_forward(np.ones((2, 2)), g, mlp)
 
     def test_feature_rows_checked(self):
         g = Graph.from_edges(2, [(0, 1)])

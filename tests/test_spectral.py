@@ -84,7 +84,7 @@ class TestEigendecomposition:
     def test_rejects_non_finite(self):
         m = random_symmetric(4, 0)
         m[1, 2] = m[2, 1] = np.nan
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="^m must hold finite values only$"):
             eigendecompose_symmetric(m)
 
     def test_repeated_eigenvalue_projectors_match_eigh(self):
@@ -136,7 +136,7 @@ class TestSpectrumOnly:
         [
             (np.array([[0.0, 1.0], [0.0, 0.0]]), "not symmetric"),
             (np.zeros((2, 3)), "square"),
-            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "non-finite"),
+            (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^m must hold finite values only$"),
         ],
     )
     def test_same_input_checks(self, m, message):
@@ -219,3 +219,10 @@ class TestFourier:
         basis = eigendecompose_symmetric(random_symmetric(4, 8))
         with pytest.raises(IndexError):
             rank_one_graph(basis, 4)
+
+    @pytest.mark.parametrize("k, shown", [(True, "True"), (1.5, "1.5"), (1.0, "1.0")])
+    def test_rank_one_non_integer_index_named(self, k, shown):
+        basis = eigendecompose_symmetric(random_symmetric(4, 8))
+        with pytest.raises(ValueError, match=f"^k must be an integer, got {shown}$"):
+            rank_one_graph(basis, k)
+        np.testing.assert_array_equal(rank_one_graph(basis, np.int64(1)), rank_one_graph(basis, 1))

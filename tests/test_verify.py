@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from reference_samplers import ScalarWords, as_scaled, draw_pair, is_integer_scaling, reduceat_outputs
 
 import gclab.verify
@@ -76,7 +78,7 @@ class TestLatticeWords:
     """The scalar reference reader, over _LatticeWords' blocks, draws as the Generator does."""
 
     def assert_same_draws(self, seed, block, calls):
-        words = ScalarWords(_LatticeWords(np.random.default_rng(seed), block))
+        words = ScalarWords(_LatticeWords(np.random.default_rng(seed), block, 4))
         rng = np.random.default_rng(seed)
         for low, high, size in calls:
             assert words.integers(low, high, size).tolist() == rng.integers(low, high, size).tolist()
@@ -93,7 +95,7 @@ class TestLatticeWords:
         self.assert_same_draws(41, block, calls)
 
     def test_zero_and_full_width_ranges(self):
-        words = ScalarWords(_LatticeWords(np.random.default_rng(42), 5))
+        words = ScalarWords(_LatticeWords(np.random.default_rng(42), 5, 4))
         rng = np.random.default_rng(42)
         assert words.integers(1, 2).tolist() == rng.integers(1, 2).tolist() == 1
         assert words.integers(3, 4, (2, 3)).tolist() == rng.integers(3, 4, (2, 3)).tolist()
@@ -122,7 +124,7 @@ class TestLatticeWords:
         if block is None:
             words = ScalarWords(_pair_words(45, d, 256))
         else:
-            words = ScalarWords(_LatticeWords(np.random.default_rng(derive_seed(45, 1)), block))
+            words = ScalarWords(_LatticeWords(np.random.default_rng(derive_seed(45, 1)), block, d))
         for _ in range(2000):
             assert sample_instance(words, d) == sample_instance(rng, d)
 
@@ -144,7 +146,7 @@ def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
         rng = np.random.default_rng(derive_seed(46, 1))
         for _ in range(-(-600 // chunk)):
             want = [draw_pair(rng, d, independence) for _ in range(chunk)]
-            assert decoded_pairs(_decode_chunk(words, d, chunk, independence)) == want
+            assert decoded_pairs(_decode_chunk(words, chunk, independence)) == want
 
 
 @pytest.mark.parametrize("d", [1, 2, 4, 7, 15, 20])
@@ -157,7 +159,7 @@ def test_decoder_draws_the_generator_pairs_at_any_d(d):
         rng = np.random.default_rng(derive_seed(47, 1))
         for _ in range(2):
             want = [draw_pair(rng, d, independence) for _ in range(300)]
-            assert decoded_pairs(_decode_chunk(words, d, 300, independence)) == want
+            assert decoded_pairs(_decode_chunk(words, 300, independence)) == want
 
 
 def test_decode_block_decodes_and_flags_each_word_by_the_scalar_rule():
@@ -269,6 +271,50 @@ CRAFTED = {  # (independence, words that draw_pair reads as the pair (A, B); "la
 }
 
 
+READER_OPS = st.one_of(
+    st.tuples(st.just("reserve"), st.integers(0, 12)),
+    st.tuples(st.just("read"), st.integers(0, 12)),
+    st.tuples(st.just("settle"), st.integers(0, 2**16), st.sampled_from([2 * LATTICE_RANGE + 1, MAX_ELEMENTS])),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prefix=st.lists(st.sampled_from([REJECTED, *(k * LATTICE_ONLY % 2**32 for k in (1, 2, 3))])
+                    | st.integers(0, 2**32 - 1), min_size=60, max_size=120),
+    d=st.sampled_from([1, 2, 4]),
+    block=st.integers(1, 8),
+    ops=st.lists(READER_OPS, max_size=30),
+)
+def test_reader_state_is_the_decoding_of_its_held_words(prefix, d, block, ops):
+    # after any reserve, read or settle, draws, hops and flagged are _decode_block
+    # of the held words, less the flags settle has read off words it kept
+    source = CraftedWords(prefix)
+    words = _LatticeWords(source, block, d)
+    held, kept = list(range(source.pos)), set()  # the stream index of each held word; those settle read and kept
+    for op in [("read", 0), *ops]:  # the state is checked after construction too
+        if op[0] == "reserve":
+            pos, fetched = words.pos, source.pos
+            words.reserve(op[1])
+            if source.pos > fetched:
+                held = held[pos:] + list(range(fetched, source.pos))
+            assert len(words.words) - words.pos >= op[1]
+        elif op[0] == "read":  # _decode_chunk moves pos past the words it decoded
+            words.pos = min(words.pos + op[1], len(words.words))
+        elif (ahead := words.flagged[words.flagged >= words.pos]).size:  # it settles words at or past pos
+            i, span = int(ahead[op[1] % len(ahead)]), op[2]
+            words.settle(i, span)
+            if _rejects(source.words[held[i]], span):
+                del held[i]
+            else:
+                kept.add(held[i])
+        assert words.words.tolist() == source.words[held].tolist()
+        draws, hops, flagged = _decode_block(words.words, d)
+        assert words.draws.tolist() == draws.tolist() and words.draws.dtype == draws.dtype
+        assert words.hops.tolist() == hops.tolist() and words.hops.dtype == hops.dtype
+        assert words.flagged.tolist() == [i for i in flagged.tolist() if held[i] not in kept]
+
+
 @pytest.mark.parametrize("case", CRAFTED)
 def test_crafted_fallbacks_equal_the_scalar_reader(case):
     # three clean pairs, the crafted pair, then clean pairs and the Generator's
@@ -280,12 +326,12 @@ def test_crafted_fallbacks_equal_the_scalar_reader(case):
     d, count = 2, 12
     for chunk in (count, 1):
         sources = CraftedWords(prefix), CraftedWords(prefix)
-        scalar, words = (_LatticeWords(source, 64) for source in sources)
+        scalar, words = (_LatticeWords(source, 64, d) for source in sources)
         reference = ScalarWords(scalar)
         want = [draw_pair(reference, d, independence) for _ in range(count)]
         clean = 3 if case == "lattice-only size" else 6  # A read at size 4 moves every word after it
         assert want[:clean] == [(MultisetInstance(*A), MultisetInstance(*B))] * clean
-        chunks = [_decode_chunk(words, d, chunk, independence) for _ in range(count // chunk)]
+        chunks = [_decode_chunk(words, chunk, independence) for _ in range(count // chunk)]
         assert [pair for got in chunks for pair in decoded_pairs(got)] == want
         read = [source.pos - len(reader.words) + reader.pos for source, reader in zip(sources, (scalar, words))]
         assert read[0] == read[1]
@@ -533,7 +579,7 @@ class TestAggregate:
         # d = 1 can cancel to 1e-5 of that size, so only at d = 4 is the
         # bound also relative to the row itself
         for seed, independence in ((60, False), (61, True)):
-            chunk = _decode_chunk(_pair_words(seed, d, 1024), d, 1024, independence)
+            chunk = _decode_chunk(_pair_words(seed, d, 1024), 1024, independence)
             source = CoefficientSource(kind, k, d, 4, seed)
             weights = _weights(seed, k, d, 4)
             got, want = _outputs(*chunk, source, weights), reduceat_outputs(*chunk, source, weights)
