@@ -1,16 +1,16 @@
 """Minimal reverse-mode differentiation over numpy arrays.
 
 Only the primitives the single-layer message-passing models run are
-provided. Nine are generic: matmul, add, mul, reshape, scatter_sum,
-leaky_relu, relu, segment_softmax and the mse head. Three are fused message
-blocks, each one tape node with a hand-written backward: edge_messages (the
-per-head message sum into each edge's destination), tanh_gate (the
-split-form edge gate of fagcn and eq. 14) and gatv2_attention (GATv2's
-scores and softmax). backward lists the nodes that require grad in
-depth-first post-order from the loss, runs each rule once in the reverse of
-that order and releases the tape. A leaf built with requires_grad=False is a
-constant: no rule computes its adjoint, and backward does not walk into a
-subgraph built only from constants.
+provided. Three are generic: matmul, leaky_relu and the mse head. Five are
+fused blocks, each one tape node with a hand-written backward: edge_messages
+(the per-head message sum into each edge's destination), tanh_gate (the
+split-form edge gate of fagcn and eq. 14), gatv2_attention (GATv2's scores
+and softmax), gin_block (GIN-0's whole layer) and acm_block (ACM's whole
+channel mix). backward lists the nodes that require grad in depth-first
+post-order from the loss, runs each rule once in the reverse of that order
+and releases the tape. A leaf built with requires_grad=False is a constant:
+no rule computes its adjoint, and backward does not walk into a subgraph
+built only from constants.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ class Var:
     __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, value, parents=(), requires_grad=True):
-        self.value = np.asarray(value, dtype=float)
+        # an op's value is already a float array; only a leaf's is converted
+        self.value = value if parents else np.asarray(value, dtype=float)
         self.grad = None
         if parents:
             requires_grad = False
@@ -80,7 +81,7 @@ def _sum_rows(values, index, size):
 
 def _t(m):
     """Transpose the matrix axes (the last two) of a possibly batched operand."""
-    return np.swapaxes(m, -1, -2)
+    return m.swapaxes(-1, -2)
 
 
 def matmul(a: Var, b: Var) -> Var:
@@ -99,45 +100,6 @@ def matmul(a: Var, b: Var) -> Var:
     return out
 
 
-def add(a: Var, b: Var) -> Var:
-    out = Var(a.value + b.value, (a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g, b.value.shape))
-
-    out._backward = backward
-    return out
-
-
-def mul(a: Var, b: Var) -> Var:
-    out = Var(a.value * b.value, (a, b))
-
-    def backward(g):
-        if a.requires_grad:
-            _accumulate(a, _unbroadcast(g * b.value, a.value.shape))
-        if b.requires_grad:
-            _accumulate(b, _unbroadcast(g * a.value, b.value.shape))
-
-    out._backward = backward
-    return out
-
-
-def scatter_sum(a: Var, index: np.ndarray, size: int) -> Var:
-    """Sum rows of a into an output of `size` rows grouped by index."""
-    out = Var(_sum_rows(a.value, index, size), (a,))
-    out._backward = lambda g: _accumulate(a, np.take(g, index, axis=0))
-    return out
-
-
-def reshape(a: Var, shape) -> Var:
-    out = Var(a.value.reshape(shape), (a,))
-    out._backward = lambda g: _accumulate(a, g.reshape(a.value.shape))
-    return out
-
-
 def leaky_relu(a: Var, slope: float) -> Var:
     # 1 where a >= 0, slope elsewhere: (1 - slope) + slope rounds to exactly 1
     factor = (a.value >= 0) * (1.0 - slope) + slope
@@ -146,35 +108,17 @@ def leaky_relu(a: Var, slope: float) -> Var:
     return out
 
 
-def relu(a: Var) -> Var:
-    return leaky_relu(a, 0.0)
-
-
 def _softmax_segments(s, offsets, segment):
     """Softmax along axis 0 within each segment offsets[i]:offsets[i + 1]; row r is in segment[r]."""
     starts = offsets[:-1]
-    e = np.exp(s - np.take(np.maximum.reduceat(s, starts, axis=0), segment, axis=0))
-    return e / np.take(np.add.reduceat(e, starts, axis=0), segment, axis=0)
+    e = np.exp(s - np.maximum.reduceat(s, starts, axis=0).take(segment, axis=0))
+    return e / np.add.reduceat(e, starts, axis=0).take(segment, axis=0)
 
 
 def _softmax_segments_grad(alpha, g, offsets, segment):
     """Adjoint of the scores given alpha = _softmax_segments(scores) and its adjoint g."""
     dot = np.add.reduceat(alpha * g, offsets[:-1], axis=0)
-    return alpha * (g - np.take(dot, segment, axis=0))
-
-
-def segment_softmax(scores: Var, offsets: np.ndarray) -> Var:
-    """Softmax within contiguous segments given by offsets (len = segments + 1).
-
-    Used for per-node attention over incoming edges; scores are (E,) or
-    (E, H), with rows ordered so that each node's edges are contiguous, and
-    each column of an (E, H) array is normalized on its own.
-    """
-    segment = np.repeat(np.arange(len(offsets) - 1), offsets[1:] - offsets[:-1])
-    alpha = _softmax_segments(scores.value, offsets, segment)
-    out = Var(alpha, (scores,))
-    out._backward = lambda g: _accumulate(scores, _softmax_segments_grad(alpha, g, offsets, segment))
-    return out
+    return alpha * (g - dot.take(segment, axis=0))
 
 
 def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> Var:
@@ -192,7 +136,7 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
         raise ValueError(f"tanh_gate needs v of shape (2m, H), 2m = {2 * m}; got {vv.shape}")
     halves = vv.reshape(2, m, -1)  # v_top, v_bot
     node = hv @ halves  # (2, n, H)
-    t = np.tanh(np.take(node[0], dst, axis=0) + np.take(node[1], src, axis=0))
+    t = np.tanh(node[0].take(dst, axis=0) + node[1].take(src, axis=0))
     out = Var(t if scale is None else t * scale, (h, v))
 
     def backward(g):
@@ -228,16 +172,16 @@ def gatv2_attention(z: Var, v: Var, dst, src, offsets, reverse, slope: float) ->
     blocks[diag, :, diag] = vv[:, :, 0]
     blocks = blocks.reshape(heads * c, heads)  # column k holds v_k in rows k*c:(k+1)*c
     p = zv @ blocks  # (n, H)
-    r = np.take(zv, dst, axis=0)
-    r += np.take(zv, src, axis=0)
+    r = zv.take(dst, axis=0)
+    r += zv.take(src, axis=0)
     np.maximum(r, 0.0, out=r)  # relu(z_i + z_j), (E, H*c)
-    pair = np.take(p, dst, axis=0) + np.take(p, src, axis=0)
+    pair = p.take(dst, axis=0) + p.take(src, axis=0)
     alpha = _softmax_segments(slope * pair + (1.0 - slope) * (r @ blocks), offsets, dst)
     out = Var(alpha, (z, v))
 
     def backward(g):
         gs = _softmax_segments_grad(alpha, g, offsets, dst)  # (E, H)
-        both = gs + np.take(gs, reverse, axis=0)  # the adjoints of e and of its reverse, both summed into dst[e]
+        both = gs + gs.take(reverse, axis=0)  # the adjoints of e and of its reverse, both summed into dst[e]
         gp = slope * np.add.reduceat(both, offsets[:-1], axis=0)  # (n, H)
         if z.requires_grad:
             gr = ((1.0 - slope) * both) @ blocks.T
@@ -274,6 +218,83 @@ def edge_messages(alpha: Var, z: Var, dst: np.ndarray, src: np.ndarray) -> Var:
             _accumulate(alpha, (g @ rows.T).reshape(n, n, heads)[dst, src])
         if z.requires_grad:
             _accumulate(z, (op.T @ g).reshape(zv.shape))
+
+    out._backward = backward
+    return out
+
+
+def gin_block(agg: Var, x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
+    """GIN-0's layer relu((agg x) w1 + b1) w2 + b2, agg the (n, n) sum aggregator.
+
+    The value and every adjoint run the numpy operations of the matmul, add
+    and relu nodes the layer composes, in their order, so both are the
+    composed ones bit for bit; relu multiplies by its 0/1 mask as leaky_relu
+    at slope 0 does.
+    """
+    h = agg.value @ x.value
+    s = h @ w1.value + b1.value
+    active = s >= 0
+    r = s * active
+    out = Var(r @ w2.value + b2.value, (agg, x, w1, b1, w2, b2))
+
+    def backward(g):
+        if b2.requires_grad:
+            _accumulate(b2, _unbroadcast(g, b2.value.shape))
+        if w2.requires_grad:
+            _accumulate(w2, _unbroadcast(_t(r) @ g, w2.value.shape))
+        if not (agg.requires_grad or x.requires_grad or w1.requires_grad or b1.requires_grad):
+            return
+        gs = (g @ _t(w2.value)) * active
+        if b1.requires_grad:
+            _accumulate(b1, _unbroadcast(gs, b1.value.shape))
+        if w1.requires_grad:
+            _accumulate(w1, _unbroadcast(_t(h) @ gs, w1.value.shape))
+        if agg.requires_grad or x.requires_grad:
+            gh = gs @ _t(w1.value)
+            if agg.requires_grad:
+                _accumulate(agg, _unbroadcast(gh @ _t(x.value), agg.value.shape))
+            if x.requires_grad:
+                _accumulate(x, _unbroadcast(_t(agg.value) @ gh, x.value.shape))
+
+    out._backward = backward
+    return out
+
+
+def acm_block(x: Var, graphs: Var, w: Var, v: Var) -> Var:
+    """ACM's channel mix: sum_k alpha_k * h_k with h_k = relu(graphs[k] x w[k]) and, per node,
+    alpha = softmax over the channels k of h_k v[k].
+
+    graphs is the (C, n, n) operator bank, w (C, d, c) and v (C, c, 1);
+    returns (n, c). As in gin_block, the value and every adjoint are those
+    of the composed matmul, relu, segment softmax, mul and row-sum nodes,
+    bit for bit.
+    """
+    count = graphs.value.shape[0]
+    segment = np.zeros(count, dtype=np.intp)  # one softmax segment: every channel of a node
+    offsets = np.array([0, count])
+    xw = x.value @ w.value
+    ag = graphs.value @ xw
+    active = ag >= 0
+    h = ag * active  # (C, n, c)
+    alpha = _softmax_segments(h @ v.value, offsets, segment)  # (C, n, 1)
+    out = Var(_sum_rows(alpha * h, segment, 1)[0], (x, graphs, w, v))
+
+    def backward(g):
+        g = g[None]  # the row sum's adjoint: g in every channel
+        gs = _softmax_segments_grad(alpha, _unbroadcast(g * h, alpha.shape), offsets, segment)
+        if v.requires_grad:
+            _accumulate(v, _unbroadcast(_t(h) @ gs, v.value.shape))
+        if not (x.requires_grad or graphs.requires_grad or w.requires_grad):
+            return
+        gag = (g * alpha + gs @ _t(v.value)) * active
+        if graphs.requires_grad:
+            _accumulate(graphs, _unbroadcast(gag @ _t(xw), graphs.value.shape))
+        if x.requires_grad or w.requires_grad:
+            gxw = _t(graphs.value) @ gag
+            if x.requires_grad:
+                _accumulate(x, _unbroadcast(gxw @ _t(w.value), x.value.shape))
+            if w.requires_grad:
+                _accumulate(w, _unbroadcast(_t(x.value) @ gxw, w.value.shape))
 
     out._backward = backward
     return out

@@ -117,9 +117,10 @@ def siso_gc(theta: np.ndarray, x: np.ndarray, basis: SpectralBasis) -> np.ndarra
 def weight_stack_from_filter(theta: FilterTensor, basis: SpectralBasis) -> WeightStack:
     """Fourier-transform the filter along the node axis: W^(k) = (F(theta)_k)^T."""
     _check_basis(theta, basis)
-    # mode-1 product U^T x_1 theta as one (n, n) by (n, c d) product, a c x d slab per component
+    # mode-1 product U^T x_1 theta as one (n, n) by (n, c d) product, a c x d slab per component;
+    # FilterTensor checked theta finite, so it skips graph_fourier's signal check
     n, c, d = theta.values.shape
-    hat = graph_fourier(basis, theta.values.reshape(n, c * d)).reshape(n, c, d)
+    hat = (basis.eigenvectors.T @ theta.values.reshape(n, c * d)).reshape(n, c, d)
     return WeightStack(np.transpose(hat, (0, 2, 1)).copy())
 
 

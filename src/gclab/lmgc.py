@@ -10,9 +10,9 @@ Variant), and autodiff.edge_messages. head_count gives each variant's K,
 stacked_weights the heads' (d, K*c) layout, and vector_length and
 stacked_vectors the gating vectors' length and layout.
 gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
-GIN-0's gin_layer is run the same two ways. The dense (K, n, n) matrix form
-(compute_coefficients, ComputationalGraphSet, pairwise_transform) is the
-oracle the tests check the edge path against.
+GIN-0's gin_layer, one autodiff.gin_block, is run the same two ways. The
+dense (K, n, n) matrix form (compute_coefficients, ComputationalGraphSet,
+pairwise_transform) is the oracle the tests check the edge path against.
 """
 
 from __future__ import annotations
@@ -282,10 +282,8 @@ def gin_aggregation(g: Graph) -> np.ndarray:
 
 
 def gin_layer(agg, x, w1, b1, w2, b2):
-    """GIN-0: relu((agg x) W1 + b1) W2 + b2, agg from gin_aggregation."""
-    h = ad.matmul(agg, x)
-    h = ad.relu(ad.add(ad.matmul(h, w1), b1))
-    return ad.add(ad.matmul(h, w2), b2)
+    """GIN-0: relu((agg x) W1 + b1) W2 + b2, agg from gin_aggregation, as one autodiff.gin_block."""
+    return ad.gin_block(agg, x, w1, b1, w2, b2)
 
 
 def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:

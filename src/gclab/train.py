@@ -5,7 +5,8 @@ parameter list and a forward pass X -> (n, c). gatv2, fagcn and lmgc are one
 EdgeModel: gclab.lmgc's edge_layer on parameters, as lmgc_forward runs it on
 constants, with the gating vectors in lmgc's stacked layout. gin is GIN-0
 (eps = 0, hidden width d) through gclab.lmgc's gin_layer, and acm is its own
-softmax mix over an A~ and an L channel.
+softmax mix over an A~ and an L channel; each of the two is one fused
+autodiff block (gin_block, acm_block).
 The experiment fixes a connected random graph and Gaussian (X, Y), then
 minimizes the MSE of one message-passing layer with Adam and reports the
 minimum loss seen.
@@ -122,14 +123,9 @@ class AcmModel(Model):
         v = [_uniform_init(rng, (c, 1)) for _ in range(2)]
         self.w, self.v = ad.Var(np.stack(w)), ad.Var(np.stack(v))
         self.params = [self.w, self.v]
-        self.channels = np.array([0, 2])  # one softmax segment: both channels of a node
 
     def forward(self, x):
-        h = ad.relu(ad.matmul(self.graphs, ad.matmul(x, self.w)))  # (C, n, c)
-        alpha = ad.segment_softmax(ad.matmul(h, self.v), self.channels)  # (C, n, 1)
-        count, n, c = h.shape
-        mixed = ad.scatter_sum(ad.mul(alpha, h), np.zeros(count, dtype=np.intp), 1)
-        return ad.reshape(mixed, (n, c))
+        return ad.acm_block(x, self.graphs, self.w, self.v)
 
 
 class GinModel(Model):

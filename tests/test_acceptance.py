@@ -294,16 +294,17 @@ def primitive_cases(rng):
     gclab.autodiff's and the test-side ones of composed_primitives.
 
     The generic primitives draw from rng; the fused message blocks draw from
-    their own stream, on a small graph, so rng's later draws do not move.
+    their own stream, on a small graph, and the whole-layer blocks from a
+    third, so rng's later draws and the earlier blocks' do not move.
     """
     t34 = rng.standard_normal((3, 4))
     offsets = np.array([0, 3, 5, 7])
     cases = [
         ("matmul", lambda a, b: ad.mse(ad.matmul(a, b), t34),
          [rng.standard_normal((3, 5)), rng.standard_normal((5, 4))]),
-        ("add", lambda a, b: ad.mse(ad.add(a, b), t34),
+        ("add", lambda a, b: ad.mse(cp.add(a, b), t34),
          [rng.standard_normal((3, 4)), rng.standard_normal(4)]),
-        ("mul", lambda a, b: ad.mse(ad.mul(a, b), t34),
+        ("mul", lambda a, b: ad.mse(cp.mul(a, b), t34),
          [rng.standard_normal((3, 4)), rng.standard_normal((3, 1))]),
         ("scale", lambda a: ad.mse(cp.scale(a, -1.7), t34),
          [rng.standard_normal((3, 4))]),
@@ -312,17 +313,17 @@ def primitive_cases(rng):
         ("gather_rows", lambda a: ad.mse(cp.gather_rows(a, np.array([0, 2, 2])), t34),
          [rng.standard_normal((3, 4))]),
         ("scatter_sum",
-         lambda a: ad.mse(ad.scatter_sum(a, np.array([0, 0, 1, 2, 2]), 3), t34),
+         lambda a: ad.mse(cp.scatter_sum(a, np.array([0, 0, 1, 2, 2]), 3), t34),
          [rng.standard_normal((5, 4))]),
-        ("reshape", lambda a: ad.mse(ad.reshape(a, (3, 4)), t34),
+        ("reshape", lambda a: ad.mse(cp.reshape(a, (3, 4)), t34),
          [rng.standard_normal(12)]),
         ("tanh", lambda a: ad.mse(cp.tanh(a), t34), [rng.standard_normal((3, 4))]),
         ("leaky_relu", lambda a: ad.mse(ad.leaky_relu(a, 0.2), t34),
          [rng.standard_normal((3, 4)) + np.sign(rng.standard_normal((3, 4))) * 0.01]),
-        ("relu", lambda a: ad.mse(ad.relu(a), t34),
+        ("relu", lambda a: ad.mse(cp.relu(a), t34),
          [rng.standard_normal((3, 4)) + np.sign(rng.standard_normal((3, 4))) * 0.01]),
         ("segment_softmax",
-         lambda s: ad.mse(ad.segment_softmax(s, offsets), np.zeros(7)),
+         lambda s: ad.mse(cp.segment_softmax(s, offsets), np.zeros(7)),
          [rng.standard_normal(7)]),
         ("mse", lambda a: ad.mse(a, t34), [rng.standard_normal((3, 4))]),
     ]
@@ -339,6 +340,22 @@ def primitive_cases(rng):
         ("gatv2_attention",
          lambda z, v: ad.mse(ad.gatv2_attention(z, v, e.dst, e.src, e.offsets, e.reverse, 0.2), t_edges),
          [fused.standard_normal((5, 4)), fused.standard_normal((2, 2, 1))]),
+    ] + layer_block_cases()
+
+
+def layer_block_cases():
+    """Central-difference cases of the whole-layer blocks, on a stream of their own."""
+    rng = np.random.default_rng(derive_seed(MASTER_SEED, 8, 5))
+    t_out = rng.standard_normal((5, 2))
+    return [
+        ("gin_block",
+         lambda agg, x, w1, b1, w2, b2: ad.mse(ad.gin_block(agg, x, w1, b1, w2, b2), t_out),
+         [rng.standard_normal((5, 5)), rng.standard_normal((5, 3)), rng.standard_normal((3, 3)),
+          rng.standard_normal(3), rng.standard_normal((3, 2)), rng.standard_normal(2)]),
+        ("acm_block",
+         lambda x, graphs, w, v: ad.mse(ad.acm_block(x, graphs, w, v), t_out),
+         [rng.standard_normal((5, 3)), rng.standard_normal((2, 5, 5)), rng.standard_normal((2, 3, 2)),
+          rng.standard_normal((2, 2, 1))]),
     ]
 
 

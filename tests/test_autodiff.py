@@ -1,5 +1,5 @@
 """Finite-difference validation of every autodiff primitive, and of the fused
-message blocks against their composed form in composed_primitives."""
+blocks against their composed form in composed_primitives."""
 
 import re
 
@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from gclab import autodiff as ad
-from gclab.graph import Graph
-from gclab.lmgc import EdgeIndex
+from gclab.graph import Graph, laplacian, normalized_adjacency
+from gclab.lmgc import EdgeIndex, gin_aggregation
 from gclab.train import ExperimentConfig, experiment_data
 
 FD_EPS = 1e-5
@@ -68,12 +68,12 @@ class TestPrimitiveGradients:
     def test_add_with_broadcast(self):
         a, b = RNG.standard_normal((3, 4)), RNG.standard_normal(4)
         t = RNG.standard_normal((3, 4))
-        check_grads(lambda x, y: ad.mse(ad.add(x, y), t), [a, b])
+        check_grads(lambda x, y: ad.mse(cp.add(x, y), t), [a, b])
 
     def test_mul_with_broadcast(self):
         a, b = RNG.standard_normal((5, 3)), RNG.standard_normal((5, 1))
         t = RNG.standard_normal((5, 3))
-        check_grads(lambda x, y: ad.mse(ad.mul(x, y), t), [a, b])
+        check_grads(lambda x, y: ad.mse(cp.mul(x, y), t), [a, b])
 
     def test_scale(self):
         a = RNG.standard_normal((3, 3))
@@ -98,7 +98,7 @@ class TestPrimitiveGradients:
         a = RNG.standard_normal((6, 2))
         index = np.array([0, 0, 1, 3, 3, 3])
         t = RNG.standard_normal((4, 2))
-        check_grads(lambda x: ad.mse(ad.scatter_sum(x, index, 4), t), [a])
+        check_grads(lambda x: ad.mse(cp.scatter_sum(x, index, 4), t), [a])
 
     def test_matmul_broadcast_batched(self):
         # (E, H, 1, c) @ (H, c, 1): one score per edge and head, as in GATv2
@@ -109,7 +109,7 @@ class TestPrimitiveGradients:
     def test_reshape(self):
         a = RNG.standard_normal((4, 3))
         t = RNG.standard_normal(12)
-        check_grads(lambda x: ad.mse(ad.reshape(x, (-1,)), t), [a])
+        check_grads(lambda x: ad.mse(cp.reshape(x, (-1,)), t), [a])
 
     def test_tanh(self):
         a = RNG.standard_normal((3, 4))
@@ -126,14 +126,14 @@ class TestPrimitiveGradients:
         a = RNG.standard_normal((4, 4))
         a[np.abs(a) < 10 * FD_EPS] = -0.5
         t = RNG.standard_normal((4, 4))
-        check_grads(lambda x: ad.mse(ad.relu(x), t), [a])
+        check_grads(lambda x: ad.mse(cp.relu(x), t), [a])
 
     def test_segment_softmax(self):
         scores = RNG.standard_normal(7)
         offsets = np.array([0, 3, 5, 7])
         t = RNG.standard_normal(7)
         check_grads(
-            lambda s: ad.mse(ad.segment_softmax(s, offsets), t), [scores]
+            lambda s: ad.mse(cp.segment_softmax(s, offsets), t), [scores]
         )
 
     def test_segment_softmax_per_column(self):
@@ -141,7 +141,7 @@ class TestPrimitiveGradients:
         offsets = np.array([0, 3, 5, 7])
         t = RNG.standard_normal((7, 3))
         check_grads(
-            lambda s: ad.mse(ad.segment_softmax(s, offsets), t), [scores]
+            lambda s: ad.mse(cp.segment_softmax(s, offsets), t), [scores]
         )
 
     def test_mse(self):
@@ -200,7 +200,7 @@ class TestRowSums:
     @pytest.mark.parametrize("shape, index, size", ROW_SUM_CASES)
     def test_scatter_sum_equals_add_at(self, shape, index, size):
         values = RNG.standard_normal(shape) * 10.0 ** RNG.integers(-8, 8, shape)
-        out = ad.scatter_sum(ad.Var(values), index, size).value
+        out = cp.scatter_sum(ad.Var(values), index, size).value
         ref = add_at_reference(values, index, size)
         assert out.shape == ref.shape
         assert out.tobytes() == ref.tobytes()
@@ -220,7 +220,7 @@ class TestForwardValues:
     def test_segment_softmax_normalizes_each_segment(self):
         s = ad.Var(np.array([1.0, 2.0, 3.0, -1.0, 0.0]))
         offsets = np.array([0, 3, 5])
-        alpha = ad.segment_softmax(s, offsets).value
+        alpha = cp.segment_softmax(s, offsets).value
         assert np.isclose(alpha[:3].sum(), 1.0)
         assert np.isclose(alpha[3:].sum(), 1.0)
         assert np.all(alpha > 0)
@@ -228,14 +228,14 @@ class TestForwardValues:
     def test_segment_softmax_columns_equal_vector_calls(self):
         scores = RNG.standard_normal((7, 3))
         offsets = np.array([0, 3, 5, 7])
-        alpha = ad.segment_softmax(ad.Var(scores), offsets).value
+        alpha = cp.segment_softmax(ad.Var(scores), offsets).value
         for k in range(3):
-            column = ad.segment_softmax(ad.Var(scores[:, k]), offsets).value
+            column = cp.segment_softmax(ad.Var(scores[:, k]), offsets).value
             assert alpha[:, k].tobytes() == column.tobytes()
 
     def test_relu_and_leaky_relu_values(self):
         x = ad.Var(np.array([-2.0, 3.0]))
-        np.testing.assert_allclose(ad.relu(x).value, [0.0, 3.0])
+        np.testing.assert_allclose(cp.relu(x).value, [0.0, 3.0])
         np.testing.assert_allclose(ad.leaky_relu(x, 0.1).value, [-0.2, 3.0])
 
     def test_mse_value(self):
@@ -261,7 +261,7 @@ class TestBackwardMechanics:
 
     def test_reused_node_accumulates(self):
         x = ad.Var(np.array(2.0).reshape(()))
-        y = ad.add(x, x)  # dy/dx = 2
+        y = cp.add(x, x)  # dy/dx = 2
         ad.backward(y)
         assert np.isclose(x.grad, 2.0)
 
@@ -269,7 +269,7 @@ class TestBackwardMechanics:
         x = ad.Var(np.array([1.0, 2.0]))
         a = cp.scale(x, 3.0)
         b = cp.tanh(x)
-        loss = ad.mse(ad.add(a, b), np.zeros(2))
+        loss = ad.mse(cp.add(a, b), np.zeros(2))
         ad.backward(loss)
         assert x.grad is not None and x.grad.shape == (2,)
 
@@ -309,8 +309,8 @@ class TestConstants:
     # (name, build(a, b), a's value, b's value)
     BINARY = [
         ("matmul", lambda a, b: ad.matmul(a, b), (4, 3), (3, 2)),
-        ("add", lambda a, b: ad.add(a, b), (4, 3), (3,)),
-        ("mul", lambda a, b: ad.mul(a, b), (4, 3), (4, 1)),
+        ("add", lambda a, b: cp.add(a, b), (4, 3), (3,)),
+        ("mul", lambda a, b: cp.mul(a, b), (4, 3), (4, 1)),
         ("concat", lambda a, b: cp.concat([a, b], axis=1), (4, 3), (4, 2)),
         ("tanh_gate", lambda a, b: ad.tanh_gate(a, b, SMALL.dst, SMALL.src), (5, 3), (6, 2)),
         ("gatv2_attention",
@@ -339,14 +339,14 @@ class TestConstants:
     def test_requires_grad_follows_the_parents(self):
         c, p = ad.Var(np.ones(2), requires_grad=False), ad.Var(np.ones(2))
         assert not cp.tanh(c).requires_grad
-        assert not ad.add(c, cp.scale(c, 2.0)).requires_grad
-        assert ad.mul(c, p).requires_grad
+        assert not cp.add(c, cp.scale(c, 2.0)).requires_grad
+        assert cp.mul(c, p).requires_grad
 
     def test_backward_does_not_walk_into_a_constant_subgraph(self):
         c = ad.Var(np.ones(3), requires_grad=False)
         hidden = cp.tanh(c)
         p = ad.Var(np.arange(3.0))
-        ad.backward(ad.mse(ad.mul(hidden, p), np.zeros(3)))
+        ad.backward(ad.mse(cp.mul(hidden, p), np.zeros(3)))
         assert p.grad is not None
         assert hidden.grad is None and c.grad is None
         assert hidden._backward is not None  # never run, so never released
@@ -377,27 +377,42 @@ def rel_gap(got, ref):
     return float(np.max(np.abs(got - ref)) / np.max(np.abs(ref)))
 
 
-def assert_same_value_and_grads(fused, composed, arrays, target, rtol=1e-12):
-    """fused(*vars) and composed(*vars) agree in value and in every input's gradient."""
+def assert_same_value_and_grads(fused, composed, arrays, target, exact=False, constant=()):
+    """fused(*vars) and composed(*vars) agree in value and in every input's gradient:
+    to 1e-12 relative, or equal when exact. The inputs indexed in constant are
+    constant leaves, and neither side gives them a gradient."""
     outs, grads = [], []
     for build in (fused, composed):
-        variables = [ad.Var(a) for a in arrays]
+        variables = [ad.Var(a, requires_grad=i not in constant) for i, a in enumerate(arrays)]
         out = build(*variables)
         ad.backward(ad.mse(out, target))
         outs.append(out.value)
         grads.append([var.grad for var in variables])
+
+    def same(got, ref):
+        return np.array_equal(got, ref) if exact else rel_gap(got, ref) <= 1e-12
+
     assert outs[0].shape == outs[1].shape
-    assert rel_gap(outs[0], outs[1]) <= rtol
+    assert same(outs[0], outs[1])
     for idx, (got, ref) in enumerate(zip(*grads)):
+        if idx in constant:
+            assert got is None and ref is None, f"input {idx}"
+            continue
         assert got.shape == ref.shape, f"input {idx}"
-        assert rel_gap(got, ref) <= rtol, f"input {idx}"
+        assert same(got, ref), f"input {idx}"
 
 
-@pytest.mark.parametrize("heads", [1, 4])
-@pytest.mark.parametrize("name", list(INSTANCES))
+ON_INSTANCES = pytest.mark.parametrize("name", list(INSTANCES))
+PER_HEADS = pytest.mark.parametrize("heads", [1, 4])
+CONSTANT_OR_NOT = pytest.mark.parametrize("constant", [True, False], ids=["constant-inputs", "all-require-grad"])
+
+
 class TestFusedMatchesComposed:
-    """Each fused block equals the generic primitives it replaces to 1e-12 relative."""
+    """Each message block equals the generic primitives it replaces to 1e-12
+    relative; the whole-layer blocks equal theirs bit for bit."""
 
+    @PER_HEADS
+    @ON_INSTANCES
     def test_edge_messages(self, name, heads):
         e, x, y, c = instance(name)
         rng = np.random.default_rng(heads)
@@ -409,6 +424,8 @@ class TestFusedMatchesComposed:
             y,
         )
 
+    @PER_HEADS
+    @ON_INSTANCES
     def test_eq14_gate(self, name, heads):
         e, x, y, c = instance(name)
         rng = np.random.default_rng(10 + heads)
@@ -422,6 +439,8 @@ class TestFusedMatchesComposed:
             target,
         )
 
+    @PER_HEADS
+    @ON_INSTANCES
     def test_fagcn_gate(self, name, heads):
         e, x, y, c = instance(name)
         rng = np.random.default_rng(20 + heads)
@@ -436,6 +455,8 @@ class TestFusedMatchesComposed:
             target,
         )
 
+    @PER_HEADS
+    @ON_INSTANCES
     def test_gatv2_attention(self, name, heads):
         e, x, y, c = instance(name)
         rng = np.random.default_rng(30 + heads)
@@ -447,6 +468,40 @@ class TestFusedMatchesComposed:
             lambda h, w: cp.composed_gatv2_attention(h, w, e, 0.2),
             [z, v],
             target,
+        )
+
+    @CONSTANT_OR_NOT
+    @ON_INSTANCES
+    def test_gin_block(self, name, constant):
+        g, x, y = experiment_data(INSTANCES[name])
+        d, c = x.shape[1], y.shape[1]
+        rng = np.random.default_rng(40)
+        w1, w2 = rng.uniform(-1, 1, (d, d)) / np.sqrt(d), rng.uniform(-1, 1, (d, c)) / np.sqrt(d)
+        b1, b2 = rng.standard_normal(d), rng.standard_normal(c)
+        assert_same_value_and_grads(
+            ad.gin_block,
+            cp.composed_gin,
+            [gin_aggregation(g), x, w1, b1, w2, b2],
+            y,
+            exact=True,
+            constant=(0, 1) if constant else (),
+        )
+
+    @CONSTANT_OR_NOT
+    @ON_INSTANCES
+    def test_acm_block(self, name, constant):
+        g, x, y = experiment_data(INSTANCES[name])
+        d, c = x.shape[1], y.shape[1]
+        rng = np.random.default_rng(50)
+        w, v = rng.uniform(-1, 1, (2, d, c)) / np.sqrt(d), rng.uniform(-1, 1, (2, c, 1)) / np.sqrt(c)
+        graphs = np.stack([normalized_adjacency(g), laplacian(g)])
+        assert_same_value_and_grads(
+            ad.acm_block,
+            cp.composed_acm,
+            [x, graphs, w, v],
+            y,
+            exact=True,
+            constant=(0, 1) if constant else (),
         )
 
 

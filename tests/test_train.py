@@ -460,7 +460,7 @@ def tape_nodes(loss):
 class TestPinnedTraining:
     """Each method's tape and its 600-step best loss on the reference instance, bit for bit."""
 
-    NODES = {"gatv2": 4, "fagcn": 4, "acm": 9, "gin": 7, "lmgc": 5}
+    NODES = {"gatv2": 4, "fagcn": 4, "acm": 2, "gin": 2, "lmgc": 5}
     MIN_MSE = {
         "gatv2": "0x1.14b4be07f7ed8p-4",
         "fagcn": "0x1.10578a837f662p-4",
