@@ -6,28 +6,32 @@ fused blocks, each one tape node with a hand-written backward: edge_messages
 (the per-head message sum into each edge's destination), tanh_gate (the
 split-form edge gate of fagcn and eq. 14), gatv2_attention (GATv2's scores
 and softmax), gin_block (GIN-0's whole layer) and acm_block (ACM's whole
-channel mix). backward lists the nodes that require grad in depth-first
-post-order from the loss, runs each rule once in the reverse of that order
-and releases the tape. A leaf built with requires_grad=False is a constant:
-no rule computes its adjoint, and backward does not walk into a subgraph
-built only from constants.
+channel mix). backward runs the rules of the nodes that require grad, each
+once, in descending creation stamp (a topological order of the tape) and
+releases the tape. A leaf built with requires_grad=False is a constant: no
+rule computes its adjoint, and backward does not walk into a subgraph built
+only from constants.
 """
 
 from __future__ import annotations
 
 import math
+from itertools import count
+from operator import attrgetter
 
 import numpy as np
+
+_stamps = count()
 
 
 class Var:
     """A tape node: value, accumulated adjoint, and a local backward rule.
 
     A node built from parents requires grad if any parent does; the keyword
-    sets it for a leaf.
+    sets it for a leaf. _stamp, from one counter, is above every parent's.
     """
 
-    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward")
+    __slots__ = ("value", "grad", "requires_grad", "_parents", "_backward", "_stamp")
 
     def __init__(self, value, parents=(), requires_grad=True):
         # an op's value is already a float array; only a leaf's is converted
@@ -40,6 +44,7 @@ class Var:
         self.requires_grad = requires_grad
         self._parents = parents
         self._backward = None
+        self._stamp = next(_stamps)
 
     @property
     def shape(self):
@@ -121,14 +126,14 @@ def _softmax_segments_grad(alpha, g, offsets, segment):
     return alpha * (g - dot.take(segment, axis=0))
 
 
-def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> Var:
+def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=1.0) -> Var:
     """Edge gate tanh(h[dst] @ v_top + h[src] @ v_bot), times the constant column scale.
 
     h is (n, m) node rows and v is (2m, H), head k's vector in column k, with
     v_top = v[:m] and v_bot = v[m:]. The value is tanh([h[dst], h[src]] @ v)
     on the edges dst[e] <- src[e], but both products run on the n node rows
     and the backward sums (E, H) adjoints, never (E, 2m) rows. Returns (E, H);
-    scale, if given, is an (E, 1) constant.
+    scale is a constant (E, 1) column, or 1.0, by which the products are exact.
     """
     hv, vv = h.value, v.value
     n, m = hv.shape
@@ -137,10 +142,10 @@ def tanh_gate(h: Var, v: Var, dst: np.ndarray, src: np.ndarray, scale=None) -> V
     halves = vv.reshape(2, m, -1)  # v_top, v_bot
     node = hv @ halves  # (2, n, H)
     t = np.tanh(node[0].take(dst, axis=0) + node[1].take(src, axis=0))
-    out = Var(t if scale is None else t * scale, (h, v))
+    out = Var(t * scale, (h, v))
 
     def backward(g):
-        gs = g * (1.0 - t * t) if scale is None else g * scale * (1.0 - t * t)
+        gs = g * scale * (1.0 - t * t)
         # one bincount: the dst sums into rows 0..n-1, the src sums into rows n..2n-1
         gn = _sum_rows(np.concatenate((gs, gs)), np.concatenate((dst, src + n)), 2 * n).reshape(2, n, -1)
         if h.requires_grad:
@@ -242,8 +247,6 @@ def gin_block(agg: Var, x: Var, w1: Var, b1: Var, w2: Var, b2: Var) -> Var:
             _accumulate(b2, _unbroadcast(g, b2.value.shape))
         if w2.requires_grad:
             _accumulate(w2, _unbroadcast(_t(r) @ g, w2.value.shape))
-        if not (agg.requires_grad or x.requires_grad or w1.requires_grad or b1.requires_grad):
-            return
         gs = (g @ _t(w2.value)) * active
         if b1.requires_grad:
             _accumulate(b1, _unbroadcast(gs, b1.value.shape))
@@ -284,17 +287,14 @@ def acm_block(x: Var, graphs: Var, w: Var, v: Var) -> Var:
         gs = _softmax_segments_grad(alpha, _unbroadcast(g * h, alpha.shape), offsets, segment)
         if v.requires_grad:
             _accumulate(v, _unbroadcast(_t(h) @ gs, v.value.shape))
-        if not (x.requires_grad or graphs.requires_grad or w.requires_grad):
-            return
         gag = (g * alpha + gs @ _t(v.value)) * active
         if graphs.requires_grad:
             _accumulate(graphs, _unbroadcast(gag @ _t(xw), graphs.value.shape))
-        if x.requires_grad or w.requires_grad:
-            gxw = _t(graphs.value) @ gag
-            if x.requires_grad:
-                _accumulate(x, _unbroadcast(gxw @ _t(w.value), x.value.shape))
-            if w.requires_grad:
-                _accumulate(w, _unbroadcast(_t(x.value) @ gxw, w.value.shape))
+        gxw = _t(graphs.value) @ gag
+        if x.requires_grad:
+            _accumulate(x, _unbroadcast(gxw @ _t(w.value), x.value.shape))
+        if w.requires_grad:
+            _accumulate(w, _unbroadcast(_t(x.value) @ gxw, w.value.shape))
 
     out._backward = backward
     return out
@@ -313,31 +313,23 @@ def mse(pred: Var, target: np.ndarray) -> Var:
 def backward(loss: Var) -> None:
     """Populate .grad for every node reachable from a scalar loss, consuming the tape.
 
-    Each rule runs once and is then released with the arrays it saved, so the
-    tape's memory is freed before the next forward builds a new one. The walk
-    skips constants, whose rules and grads are left alone.
+    Each rule runs once, after those of all its node's consumers (descending
+    stamp order), and is then released with the arrays it saved, so the tape's
+    memory is freed before the next forward. The walk skips constants.
     """
     if loss.value.shape != ():
         raise ValueError("backward requires a scalar loss")
     if not loss.requires_grad:
         return
-    # post-order: a node is pushed to enter it and again to list it, after its parents
-    order = []
-    listed = {}  # Var (hashed by identity) -> False once entered, True once listed
+    seen = {loss}  # Vars hash by identity
     stack = [loss]
     while stack:
-        node = stack.pop()
-        if node not in listed:
-            listed[node] = False
-            stack.append(node)
-            for p in node._parents:
-                if p.requires_grad and p not in listed:
-                    stack.append(p)
-        elif not listed[node]:
-            listed[node] = True
-            order.append(node)
+        for p in stack.pop()._parents:
+            if p.requires_grad and p not in seen:
+                seen.add(p)
+                stack.append(p)
     loss.grad = np.asarray(1.0)
-    for node in reversed(order):
+    for node in sorted(seen, key=attrgetter("_stamp"), reverse=True):
         if node._backward is not None and node.grad is not None:
             node._backward(node.grad)
         # a tape is walked once: drop the rule and its saved arrays as soon as it has run

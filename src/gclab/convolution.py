@@ -13,7 +13,7 @@ import numpy as np
 
 from ._record import _Frozen
 from .graph import check, finite_error, integer_error
-from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier, inverse_fourier
+from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
 
@@ -110,7 +110,12 @@ def siso_gc(theta: np.ndarray, x: np.ndarray, basis: SpectralBasis) -> np.ndarra
     x = np.asarray(x, dtype=float).reshape(-1)
     if len(theta) != basis.n or len(x) != basis.n:
         raise ValueError("theta and x must both have length n")
-    u = basis.eigenvectors
+    check(finite_error, theta=theta)
+    return _siso(theta, _check_signal(basis, x)[:, 0], basis.eigenvectors)
+
+
+def _siso(theta, x, u):
+    """siso_gc's product on checked length-n vectors."""
     return u @ ((u.T @ theta) * (u.T @ x))
 
 
@@ -127,9 +132,10 @@ def weight_stack_from_filter(theta: FilterTensor, basis: SpectralBasis) -> Weigh
 def filter_from_weight_stack(stack: WeightStack, basis: SpectralBasis) -> FilterTensor:
     """Inverse of weight_stack_from_filter; stack must hold n matrices."""
     _check_stack(stack, basis)
+    # WeightStack checked the matrices finite, so the product skips inverse_fourier's signal check
     n, d, c = stack.matrices.shape
     hat = np.transpose(stack.matrices, (0, 2, 1)).reshape(n, c * d)
-    return FilterTensor(inverse_fourier(basis, hat).reshape(n, c, d), basis.basis_id)
+    return FilterTensor((basis.eigenvectors @ hat).reshape(n, c, d), basis.basis_id)
 
 
 def mimo_gc(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
@@ -152,7 +158,7 @@ def mimo_gc_oracle(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> 
     out = np.zeros((theta.n, theta.c))
     for q in range(theta.c):
         for p in range(theta.d):
-            out[:, q] += siso_gc(theta.values[:, q, p], x[:, p], basis)
+            out[:, q] += _siso(theta.values[:, q, p], x[:, p], basis.eigenvectors)
     return out
 
 
@@ -257,9 +263,16 @@ def _polynomial_terms(v_list) -> list:
 
 
 def mimo_polynomial(a_sym: np.ndarray, x: np.ndarray, v_list) -> np.ndarray:
-    """Polynomial filter sum_{k=0}^K A_sym^k X V^(k)."""
+    """Polynomial filter sum_{k=0}^K A_sym^k X V^(k); a_sym is (n, n), x (n, d) and each term (d, c)."""
     terms = _polynomial_terms(v_list)
+    a_sym = np.asarray(a_sym, dtype=float)
     x = np.asarray(x, dtype=float)
+    if a_sym.ndim != 2 or a_sym.shape[0] != a_sym.shape[1]:
+        raise ValueError(f"a_sym must be a square matrix, got shape {a_sym.shape}")
+    if x.shape != (a_sym.shape[0], terms[0].shape[0]):
+        raise ValueError(f"x must have shape (n, d) = {(a_sym.shape[0], terms[0].shape[0])} for a_sym "
+                         f"of shape {a_sym.shape} and terms of shape {terms[0].shape}; got {x.shape}")
+    check(finite_error, a_sym=a_sym, x=x)
     out = np.zeros((x.shape[0], terms[0].shape[1]))
     power_x = x.copy()
     for v in terms:
@@ -302,6 +315,7 @@ def sca_repeated_gcn(weights, spectrum: Spectrum) -> SpectralResponse:
     weights = np.asarray(weights, dtype=float)
     if weights.ndim != 1 or len(weights) < 1:
         raise ValueError("need at least one filter weight")
+    check(finite_error, weights=weights)
     mu = spectrum.adjacency_eigenvalues()
     response = np.prod(weights) * mu ** len(weights)
     return SpectralResponse(spectrum.eigenvalues.copy(), response)

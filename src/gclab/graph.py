@@ -25,6 +25,9 @@ class Graph(_Frozen):
         check(integer_error, n=n)
         if n < 1:
             raise ValueError("graph needs at least one node")
+        if not isinstance(edges, frozenset):
+            raise ValueError(f"edges must be a frozenset of pairs (i, j) with i < j, got a {type(edges).__name__}; "
+                             "Graph.from_edges builds one from any pairs")
         for i, j in edges:
             if type(i) is int and type(j) is int and 0 <= i < j < n:
                 continue  # the common case, which passes every check below

@@ -10,7 +10,7 @@ Variant), and autodiff.edge_messages. head_count gives each variant's K,
 stacked_weights the heads' (d, K*c) layout, and vector_length and
 stacked_vectors the gating vectors' length and layout.
 gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
-GIN-0's gin_layer, one autodiff.gin_block, is run the same two ways. The
+GIN-0's layer, one autodiff.gin_block, is run the same two ways. The
 dense (K, n, n) matrix form (compute_coefficients, ComputationalGraphSet,
 pairwise_transform) is the oracle the tests check the edge path against.
 """
@@ -281,16 +281,11 @@ def gin_aggregation(g: Graph) -> np.ndarray:
     return np.eye(g.n) + g.adjacency
 
 
-def gin_layer(agg, x, w1, b1, w2, b2):
-    """GIN-0: relu((agg x) W1 + b1) W2 + b2, agg from gin_aggregation, as one autodiff.gin_block."""
-    return ad.gin_block(agg, x, w1, b1, w2, b2)
-
-
 def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
-    """gin_layer on constants; mlp is (W1, b1, W2, b2)."""
+    """GIN-0's layer, autodiff.gin_block on gin_aggregation(g), on constants; mlp is (W1, b1, W2, b2)."""
     x = _check_features(x, g)
     if x.shape[1] != np.shape(mlp[0])[0]:
         raise ValueError("MLP input width does not match the features")
     check(finite_error, **dict(zip(("W1", "b1", "W2", "b2"), mlp)))
     arrays = (gin_aggregation(g), x, *mlp)
-    return gin_layer(*(ad.Var(a, requires_grad=False) for a in arrays)).value
+    return ad.gin_block(*(ad.Var(a, requires_grad=False) for a in arrays)).value

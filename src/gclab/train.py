@@ -4,9 +4,9 @@ Each method is a thin wrapper around the autodiff primitives exposing a
 parameter list and a forward pass X -> (n, c). gatv2, fagcn and lmgc are one
 EdgeModel: gclab.lmgc's edge_layer on parameters, as lmgc_forward runs it on
 constants, with the gating vectors in lmgc's stacked layout. gin is GIN-0
-(eps = 0, hidden width d) through gclab.lmgc's gin_layer, and acm is its own
-softmax mix over an A~ and an L channel; each of the two is one fused
-autodiff block (gin_block, acm_block).
+(eps = 0, hidden width d) on gclab.lmgc's gin_aggregation, and acm is its
+own softmax mix over an A~ and an L channel; each of the two is one fused
+autodiff block (gin_block, acm_block), as lmgc.gin_forward runs gin's.
 The experiment fixes a connected random graph and Gaussian (X, Y), then
 minimizes the MSE of one message-passing layer with Adam and reports the
 minimum loss seen.
@@ -23,7 +23,7 @@ from . import autodiff as ad
 from ._record import _Frozen
 from .graph import Graph, check, count_error, finite_error, generate_erdos_renyi, integer_error, laplacian
 from .graph import natural_error, node_count_error, normalized_adjacency, probability_error
-from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, gin_layer, head_count, stacked_vectors
+from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, head_count, stacked_vectors
 from .lmgc import stacked_weights, vector_length
 from .optim import Adam, rate_error
 from .seeding import derive_seed
@@ -45,18 +45,16 @@ class ExperimentConfig(_Frozen):
 
     `seed` fixes the (graph, X, Y) instance; `run` selects an independent
     parameter initialization on that same instance, mirroring repeated runs
-    of the fitting experiment.
+    of the fitting experiment. The edge models train build_model's 4 heads.
     """
 
     def __init__(self, n: int = 16, d: int = 16, c: int = 16, p: float = 0.1, steps: int = 40000,
-                 lr: float = 0.03, seed: int = REFERENCE_INSTANCE_SEED, run: int = 0, heads: int = 4):
-        self._set(n=n, d=d, c=c, p=p, steps=steps, lr=lr, seed=seed, run=run, heads=heads)
-        errors = [(name, count_error(getattr(self, name))) for name in ("d", "c", "heads", "steps")]
-        errors += [(name, integer_error(getattr(self, name))) for name in ("seed", "run")]
-        errors += [("n", node_count_error(n)), ("p", probability_error(p)), ("lr", rate_error(lr))]
-        for name, error in errors:
-            if error is not None:
-                raise ValueError(f"ExperimentConfig.{name} {error}")
+                 lr: float = 0.03, seed: int = REFERENCE_INSTANCE_SEED, run: int = 0):
+        self._set(n=n, d=d, c=c, p=p, steps=steps, lr=lr, seed=seed, run=run)
+        rules = ((count_error, ("d", "c", "steps")), (integer_error, ("seed", "run")), (node_count_error, ("n",)),
+                 (probability_error, ("p",)), (rate_error, ("lr",)))
+        for rule, names in rules:
+            check(rule, **{f"ExperimentConfig.{name}": getattr(self, name) for name in names})
 
 
 class TrialResult(_Frozen):
@@ -138,7 +136,7 @@ class GinModel(Model):
         self.params = [ad.Var(m) for m in (w1, np.zeros(d), w2, np.zeros(c))]
 
     def forward(self, x):
-        return gin_layer(self.agg, x, *self.params)
+        return ad.gin_block(self.agg, x, *self.params)
 
 
 def method_error(method) -> str | None:
@@ -209,7 +207,7 @@ def run_universality_experiment(method: str, config: ExperimentConfig) -> TrialR
     """Fit one layer of `method` to a random target and report the best MSE."""
     g, x, y = experiment_data(config)
     rng = np.random.default_rng(derive_seed(config.seed, 3, config.run))
-    model = build_model(method, g, config.d, config.c, rng, heads=config.heads)
+    model = build_model(method, g, config.d, config.c, rng)
     start = time.perf_counter()
     min_mse, diverged = run_training(model, x, y, config.steps, config.lr)
     wall = time.perf_counter() - start

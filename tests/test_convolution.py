@@ -1,5 +1,7 @@
 """MIMO convolution routes, universality construction, polynomial stacks, SCA."""
 
+import re
+
 import numpy as np
 import pytest
 from dense_oracles import gcn_as_mimo_stack, pairwise_weight
@@ -22,7 +24,8 @@ from gclab.convolution import (
     weight_stack_from_filter,
 )
 from gclab.graph import generate_erdos_renyi, laplacian, normalized_adjacency
-from gclab.spectral import eigendecompose_symmetric, graph_fourier
+from gclab import convolution, spectral
+from gclab.spectral import eigendecompose_symmetric, graph_fourier, inverse_fourier
 
 
 def make_basis(n, p=0.4, seed=0):
@@ -82,6 +85,15 @@ class TestSiso:
         _, basis = make_basis(5, seed=3)
         with pytest.raises(ValueError, match="length n"):
             siso_gc(np.zeros(4), np.zeros(5), basis)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["theta", "signal"])
+    def test_non_finite_input_rejected(self, name, bad):
+        _, basis = make_basis(5, seed=3)
+        arrays = {"theta": np.ones(5), "signal": np.ones(5)}
+        arrays[name][2] = bad
+        with pytest.raises(ValueError, match=f"^{name} must hold finite values only$"):
+            siso_gc(arrays["theta"], arrays["signal"], basis)
 
 
 class TestMimoRoutes:
@@ -177,6 +189,27 @@ class TestMimoRoutes:
         x[2, 0] = bad
         with pytest.raises(ValueError, match="^signal must hold finite values only$"):
             self.ROUTES[route](theta, x, basis)
+
+    def test_oracle_checks_its_signal_once_not_per_channel_pair(self, monkeypatch):
+        theta, x, basis = self.random_instance(5)
+        assert theta.c * theta.d > 1
+        calls, real = [], spectral.check
+
+        def counting(rule, **values):
+            calls.append(list(values))
+            return real(rule, **values)
+
+        monkeypatch.setattr(spectral, "check", counting)
+        monkeypatch.setattr(convolution, "check", counting)
+        mimo_gc_oracle(theta, x, basis)
+        assert calls == [["signal"]]
+
+    def test_filter_from_weight_stack_is_the_inverse_transform_bit_for_bit(self):
+        _, _, basis = self.random_instance(5)
+        stack = WeightStack(np.random.default_rng(3).standard_normal((basis.n, 3, 2)))
+        hat = np.transpose(stack.matrices, (0, 2, 1)).reshape(basis.n, -1)
+        want = inverse_fourier(basis, hat).reshape(basis.n, 2, 3)
+        assert np.array_equal(filter_from_weight_stack(stack, basis).values, want)
 
     def test_stack_count_must_be_n(self):
         _, x, basis = self.random_instance(6)
@@ -317,6 +350,28 @@ class TestPolynomialStacks:
             polynomial_as_mimo_filter(v_list, basis)
 
 
+class TestPolynomialInputs:
+    """mimo_polynomial names a bad a_sym or x instead of returning NaN rows or failing inside numpy."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("name", ["a_sym", "x"])
+    def test_non_finite_input_rejected(self, name, bad):
+        arrays = {"a_sym": np.eye(4), "x": np.ones((4, 2))}
+        arrays[name][1, 1] = bad
+        with pytest.raises(ValueError, match=f"^{name} must hold finite values only$"):
+            mimo_polynomial(arrays["a_sym"], arrays["x"], [np.eye(2), np.eye(2)])
+
+    @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (4,), (4, 2, 1)])
+    def test_x_of_another_shape_rejected(self, shape):
+        with pytest.raises(ValueError, match=r"^x must have shape \(n, d\) = \(4, 2\) .* got " + re.escape(str(shape))):
+            mimo_polynomial(np.eye(4), np.ones(shape), [np.ones((2, 2))])
+
+    @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2)])
+    def test_a_sym_that_is_no_square_matrix_rejected(self, shape):
+        with pytest.raises(ValueError, match="^a_sym must be a square matrix, got shape " + re.escape(str(shape))):
+            mimo_polynomial(np.ones(shape), np.ones((4, 2)), [np.ones((2, 2))])
+
+
 class TestSpectralResponse:
     def test_gcn_stack_response_is_mu_scaled(self):
         _, basis = make_basis(7, seed=40)
@@ -369,3 +424,9 @@ class TestSpectralResponse:
         _, basis = make_basis(5, seed=45)
         with pytest.raises(ValueError):
             sca_repeated_gcn([], basis)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weights_rejected(self, bad):
+        _, basis = make_basis(5, seed=45)
+        with pytest.raises(ValueError, match="^weights must hold finite values only$"):
+            sca_repeated_gcn([bad, 1.0], basis)

@@ -41,6 +41,13 @@ class TestConstruction:
         with pytest.raises(ValueError, match="i < j"):
             Graph(3, frozenset({(2, 1)}))
 
+    @pytest.mark.parametrize("edges", [[(0, 1), (0, 1)], {(0, 1)}, ((0, 1),)], ids=["list", "set", "tuple"])
+    def test_edges_that_are_no_frozenset_rejected(self, edges):
+        # a list with a repeated pair used to give len(g.edges) == 2 on a one-edge adjacency, and no hash
+        with pytest.raises(ValueError, match="^edges must be a frozenset"):
+            Graph(3, edges)
+        assert Graph.from_edges(3, edges) == Graph(3, frozenset({(0, 1)}))
+
     def test_empty_graph_rejected(self):
         with pytest.raises(ValueError, match="at least one node"):
             Graph(0, frozenset())

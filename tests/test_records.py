@@ -73,8 +73,7 @@ FIELDS = {
                                     "allow_diagonal": True},
     LmgcLayer: lambda: {"weights": np.arange(4.0).reshape(1, 2, 2),
                         "scheme": CoefficientScheme(Variant.GCN_NORM, 1)},
-    ExperimentConfig: lambda: {"n": 8, "d": 2, "c": 3, "p": 0.5, "steps": 10, "lr": 0.01, "seed": 5, "run": 1,
-                               "heads": 2},
+    ExperimentConfig: lambda: {"n": 8, "d": 2, "c": 3, "p": 0.5, "steps": 10, "lr": 0.01, "seed": 5, "run": 1},
     TrialResult: lambda: {"method": "gin", "lr": 0.01, "seed": 5, "run": 1, "steps": 10, "min_mse": 0.25,
                           "wall_seconds": 1.5, "diverged": True},
     MultisetInstance: lambda: {"center": (1, -1), "elements": ((0, 2), (3, 3))},
@@ -86,7 +85,7 @@ DEFAULTS = {
     CoefficientScheme: {"vectors": (), "seed": 0},
     ComputationalGraphSet: {"allow_diagonal": False},
     ExperimentConfig: {"n": 16, "d": 16, "c": 16, "p": 0.1, "steps": 40000, "lr": 0.03,
-                       "seed": gclab.REFERENCE_INSTANCE_SEED, "run": 0, "heads": 4},
+                       "seed": gclab.REFERENCE_INSTANCE_SEED, "run": 0},
     TrialResult: {"diverged": False},
 }
 # a field and another value for it, for the records compared by value
@@ -154,6 +153,41 @@ def test_value_records_compare_by_value(cls):
     name, other = CHANGED[cls]
     assert a != cls(**{**FIELDS[cls](), name: other})
     assert a != object()
+
+
+def fresh(value):
+    """value with every array copied and every tuple and record rebuilt around the copies."""
+    if isinstance(value, np.ndarray):
+        return value.copy()
+    if isinstance(value, tuple):
+        return tuple(map(fresh, value))
+    if isinstance(value, tuple(FIELDS)):
+        return type(value)(**{k: fresh(v) for k, v in vars(value).items() if not k.startswith("_")})
+    return value
+
+
+def array_scheme():
+    """CoefficientScheme's fields with its gating vectors as arrays."""
+    return {"variant": Variant.FAGCN_TANH, "k": 1, "vectors": (np.array([0.5, -0.5]),), "seed": 7}
+
+
+@pytest.mark.parametrize("cls, fields", [*FIELDS.items(), (CoefficientScheme, array_scheme)],
+                         ids=[*(cls.__name__ for cls in FIELDS), "CoefficientScheme-arrays"])
+def test_records_compare_and_hash_by_value_arrays_included(cls, fields):
+    a, b = cls(**fields()), cls(**{k: fresh(v) for k, v in fields().items()})
+    assert a == b and not a != b and hash(a) == hash(b)
+    for k, value in fields().items():
+        changed = fresh(value)
+        first = changed[0] if isinstance(changed, tuple) and changed else changed
+        if isinstance(first, np.ndarray):
+            first.reshape(-1)[0] += 1.0  # the first entry: on the diagonal or an edge where a record checks support
+            assert a != cls(**{**fields(), k: changed}), k
+
+
+def test_scalar_records_keep_their_tuple_hashes():
+    assert hash(instance()) == hash(((1, -1), ((0, 2), (3, 3))))
+    result = TrialResult(**FIELDS[TrialResult]())
+    assert hash(result) == hash(tuple(FIELDS[TrialResult]().values()))
 
 
 def test_graph_equality_ignores_its_cache():
