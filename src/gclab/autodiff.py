@@ -268,23 +268,24 @@ def acm_block(x: Var, graphs: Var, w: Var, v: Var) -> Var:
     alpha = softmax over the channels k of h_k v[k].
 
     graphs is the (C, n, n) operator bank, w (C, d, c) and v (C, c, 1);
-    returns (n, c). As in gin_block, the value and every adjoint are those
-    of the composed matmul, relu, segment softmax, mul and row-sum nodes,
-    bit for bit.
+    returns (n, c). The softmax and both sums run over the channel axis. As
+    in gin_block, the value and every adjoint are those of the composed
+    matmul, relu, segment softmax, mul and row-sum nodes, bit for bit at
+    ACM's C = 2 (A~ and L); a sum over more channels may round otherwise.
     """
-    count = graphs.value.shape[0]
-    segment = np.zeros(count, dtype=np.intp)  # one softmax segment: every channel of a node
-    offsets = np.array([0, count])
     xw = x.value @ w.value
     ag = graphs.value @ xw
     active = ag >= 0
     h = ag * active  # (C, n, c)
-    alpha = _softmax_segments(h @ v.value, offsets, segment)  # (C, n, 1)
-    out = Var(_sum_rows(alpha * h, segment, 1)[0], (x, graphs, w, v))
+    s = h @ v.value  # (C, n, 1)
+    e = np.exp(s - s.max(axis=0))
+    alpha = e / e.sum(axis=0)
+    out = Var((alpha * h).sum(axis=0), (x, graphs, w, v))
 
     def backward(g):
-        g = g[None]  # the row sum's adjoint: g in every channel
-        gs = _softmax_segments_grad(alpha, _unbroadcast(g * h, alpha.shape), offsets, segment)
+        g = g[None]  # the channel sum's adjoint: g in every channel
+        ga = _unbroadcast(g * h, alpha.shape)
+        gs = alpha * (ga - (alpha * ga).sum(axis=0))
         if v.requires_grad:
             _accumulate(v, _unbroadcast(_t(h) @ gs, v.value.shape))
         gag = (g * alpha + gs @ _t(v.value)) * active

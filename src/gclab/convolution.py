@@ -4,7 +4,8 @@ The MIMO convolution of a filter tensor with a multi-channel signal is
 computed as a sum of rank-one spectral projectors, sum_k A^(k) X W^(k).
 Several independent routes to the same value (channel-pair SISO sums, the
 per-node pairwise form, and a vectorized block-diagonal form) are kept as
-oracles for cross-checking.
+oracles for cross-checking. Array arguments go through graph.checked_array:
+a filter tensor is (n, c, d), a weight stack (count, d, c), a signal (n, d).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import _Frozen
-from .graph import check, finite_error, integer_error
+from .graph import check, checked_array, finite_error, integer_error
 from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
@@ -27,10 +28,7 @@ class FilterTensor(_Frozen):
     """
 
     def __init__(self, values: np.ndarray, basis_id: str):
-        if values.ndim != 3:
-            raise ValueError("filter tensor must have shape (n, c, d)")
-        check(finite_error, values=values)
-        self._set(values=values, basis_id=basis_id)
+        self._set(values=checked_array("values", values, "n", "c", "d"), basis_id=basis_id)
 
     @property
     def n(self):
@@ -48,11 +46,8 @@ class FilterTensor(_Frozen):
 class WeightStack(_Frozen):
     """Ordered list of per-component weight matrices W^(k), each d x c."""
 
-    def __init__(self, matrices: np.ndarray):  # (count, d, c)
-        if matrices.ndim != 3:
-            raise ValueError("weight stack must have shape (count, d, c)")
-        check(finite_error, matrices=matrices)
-        self._set(matrices=matrices)
+    def __init__(self, matrices: np.ndarray):
+        self._set(matrices=checked_array("matrices", matrices, "count", "d", "c"))
 
     @property
     def count(self):
@@ -96,22 +91,10 @@ def _check_stack(stack: WeightStack, basis: SpectralBasis):
                          f"it holds {stack.count}, basis has {basis.n}")
 
 
-def _check_channels(x: np.ndarray, d: int, basis: SpectralBasis):
-    """x as an (n, d) signal on the basis' n nodes; a 1-D x is one channel."""
-    x = _check_signal(basis, x)
-    if x.shape[1] != d:
-        raise ValueError(f"signal has {x.shape[1]} channels, filter expects {d}")
-    return x
-
-
 def siso_gc(theta: np.ndarray, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
-    """Single-channel convolution U diag(U^T theta) U^T x."""
-    theta = np.asarray(theta, dtype=float).reshape(-1)
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if len(theta) != basis.n or len(x) != basis.n:
-        raise ValueError("theta and x must both have length n")
-    check(finite_error, theta=theta)
-    return _siso(theta, _check_signal(basis, x)[:, 0], basis.eigenvectors)
+    """Single-channel convolution U diag(U^T theta) U^T x; theta is (n,), x (n,) or (n, 1)."""
+    theta = checked_array("theta", theta, basis.n)
+    return _siso(theta, _check_signal(basis, x, 1)[:, 0], basis.eigenvectors)
 
 
 def _siso(theta, x, u):
@@ -146,7 +129,7 @@ def mimo_gc(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndar
 def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Convolution given the spectral weight stack directly."""
     _check_stack(stack, basis)
-    x = _check_channels(x, stack.d, basis)
+    x = _check_signal(basis, x, stack.d)
     u = basis.eigenvectors
     return u @ np.einsum("kd,kdc->kc", u.T @ x, stack.matrices)
 
@@ -154,7 +137,7 @@ def mimo_gc_from_stack(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) 
 def mimo_gc_oracle(theta: FilterTensor, x: np.ndarray, basis: SpectralBasis) -> np.ndarray:
     """Channel-pair route: output channel q = sum_p siso_gc(theta[:, q, p], x[:, p])."""
     _check_basis(theta, basis)
-    x = _check_channels(x, theta.d, basis)
+    x = _check_signal(basis, x, theta.d)
     out = np.zeros((theta.n, theta.c))
     for q in range(theta.c):
         for p in range(theta.d):
@@ -169,7 +152,7 @@ def mimo_gc_vectorized_oracle(theta: FilterTensor, x: np.ndarray, basis: Spectra
     is diag over spectral components of F(theta)[:, q, p].
     """
     _check_basis(theta, basis)
-    x = _check_channels(x, theta.d, basis)
+    x = _check_signal(basis, x, theta.d)
     n, c, d = theta.n, theta.c, theta.d
     u = basis.eigenvectors
     hat = np.einsum("ik,icd->kcd", u, theta.values)
@@ -219,7 +202,7 @@ def mimo_gc_pairwise(stack: WeightStack, x: np.ndarray, basis: SpectralBasis) ->
     temporary, and runs d c square products.
     """
     _check_stack(stack, basis)
-    x = _check_channels(x, stack.d, basis)
+    x = _check_signal(basis, x, stack.d)
     u = basis.eigenvectors
     out = np.zeros((stack.count, stack.c))
     for p in range(stack.d):
@@ -237,10 +220,8 @@ def universality_filter(x: np.ndarray, y: np.ndarray, basis: SpectralBasis) -> F
     W^(k)[m, q] = b^(k)[q] / (d * a^(k)[m]), which makes each component
     of the output match y's component exactly.
     """
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
     a = graph_fourier(basis, x)  # (n, d)
-    b = graph_fourier(basis, y)  # (n, c)
+    b = graph_fourier(basis, _check_signal(basis, y, "c", "y"))  # (n, c)
     if np.min(np.abs(a)) <= UNIVERSALITY_MIN_COMPONENT:
         raise ValueError(
             "universality precondition violated: input has a near-zero "
@@ -265,14 +246,8 @@ def _polynomial_terms(v_list) -> list:
 def mimo_polynomial(a_sym: np.ndarray, x: np.ndarray, v_list) -> np.ndarray:
     """Polynomial filter sum_{k=0}^K A_sym^k X V^(k); a_sym is (n, n), x (n, d) and each term (d, c)."""
     terms = _polynomial_terms(v_list)
-    a_sym = np.asarray(a_sym, dtype=float)
-    x = np.asarray(x, dtype=float)
-    if a_sym.ndim != 2 or a_sym.shape[0] != a_sym.shape[1]:
-        raise ValueError(f"a_sym must be a square matrix, got shape {a_sym.shape}")
-    if x.shape != (a_sym.shape[0], terms[0].shape[0]):
-        raise ValueError(f"x must have shape (n, d) = {(a_sym.shape[0], terms[0].shape[0])} for a_sym "
-                         f"of shape {a_sym.shape} and terms of shape {terms[0].shape}; got {x.shape}")
-    check(finite_error, a_sym=a_sym, x=x)
+    a_sym = checked_array("a_sym", a_sym, "n", "n")
+    x = checked_array("x", x, len(a_sym), terms[0].shape[0])
     out = np.zeros((x.shape[0], terms[0].shape[1]))
     power_x = x.copy()
     for v in terms:
@@ -312,10 +287,9 @@ def sca_repeated_gcn(weights, spectrum: Spectrum) -> SpectralResponse:
 
     Only the eigenvalues are read, so a SpectralBasis or a Spectrum will do.
     """
-    weights = np.asarray(weights, dtype=float)
-    if weights.ndim != 1 or len(weights) < 1:
+    weights = checked_array("weights", weights, "k")
+    if len(weights) < 1:
         raise ValueError("need at least one filter weight")
-    check(finite_error, weights=weights)
     mu = spectrum.adjacency_eigenvalues()
     response = np.prod(weights) * mu ** len(weights)
     return SpectralResponse(spectrum.eigenvalues.copy(), response)

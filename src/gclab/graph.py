@@ -1,4 +1,4 @@
-"""Undirected simple graphs, random generation, and normalized operators."""
+"""Undirected simple graphs, random generation, normalized operators, and the shared argument rules."""
 
 from __future__ import annotations
 
@@ -133,7 +133,32 @@ def check(rule, **values) -> None:
 
 def finite_error(values) -> str | None:
     """Why an array is not all finite (it holds a NaN or an infinity), or None."""
-    return None if np.isfinite(values).all() else "must hold finite values only"
+    finite = np.isfinite(values)  # counted rather than .all(), which costs a Python-level call
+    return None if np.count_nonzero(finite) == finite.size else "must hold finite values only"
+
+
+def checked_array(name: str, value, *axes) -> np.ndarray:
+    """value as a float array of len(axes) axes and finite values, or a ValueError that names it.
+
+    Each axis is a fixed size (an int) or a free size (a name): a name used
+    twice must have one size, so ("n", "n") is any square matrix. The
+    message "<name> must have shape (<axes>), got <shape>" is formatted only
+    on failure.
+    """
+    a = np.asarray(value, dtype=float)
+    shape, sizes = a.shape, {}
+    fits = len(shape) == len(axes)
+    for size, axis in zip(shape, axes):
+        if axis.__class__ is str:
+            axis = sizes.setdefault(axis, size)
+        if axis != size:
+            fits = False
+    if not fits:
+        spec = ", ".join(map(str, axes)) + ("," if len(axes) == 1 else "")
+        raise ValueError(f"{name} must have shape ({spec}), got {shape}")
+    if (error := finite_error(a)) is not None:
+        raise ValueError(f"{name} {error}")
+    return a
 
 
 def node_count_error(n) -> str | None:

@@ -13,6 +13,8 @@ gclab.train's EdgeModel runs it on parameters and lmgc_forward on constants;
 GIN-0's layer, one autodiff.gin_block, is run the same two ways. The
 dense (K, n, n) matrix form (compute_coefficients, ComputationalGraphSet,
 pairwise_transform) is the oracle the tests check the edge path against.
+Array arguments go through graph.checked_array: features are (n, d), a
+layer's weights (K, d, c) and coefficient matrices (K, n, n).
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen
-from .graph import Graph, check, finite_error, integer_error, inv_sqrt_degrees, natural_error
+from .graph import Graph, check, checked_array, finite_error, integer_error, inv_sqrt_degrees, natural_error
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -74,11 +76,7 @@ class ComputationalGraphSet(_Frozen):
     """K edge-weight matrices, shape (K, n, n), over a shared underlying graph."""
 
     def __init__(self, matrices: np.ndarray, graph: Graph, allow_diagonal: bool = False):
-        if matrices.ndim != 3 or matrices.shape[1] != matrices.shape[2]:
-            raise ValueError("coefficient matrices must be square")
-        if matrices.shape[1] != graph.n:
-            raise ValueError("coefficient matrices do not match the graph size")
-        check(finite_error, matrices=matrices)
+        matrices = checked_array("matrices", matrices, "K", graph.n, graph.n)
         mask = graph.adjacency > 0
         if allow_diagonal:
             mask |= np.eye(graph.n, dtype=bool)
@@ -91,16 +89,13 @@ class LmgcLayer(_Frozen):
     """K head matrices (each d x c) combined with a coefficient scheme."""
 
     def __init__(self, weights: np.ndarray, scheme: CoefficientScheme):
-        if weights.ndim != 3:
-            raise ValueError("weights must have shape (K, d, c)")
-        if weights.shape[0] != scheme.k:
-            raise ValueError("weight count must equal the scheme's K")
+        weights = checked_array("weights", weights, scheme.k, "d", "c")
         length = vector_length(scheme.variant, *weights.shape)
         shapes = [np.shape(v) for v in scheme.vectors]
         if any(shape != (length,) for shape in shapes):
             raise ValueError(f"{scheme.variant.value} at (K, d, c) = {weights.shape} takes "
                              f"gating vectors of length {length}; got shapes {shapes}")
-        check(finite_error, weights=weights, vectors=scheme.vectors)
+        check(finite_error, vectors=scheme.vectors)
         self._set(weights=weights, scheme=scheme)
 
     @property
@@ -154,14 +149,6 @@ def eq14_coefficients(z, v, dst, src):
     rows before the gate. Returns the (E, H) coefficients.
     """
     return ad.tanh_gate(ad.leaky_relu(z, LEAKY_RELU_SLOPE), v, dst, src)
-
-
-def _check_features(x, g: Graph):
-    x = np.asarray(x, dtype=float)
-    if x.ndim != 2 or x.shape[0] != g.n:
-        raise ValueError(f"features must be ({g.n}, d)")
-    check(finite_error, features=x)
-    return x
 
 
 def vector_length(variant: Variant, k: int, d: int, c: int) -> int:
@@ -229,9 +216,7 @@ def edge_layer(variant: Variant, x, w, v, edges: EdgeIndex, k=1, seed=0):
 
 def _constants(layer: LmgcLayer, x: np.ndarray, g: Graph):
     """A layer's x, stacked W (d, K*c) and stacked gating vectors as constant Vars."""
-    x = _check_features(x, g)
-    if x.shape[1] != layer.d:
-        raise ValueError(f"features have {x.shape[1]} channels, layer expects {layer.d}")
+    x = checked_array("x", x, g.n, layer.d)
     s = layer.scheme
     arrays = (x, stacked_weights(layer.weights), stacked_vectors(s.variant, s.vectors))
     return [ad.Var(a, requires_grad=False) for a in arrays]
@@ -241,7 +226,7 @@ def compute_coefficients(
     scheme: CoefficientScheme, x: np.ndarray, g: Graph, weights: np.ndarray
 ) -> ComputationalGraphSet:
     """The scheme's coefficient matrices: edge_coefficients scattered into (K, n, n)."""
-    layer = LmgcLayer(np.asarray(weights, dtype=float), scheme)
+    layer = LmgcLayer(weights, scheme)
     x, w, v = _constants(layer, x, g)
     edges = EdgeIndex.of(g)
     alpha, diag = edge_coefficients(scheme.variant, x, ad.matmul(x, w), v, edges, scheme.k, scheme.seed)
@@ -282,10 +267,15 @@ def gin_aggregation(g: Graph) -> np.ndarray:
 
 
 def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
-    """GIN-0's layer, autodiff.gin_block on gin_aggregation(g), on constants; mlp is (W1, b1, W2, b2)."""
-    x = _check_features(x, g)
-    if x.shape[1] != np.shape(mlp[0])[0]:
-        raise ValueError("MLP input width does not match the features")
-    check(finite_error, **dict(zip(("W1", "b1", "W2", "b2"), mlp)))
-    arrays = (gin_aggregation(g), x, *mlp)
+    """GIN-0's layer, autodiff.gin_block on gin_aggregation(g), on constants.
+
+    x is (n, d) and mlp is (W1, b1, W2, b2), of shapes (d, h), (h,), (h, c) and (c,).
+    """
+    w1, b1, w2, b2 = mlp
+    x = checked_array("x", x, g.n, "d")
+    w1 = checked_array("W1", w1, x.shape[1], "h")
+    b1 = checked_array("b1", b1, w1.shape[1])
+    w2 = checked_array("W2", w2, w1.shape[1], "c")
+    b2 = checked_array("b2", b2, w2.shape[1])
+    arrays = (gin_aggregation(g), x, w1, b1, w2, b2)
     return ad.gin_block(*(ad.Var(a, requires_grad=False) for a in arrays)).value

@@ -1,7 +1,8 @@
 """Symmetric eigendecomposition and the graph Fourier transform.
 
 The Fourier basis is the eigenvector matrix U of the normalized Laplacian;
-the forward transform is U^T applied along the node axis.
+the forward transform is U^T applied along the node axis. Array arguments
+go through graph.checked_array: a matrix is (n, n), a signal (n, d).
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import hashlib
 import numpy as np
 
 from ._record import _Frozen
-from .graph import check, finite_error, integer_error
+from .graph import check, checked_array, integer_error
 
 SYMMETRY_TOL = 1e-10
 
@@ -36,26 +37,28 @@ class SpectralBasis(Spectrum):
 
     The sign of each eigenvector is fixed so that its first component with
     absolute value above 1e-10 is positive, making the basis deterministic
-    for simple spectra.
+    for simple spectra. basis_id, a sha256 digest of both arrays, is taken
+    once when the basis is built and kept outside the record's fields: it
+    names the arrays as they were built. They stay writable, and a write
+    into them does not change the id.
     """
 
     def __init__(self, eigenvalues: np.ndarray, eigenvectors: np.ndarray):
-        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors)
+        h = hashlib.sha256()
+        h.update(eigenvalues.tobytes())
+        h.update(eigenvectors.tobytes())
+        self._set(eigenvalues=eigenvalues, eigenvectors=eigenvectors, _basis_id=h.hexdigest()[:16])
 
     @property
     def basis_id(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.eigenvalues.tobytes())
-        h.update(self.eigenvectors.tobytes())
-        return h.hexdigest()[:16]
+        return self._basis_id
 
 
 def _symmetrized(m) -> np.ndarray:
-    """0.5 (m + m^T) of a finite non-empty square matrix that is symmetric within SYMMETRY_TOL."""
-    m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] == 0:
-        raise ValueError(f"input must be a non-empty square matrix, got shape {m.shape}")
-    check(finite_error, m=m)
+    """0.5 (m + m^T) of a finite non-empty (n, n) matrix that is symmetric within SYMMETRY_TOL."""
+    m = checked_array("m", m, "n", "n")
+    if m.size == 0:
+        raise ValueError("m must be a non-empty square matrix, got shape (0, 0)")
     if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
         raise ValueError("input matrix is not symmetric within 1e-10")
     return 0.5 * (m + m.T)
@@ -85,16 +88,12 @@ def eigendecompose_symmetric(m: np.ndarray) -> SpectralBasis:
     return SpectralBasis(eigenvalues, vectors)
 
 
-def _check_signal(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
+def _check_signal(basis: SpectralBasis, x, d="d", name="x") -> np.ndarray:
+    """x as an (n, d) signal on the basis' n nodes, d fixed (an int) or free (a name); a 1-D x is (n, 1)."""
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        x = x[:, None]
-    if x.shape[0] != basis.n:
-        raise ValueError(
-            f"signal has {x.shape[0]} nodes, basis has {basis.n}"
-        )
-    check(finite_error, signal=x)
-    return x
+    if x.ndim == 1 and (d == 1 or isinstance(d, str)):  # checked as given, so a message shows x's own shape
+        return checked_array(name, x, basis.n)[:, None]
+    return checked_array(name, x, basis.n, d)
 
 
 def graph_fourier(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
@@ -104,7 +103,7 @@ def graph_fourier(basis: SpectralBasis, x: np.ndarray) -> np.ndarray:
 
 def inverse_fourier(basis: SpectralBasis, x_hat: np.ndarray) -> np.ndarray:
     """Reconstruct a node signal from spectral coefficients: U X_hat."""
-    return basis.eigenvectors @ _check_signal(basis, x_hat)
+    return basis.eigenvectors @ _check_signal(basis, x_hat, name="x_hat")
 
 
 def rank_one_graph(basis: SpectralBasis, k: int) -> np.ndarray:

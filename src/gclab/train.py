@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen
-from .graph import Graph, check, count_error, finite_error, generate_erdos_renyi, integer_error, laplacian
+from .graph import Graph, check, checked_array, count_error, generate_erdos_renyi, integer_error, laplacian
 from .graph import natural_error, node_count_error, normalized_adjacency, probability_error
 from .lmgc import EdgeIndex, Variant, edge_layer, gin_aggregation, head_count, stacked_vectors
 from .lmgc import stacked_weights, vector_length
@@ -161,13 +161,13 @@ def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: flo
     """Adam loop returning (minimum MSE seen, diverged flag).
 
     steps = 0 evaluates the initial loss only; a non-integer or negative count,
-    an x whose shape is not the model's (n, d), or an x or y that is not all
-    finite is rejected before the first step, so bad input is no divergence.
+    an x whose shape is not the model's (n, d), a y that is not (n, c), or an
+    x or y that is not all finite is rejected before the first step, so bad
+    input is no divergence.
     """
     check(natural_error, steps=steps)
-    if np.shape(x) != model.input_shape:
-        raise ValueError(f"x has shape {np.shape(x)}, but the model takes x of shape {model.input_shape}")
-    check(finite_error, x=x, y=y)
+    x = checked_array("x", x, *model.input_shape)
+    y = checked_array("y", y, len(x), "c")
     x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf

@@ -83,17 +83,17 @@ class TestSiso:
 
     def test_length_mismatch(self):
         _, basis = make_basis(5, seed=3)
-        with pytest.raises(ValueError, match="length n"):
+        with pytest.raises(ValueError, match=r"^theta must have shape \(5,\), got \(4,\)$"):
             siso_gc(np.zeros(4), np.zeros(5), basis)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    @pytest.mark.parametrize("name", ["theta", "signal"])
+    @pytest.mark.parametrize("name", ["theta", "x"])
     def test_non_finite_input_rejected(self, name, bad):
         _, basis = make_basis(5, seed=3)
-        arrays = {"theta": np.ones(5), "signal": np.ones(5)}
+        arrays = {"theta": np.ones(5), "x": np.ones(5)}
         arrays[name][2] = bad
         with pytest.raises(ValueError, match=f"^{name} must hold finite values only$"):
-            siso_gc(arrays["theta"], arrays["signal"], basis)
+            siso_gc(arrays["theta"], arrays["x"], basis)
 
 
 class TestMimoRoutes:
@@ -157,7 +157,8 @@ class TestMimoRoutes:
 
     def test_channel_count_mismatch(self):
         theta, x, basis = self.random_instance(5)
-        with pytest.raises(ValueError, match="channels"):
+        message = f"x must have shape ({theta.n}, {theta.d}), got ({theta.n}, {theta.d + 1})"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             mimo_gc(theta, np.zeros((theta.n, theta.d + 1)), basis)
 
     ROUTES = {
@@ -179,7 +180,8 @@ class TestMimoRoutes:
         theta_n, x_n = (8, 7) if short == "signal" else (7, 8)
         theta = FilterTensor(rng.standard_normal((theta_n, 2, 3)), basis.basis_id)
         x = rng.standard_normal((x_n, 3))
-        with pytest.raises(ValueError, match="7.* basis has 8"):
+        message = r"^x must have shape \(8, 3\), got \(7, 3\)$" if short == "signal" else "7.* basis has 8"
+        with pytest.raises(ValueError, match=message):
             self.ROUTES[route](theta, x, basis)
 
     @pytest.mark.parametrize("route", ROUTES)
@@ -187,22 +189,22 @@ class TestMimoRoutes:
     def test_non_finite_signal_rejected(self, route, bad):
         theta, x, basis = self.random_instance(5)
         x[2, 0] = bad
-        with pytest.raises(ValueError, match="^signal must hold finite values only$"):
+        with pytest.raises(ValueError, match="^x must hold finite values only$"):
             self.ROUTES[route](theta, x, basis)
 
     def test_oracle_checks_its_signal_once_not_per_channel_pair(self, monkeypatch):
         theta, x, basis = self.random_instance(5)
         assert theta.c * theta.d > 1
-        calls, real = [], spectral.check
+        calls, real = [], spectral.checked_array
 
-        def counting(rule, **values):
-            calls.append(list(values))
-            return real(rule, **values)
+        def counting(name, value, *axes):
+            calls.append(name)
+            return real(name, value, *axes)
 
-        monkeypatch.setattr(spectral, "check", counting)
-        monkeypatch.setattr(convolution, "check", counting)
+        monkeypatch.setattr(spectral, "checked_array", counting)
+        monkeypatch.setattr(convolution, "checked_array", counting)
         mimo_gc_oracle(theta, x, basis)
-        assert calls == [["signal"]]
+        assert calls == ["x"]
 
     def test_filter_from_weight_stack_is_the_inverse_transform_bit_for_bit(self):
         _, _, basis = self.random_instance(5)
@@ -363,12 +365,12 @@ class TestPolynomialInputs:
 
     @pytest.mark.parametrize("shape", [(3, 2), (4, 3), (4,), (4, 2, 1)])
     def test_x_of_another_shape_rejected(self, shape):
-        with pytest.raises(ValueError, match=r"^x must have shape \(n, d\) = \(4, 2\) .* got " + re.escape(str(shape))):
+        with pytest.raises(ValueError, match=r"^x must have shape \(4, 2\), got " + re.escape(str(shape)) + "$"):
             mimo_polynomial(np.eye(4), np.ones(shape), [np.ones((2, 2))])
 
     @pytest.mark.parametrize("shape", [(4, 3), (4,), (2, 2, 2)])
     def test_a_sym_that_is_no_square_matrix_rejected(self, shape):
-        with pytest.raises(ValueError, match="^a_sym must be a square matrix, got shape " + re.escape(str(shape))):
+        with pytest.raises(ValueError, match=r"^a_sym must have shape \(n, n\), got " + re.escape(str(shape)) + "$"):
             mimo_polynomial(np.ones(shape), np.ones((4, 2)), [np.ones((2, 2))])
 
 

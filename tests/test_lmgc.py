@@ -165,13 +165,13 @@ class TestGraphSetValidation:
 
     def test_size_mismatch_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError, match="graph size"):
+        with pytest.raises(ValueError, match=r"^matrices must have shape \(K, 2, 2\), got \(1, 3, 3\)$"):
             ComputationalGraphSet(np.zeros((1, 3, 3)), g)
 
     @pytest.mark.parametrize("shape", [(1, 2, 3), (2, 2)])
     def test_non_square_rejected(self, shape):
         g = Graph.from_edges(2, [(0, 1)])
-        with pytest.raises(ValueError, match="must be square"):
+        with pytest.raises(ValueError, match=r"^matrices must have shape \(K, 2, 2\), got " + re.escape(str(shape)) + "$"):
             ComputationalGraphSet(np.zeros(shape), g)
 
 
@@ -396,12 +396,12 @@ class TestIsolatedNodePolicy:
 class TestLayerAndPairwise:
     def test_layer_weight_count_checked(self):
         scheme = CoefficientScheme(Variant.RANDOM_IID, 2)
-        with pytest.raises(ValueError, match="weight count"):
+        with pytest.raises(ValueError, match=r"^weights must have shape \(2, d, c\), got \(3, 2, 2\)$"):
             LmgcLayer(np.zeros((3, 2, 2)), scheme)
 
     def test_layer_rejects_2d_weights(self):
         scheme = CoefficientScheme(Variant.RANDOM_IID, 1)
-        with pytest.raises(ValueError, match=r"weights must have shape \(K, d, c\)"):
+        with pytest.raises(ValueError, match=r"^weights must have shape \(1, d, c\), got \(2, 2\)$"):
             LmgcLayer(np.zeros((2, 2)), scheme)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -456,9 +456,10 @@ class TestLayerAndPairwise:
     def test_feature_shape_checked(self):
         g, x, weights, scheme = small_setup()
         layer = LmgcLayer(weights, scheme)
-        with pytest.raises(ValueError, match="channels"):
+        n, d = x.shape
+        with pytest.raises(ValueError, match=rf"^x must have shape \({n}, {d}\), got \({n}, 2\)$"):
             lmgc_forward(layer, x[:, :2], g)
-        with pytest.raises(ValueError, match=rf"features must be \({g.n}, d\)"):
+        with pytest.raises(ValueError, match=rf"^x must have shape \({n}, {d}\), got \({n - 1}, {d}\)$"):
             lmgc_forward(layer, x[:-1], g)
 
 
@@ -488,7 +489,7 @@ class TestGin:
     def test_width_mismatch_rejected(self):
         g = Graph.from_edges(2, [(0, 1)])
         mlp = (np.eye(3), np.zeros(3), np.eye(3), np.zeros(3))
-        with pytest.raises(ValueError, match="width"):
+        with pytest.raises(ValueError, match=r"^W1 must have shape \(2, h\), got \(3, 3\)$"):
             gin_forward(np.zeros((2, 2)), g, mlp)
 
     @pytest.mark.parametrize("name, at", [("W1", 0), ("b1", 1), ("W2", 2), ("b2", 3)])
@@ -502,7 +503,7 @@ class TestGin:
     def test_feature_rows_checked(self):
         g = Graph.from_edges(2, [(0, 1)])
         mlp = (np.eye(2), np.zeros(2), np.eye(2), np.zeros(2))
-        with pytest.raises(ValueError, match=r"features must be \(2, d\)"):
+        with pytest.raises(ValueError, match=r"^x must have shape \(2, d\), got \(3, 2\)$"):
             gin_forward(np.zeros((3, 2)), g, mlp)
 
 
@@ -517,7 +518,7 @@ def test_non_finite_features_rejected(call, bad):
         "compute_coefficients": lambda: compute_coefficients(scheme, x, g, weights),
         "gin_forward": lambda: gin_forward(x, g, mlp),
     }
-    with pytest.raises(ValueError, match="^features must hold finite values only$"):
+    with pytest.raises(ValueError, match="^x must hold finite values only$"):
         calls[call]()
 
 

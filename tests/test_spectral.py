@@ -1,5 +1,8 @@
 """Eigendecomposition (ordering, signs, eigenspaces) against numpy, Fourier transform."""
 
+import hashlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,7 +10,8 @@ from hypothesis import strategies as st
 
 from gclab.graph import generate_erdos_renyi, laplacian
 from gclab.train import ExperimentConfig, experiment_data
-from gclab.convolution import sca_repeated_gcn
+from gclab import spectral
+from gclab.convolution import FilterTensor, mimo_gc, sca_repeated_gcn
 from gclab.spectral import (
     Spectrum,
     eigendecompose_symmetric,
@@ -78,7 +82,7 @@ class TestEigendecomposition:
             eigendecompose_symmetric(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
     def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError, match="square"):
+        with pytest.raises(ValueError, match=r"^m must have shape \(n, n\), got \(2, 3\)$"):
             eigendecompose_symmetric(np.zeros((2, 3)))
 
     def test_rejects_non_finite(self):
@@ -135,7 +139,7 @@ class TestSpectrumOnly:
         "m, message",
         [
             (np.array([[0.0, 1.0], [0.0, 0.0]]), "not symmetric"),
-            (np.zeros((2, 3)), "square"),
+            (np.zeros((2, 3)), r"^m must have shape \(n, n\), got \(2, 3\)$"),
             (np.array([[np.nan, 0.0], [0.0, 1.0]]), "^m must hold finite values only$"),
         ],
     )
@@ -164,6 +168,30 @@ class TestBasisProperties:
             eigendecompose_symmetric(m1).basis_id
             != eigendecompose_symmetric(m2).basis_id
         )
+
+    def test_basis_id_is_the_digest_of_the_arrays_as_built_and_no_field(self):
+        basis = eigendecompose_symmetric(laplacian(generate_erdos_renyi(8, 0.4, seed=0)))
+        digest = hashlib.sha256(basis.eigenvalues.tobytes() + basis.eigenvectors.tobytes()).hexdigest()[:16]
+        assert basis.basis_id == digest
+        assert "basis_id" not in repr(basis)
+        basis.eigenvalues[0] += 1.0  # the arrays stay writable; the id names them as they were built
+        assert basis.basis_id == digest
+
+    def test_repeated_mimo_gc_calls_hash_the_basis_once(self, monkeypatch):
+        calls = []
+
+        def counting(*args):
+            calls.append(args)
+            return hashlib.sha256(*args)
+
+        monkeypatch.setattr(spectral, "hashlib", SimpleNamespace(sha256=counting))
+        basis = eigendecompose_symmetric(laplacian(generate_erdos_renyi(8, 0.4, seed=0)))
+        rng = np.random.default_rng(0)
+        theta = FilterTensor(rng.standard_normal((8, 2, 3)), basis.basis_id)
+        x = rng.standard_normal((8, 3))
+        for _ in range(5):
+            mimo_gc(theta, x, basis)
+        assert len(calls) == 1
 
     def test_adjacency_eigenvalues_are_one_minus_lambda(self):
         from gclab.graph import normalized_adjacency
@@ -203,7 +231,7 @@ class TestFourier:
 
     def test_shape_mismatch_error(self):
         basis = eigendecompose_symmetric(random_symmetric(5, 6))
-        with pytest.raises(ValueError, match="nodes"):
+        with pytest.raises(ValueError, match=r"^x must have shape \(5, d\), got \(4, 2\)$"):
             graph_fourier(basis, np.zeros((4, 2)))
 
     def test_rank_one_graphs_are_projectors_summing_to_identity(self):

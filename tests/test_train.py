@@ -565,7 +565,7 @@ class TestRunTraining:
         g, _, y = experiment_data(ExperimentConfig())
         model = build_model(method, g, 16, 16, np.random.default_rng(0))
         x = np.ones(shape)
-        message = f"x has shape {shape}, but the model takes x of shape (16, 16)"
+        message = f"x must have shape (16, 16), got {shape}"
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             run_training(model, x, y, steps=5, lr=0.01)
 
