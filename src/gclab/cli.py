@@ -259,26 +259,20 @@ def cmd_verify(args, out: Path) -> int:
         print(f"equivalence: {len(rows)} trials, {violations} violations, worst {worst:.3e}")
         return EXIT_VIOLATION if violations else EXIT_OK
 
+    # K defaults to 1, or 2 for independence; independence at K = 1 raises its trial's ValueError (exit 1)
+    trial = injectivity_trial if args.kind == "injectivity" else independence_trial
+    k = args.k if args.k is not None else (2 if args.kind == "independence" else 1)
+    report = trial(args.pairs, k, args.d, args.c, args.seed)
+    summary = f"{args.kind}: {report.trials} pairs, {report.violations} violations"
+    violated = report.violations > 0
     if args.kind == "injectivity":
-        report = injectivity_trial(args.pairs, args.k, args.d, args.c, args.seed)
-        counter_a, counter_b = multiset_counterexample_outputs(
-            Variant.GATV2_SOFTMAX, args.seed
-        )
+        counter_a, counter_b = multiset_counterexample_outputs(Variant.GATV2_SOFTMAX, args.seed)
         counter_collides = np.max(np.abs(counter_a - counter_b)) <= 1e-12
-        _write_report(out / "results.csv", report)
-        print(
-            f"injectivity: {report.trials} pairs, {report.violations} violations, "
-            f"softmax counterexample collides: {counter_collides}"
-        )
-        if report.violations or not counter_collides:
-            return EXIT_VIOLATION
-        return EXIT_OK
-
-    # independence; K = 1 raises independence_trial's ValueError, which main turns into exit 1
-    report = independence_trial(args.pairs, args.k, args.d, args.c, args.seed)
+        summary += f", softmax counterexample collides: {counter_collides}"
+        violated = violated or not counter_collides
     _write_report(out / "results.csv", report)
-    print(f"independence: {report.trials} pairs, {report.violations} violations")
-    return EXIT_VIOLATION if report.violations else EXIT_OK
+    print(summary)
+    return EXIT_VIOLATION if violated else EXIT_OK
 
 
 @functools.cache
@@ -314,7 +308,7 @@ def build_parser() -> _Parser:
     p_ver = sub.add_parser("verify", help="randomized property suites")
     p_ver.add_argument("--kind", choices=["injectivity", "independence", "equivalence"], required=True)
     p_ver.add_argument("--pairs", type=positive_int, default=1000)
-    p_ver.add_argument("--k", type=positive_int, default=None)
+    p_ver.add_argument("--k", type=positive_int, default=None, help="heads K; defaults to 1, or 2 for independence")
     p_ver.add_argument("--d", type=positive_int, default=4)
     p_ver.add_argument("--c", type=positive_int, default=4)
     p_ver.add_argument("--out", required=True)
@@ -327,8 +321,6 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code) if exc.code is not None else EXIT_USAGE
-    if getattr(args, "k", None) is None and getattr(args, "command", "") == "verify":
-        args.k = 2 if args.kind == "independence" else 1
     try:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)

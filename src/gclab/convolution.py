@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._record import _Frozen
-from .graph import check, checked_array, finite_error, integer_error
+from .graph import check, checked_array, integer_error
 from .spectral import SpectralBasis, Spectrum, _check_signal, graph_fourier
 
 UNIVERSALITY_MIN_COMPONENT = 1e-9
@@ -233,13 +233,11 @@ def universality_filter(x: np.ndarray, y: np.ndarray, basis: SpectralBasis) -> F
     return filter_from_weight_stack(WeightStack(mats), basis)
 
 
-def _polynomial_terms(v_list) -> list:
-    """The terms V^(0), ..., V^(K) as float arrays; they must be one or more (d, c) matrices."""
-    terms = [np.asarray(v, dtype=float) for v in v_list]
-    shapes = sorted({t.shape for t in terms})
-    if len(shapes) != 1 or len(shapes[0]) != 2:
-        raise ValueError(f"v_list must hold one or more (d, c) matrices of one shape; got shapes {shapes}")
-    check(finite_error, v_list=terms)
+def _polynomial_terms(v_list) -> np.ndarray:
+    """The terms V^(0), ..., V^(K) as one (K+1, d, c) array; there must be one or more."""
+    terms = checked_array("v_list", v_list, "terms", "d", "c")
+    if len(terms) == 0:  # the shape rule lets (0, d, c) through
+        raise ValueError(f"v_list must hold one or more (d, c) terms, got shape {terms.shape}")
     return terms
 
 
@@ -247,8 +245,8 @@ def mimo_polynomial(a_sym: np.ndarray, x: np.ndarray, v_list) -> np.ndarray:
     """Polynomial filter sum_{k=0}^K A_sym^k X V^(k); a_sym is (n, n), x (n, d) and each term (d, c)."""
     terms = _polynomial_terms(v_list)
     a_sym = checked_array("a_sym", a_sym, "n", "n")
-    x = checked_array("x", x, len(a_sym), terms[0].shape[0])
-    out = np.zeros((x.shape[0], terms[0].shape[1]))
+    x = checked_array("x", x, len(a_sym), terms.shape[1])
+    out = np.zeros((x.shape[0], terms.shape[2]))
     power_x = x.copy()
     for v in terms:
         out += power_x @ v
@@ -262,7 +260,7 @@ def polynomial_as_mimo_filter(v_list, basis: SpectralBasis) -> WeightStack:
     mu_j are eigenvalues of A_sym, i.e. 1 - lambda_j of L_sym; the
     conversion is centralized here to keep the two spectra straight.
     """
-    v = np.stack(_polynomial_terms(v_list))  # (K+1, d, c)
+    v = _polynomial_terms(v_list)  # (K+1, d, c)
     mu = basis.adjacency_eigenvalues()
     powers = mu[:, None] ** np.arange(len(v))[None, :]  # (n, K+1)
     return WeightStack(np.einsum("jk,kdc->jdc", powers, v))

@@ -22,9 +22,7 @@ class Graph(_Frozen):
     """
 
     def __init__(self, n: int, edges: frozenset):
-        check(integer_error, n=n)
-        if n < 1:
-            raise ValueError("graph needs at least one node")
+        check(count_error, n=n)
         if not isinstance(edges, frozenset):
             raise ValueError(f"edges must be a frozenset of pairs (i, j) with i < j, got a {type(edges).__name__}; "
                              "Graph.from_edges builds one from any pairs")
@@ -137,6 +135,14 @@ def finite_error(values) -> str | None:
     return None if np.count_nonzero(finite) == finite.size else "must hold finite values only"
 
 
+def float_array(name: str, value) -> np.ndarray:
+    """value as a float array, or a ValueError "<name> must be an array of numbers: <numpy's reason>"."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:  # a string, a ragged sequence, a dict, ...
+        raise ValueError(f"{name} must be an array of numbers: {exc}") from None
+
+
 def checked_array(name: str, value, *axes) -> np.ndarray:
     """value as a float array of len(axes) axes and finite values, or a ValueError that names it.
 
@@ -145,7 +151,7 @@ def checked_array(name: str, value, *axes) -> np.ndarray:
     message "<name> must have shape (<axes>), got <shape>" is formatted only
     on failure.
     """
-    a = np.asarray(value, dtype=float)
+    a = float_array(name, value)
     shape, sizes = a.shape, {}
     fits = len(shape) == len(axes)
     for size, axis in zip(shape, axes):

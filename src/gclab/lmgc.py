@@ -25,7 +25,8 @@ import numpy as np
 
 from . import autodiff as ad
 from ._record import _Frozen
-from .graph import Graph, check, checked_array, finite_error, integer_error, inv_sqrt_degrees, natural_error
+from .graph import Graph, check, checked_array, count_error, finite_error, float_array, inv_sqrt_degrees
+from .graph import natural_error
 
 LEAKY_RELU_SLOPE = 0.2
 
@@ -60,9 +61,7 @@ class CoefficientScheme(_Frozen):
 
     def __init__(self, variant: Variant, k: int, vectors: tuple = (), seed: int = 0):
         check(variant_error, variant=variant)
-        check(integer_error, k=k)
-        if k < 1:
-            raise ValueError("need at least one computational graph")
+        check(count_error, k=k)
         if k != (want := head_count(variant, k)):
             raise ValueError(f"{variant.value} defines K={want} computational graph(s); got k={k}")
         count = k if variant in (Variant.GATV2_SOFTMAX, Variant.FAGCN_TANH, Variant.LMGC_EQ14) else 0
@@ -91,7 +90,7 @@ class LmgcLayer(_Frozen):
     def __init__(self, weights: np.ndarray, scheme: CoefficientScheme):
         weights = checked_array("weights", weights, scheme.k, "d", "c")
         length = vector_length(scheme.variant, *weights.shape)
-        shapes = [np.shape(v) for v in scheme.vectors]
+        shapes = [float_array("vectors", v).shape for v in scheme.vectors]
         if any(shape != (length,) for shape in shapes):
             raise ValueError(f"{scheme.variant.value} at (K, d, c) = {weights.shape} takes "
                              f"gating vectors of length {length}; got shapes {shapes}")
@@ -271,7 +270,10 @@ def gin_forward(x: np.ndarray, g: Graph, mlp) -> np.ndarray:
 
     x is (n, d) and mlp is (W1, b1, W2, b2), of shapes (d, h), (h,), (h, c) and (c,).
     """
-    w1, b1, w2, b2 = mlp
+    try:
+        w1, b1, w2, b2 = mlp
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"mlp must be the four arrays (W1, b1, W2, b2): {exc}") from None
     x = checked_array("x", x, g.n, "d")
     w1 = checked_array("W1", w1, x.shape[1], "h")
     b1 = checked_array("b1", b1, w1.shape[1])

@@ -12,7 +12,7 @@ import hashlib
 import numpy as np
 
 from ._record import _Frozen
-from .graph import check, checked_array, integer_error
+from .graph import check, checked_array, float_array, integer_error
 
 SYMMETRY_TOL = 1e-10
 
@@ -59,8 +59,8 @@ def _symmetrized(m) -> np.ndarray:
     m = checked_array("m", m, "n", "n")
     if m.size == 0:
         raise ValueError("m must be a non-empty square matrix, got shape (0, 0)")
-    if np.max(np.abs(m - m.T)) > SYMMETRY_TOL:
-        raise ValueError("input matrix is not symmetric within 1e-10")
+    if (gap := np.max(np.abs(m - m.T))) > SYMMETRY_TOL:
+        raise ValueError(f"m must be symmetric within {SYMMETRY_TOL:g}, got max |m - m^T| = {gap:.3e}")
     return 0.5 * (m + m.T)
 
 
@@ -90,7 +90,7 @@ def eigendecompose_symmetric(m: np.ndarray) -> SpectralBasis:
 
 def _check_signal(basis: SpectralBasis, x, d="d", name="x") -> np.ndarray:
     """x as an (n, d) signal on the basis' n nodes, d fixed (an int) or free (a name); a 1-D x is (n, 1)."""
-    x = np.asarray(x, dtype=float)
+    x = float_array(name, x)
     if x.ndim == 1 and (d == 1 or isinstance(d, str)):  # checked as given, so a message shows x's own shape
         return checked_array(name, x, basis.n)[:, None]
     return checked_array(name, x, basis.n, d)

@@ -78,9 +78,6 @@ class Model:
     params: list
     input_shape: tuple
 
-    def forward(self, x: ad.Var) -> ad.Var:  # pragma: no cover
-        raise NotImplementedError
-
 
 class EdgeModel(Model):
     """One lmgc.edge_layer on parameters: multi-head GATv2, FAGCN (one head) or eq. 14's LMGC.
@@ -171,24 +168,18 @@ def run_training(model: Model, x: np.ndarray, y: np.ndarray, steps: int, lr: flo
     x_var = ad.Var(x, requires_grad=False)
     opt = Adam(model.params, lr)
     min_mse = np.inf
-    diverged = False
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(steps):
-            ad.zero_grads(model.params)
+        for step in range(steps + 1):
             loss = ad.mse(model.forward(x_var), y)
             value = float(loss.value)
             if not math.isfinite(value):
-                diverged = True
-                break
+                return min_mse, True
             min_mse = min(min_mse, value)
-            ad.backward(loss)
-            opt.step()
-        final = float(ad.mse(model.forward(x_var), y).value)
-    if math.isfinite(final):
-        min_mse = min(min_mse, final)
-    else:
-        diverged = True
-    return min_mse, diverged
+            if step < steps:
+                ad.zero_grads(model.params)
+                ad.backward(loss)
+                opt.step()
+    return min_mse, False
 
 
 def experiment_data(config: ExperimentConfig):

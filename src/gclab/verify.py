@@ -482,13 +482,17 @@ def independence_trial(
 
 
 def parallel_control(k: int, d: int, c: int, seed: int):
-    """Excluded-case inversion: same coefficients, multiset doubled -> parallel outputs."""
+    """Excluded-case inversion: the outputs of an instance and of its multiset doubled, which must be parallel.
+
+    Each element of the doubled multiset appears twice. Its coefficients are
+    a function of the features alone, so the second output is twice the
+    first up to rounding, and a source that keys them by anything else fails.
+    """
     source = CoefficientSource("random_iid", k, d, c, seed)  # built first: it checks k, d, c and seed
     base = sample_instance(np.random.default_rng(derive_seed(seed, 1)), d)
+    doubled = MultisetInstance(base.center, tuple(sorted(base.elements * 2)))
     weights = _weights(seed, k, d, c)
-    # the scaled multiset keeps the base instance's coefficient draws
-    fa = aggregate(base, source, weights)
-    return fa, 2 * fa
+    return aggregate(base, source, weights), aggregate(doubled, source, weights)
 
 
 def multiset_counterexample_outputs(variant: Variant, seed: int):

@@ -21,7 +21,7 @@ from gclab.graph import generate_erdos_renyi, laplacian, save_edge_list
 from gclab.seeding import derive_seed
 from gclab.spectral import symmetric_spectrum
 from gclab.train import ExperimentConfig, experiment_data
-from gclab.verify import MultisetInstance, injectivity_trial
+from gclab.verify import MultisetInstance, TrialReport, injectivity_trial
 
 
 def read_csv(path: Path):
@@ -219,8 +219,8 @@ class TestSpectra:
         ("3\n5 1\n", 2, "edge (1,5) out of range for n=3"),
         ("3\n-1 2\n", 2, "edge (-1,2) out of range for n=3"),
         ("3\n0 1\n1 7\n2 2\n", 3, "edge (1,7) out of range for n=3"),  # the first bad line is named
-        ("0\n", 1, "graph needs at least one node"),
-        ("-2\n0 1\n", 1, "graph needs at least one node"),
+        ("0\n", 1, "n must be at least 1, got 0"),
+        ("-2\n0 1\n", 1, "n must be at least 1, got -2"),
     ], ids=["self-loop", "after-blank-line", "reversed", "negative", "first-of-two", "no-nodes", "negative-count"])
     def test_rejected_graph_file_names_its_file_and_line(self, tmp_path, capsys, text, lineno, message):
         path = tmp_path / "g.txt"
@@ -309,6 +309,27 @@ class TestVerify:
         assert main(["verify", "--kind", "equivalence", "--pairs", "3", "--out", str(out)]) == EXIT_VIOLATION
         assert "3 trials, 3 violations, worst 1.000e-06" in capsys.readouterr().out
         assert [row[-1] for row in read_csv(out / "results.csv")] == ["violation", "1", "1", "1"]
+
+    @pytest.mark.parametrize("kind", ["injectivity", "independence"])
+    def test_a_violation_the_trial_reports_is_exit_2(self, tmp_path, capsys, monkeypatch, kind):
+        trial = getattr(cli, f"{kind}_trial")
+
+        def planted(*args):  # the trial's own report, with one violation
+            return TrialReport(**dict(trial(*args)._fields(), violations=1))
+
+        monkeypatch.setattr(cli, f"{kind}_trial", planted)
+        out = tmp_path / "o"
+        assert main(["verify", "--kind", kind, "--pairs", "20", "--out", str(out)]) == EXIT_VIOLATION
+        assert capsys.readouterr().out.startswith(f"{kind}: 20 pairs, 1 violations")
+        assert read_csv(out / "results.csv")[1][5] == "1"
+
+    def test_a_softmax_counterexample_that_does_not_collide_is_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "multiset_counterexample_outputs", lambda variant, seed: (np.zeros(3), np.ones(3)))
+        out = tmp_path / "o"
+        assert main(["verify", "--kind", "injectivity", "--pairs", "20", "--out", str(out)]) == EXIT_VIOLATION
+        want = "injectivity: 20 pairs, 0 violations, softmax counterexample collides: False\n"
+        assert capsys.readouterr().out == want
+        assert read_csv(out / "results.csv")[1][5] == "0"
 
 
 class TestUsageErrors:

@@ -1,10 +1,12 @@
 """The contract of the array entry points: bad input fails loudly and names the argument.
 
 One property test corrupts one argument of one entry point at a time, by a
-wrong rank, a wrong size on an axis the call fixes, or a NaN (a size
-argument of build_model by a value that is no count), and expects a
-ValueError whose message starts with that argument's name. The regression
-tests below it pin the inputs that once returned a result without a word.
+wrong rank, a wrong size on an axis the call fixes, a NaN, or a value that
+is no array of numbers (a size argument of build_model by a value that is no
+count), and expects a ValueError whose message starts with that argument's
+name. A guard keeps every public callable that takes an array among the
+entry points. The regression tests below them pin the inputs that once
+returned a result without a word, or failed with numpy's own message.
 """
 
 import re
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gclab
 from gclab.convolution import (
     FilterTensor,
     WeightStack,
@@ -21,11 +24,15 @@ from gclab.convolution import (
     mimo_gc_oracle,
     mimo_gc_pairwise,
     mimo_gc_vectorized_oracle,
+    mimo_polynomial,
+    polynomial_as_mimo_filter,
+    sca_repeated_gcn,
     siso_gc,
     universality_filter,
 )
-from gclab.graph import generate_erdos_renyi, laplacian
-from gclab.lmgc import CoefficientScheme, LmgcLayer, Variant, compute_coefficients, gin_forward, lmgc_forward
+from gclab.graph import generate_erdos_renyi, laplacian, normalized_adjacency
+from gclab.lmgc import CoefficientScheme, ComputationalGraphSet, LmgcLayer, Variant, compute_coefficients
+from gclab.lmgc import gin_forward, lmgc_forward
 from gclab.spectral import eigendecompose_symmetric, graph_fourier, inverse_fourier
 from gclab.train import build_model, run_training
 
@@ -41,6 +48,8 @@ GATV2 = LmgcLayer(RNG.standard_normal((2, D, C)), CoefficientScheme(
 MODEL = build_model("gin", G, D, C, np.random.default_rng(5))
 MLP = {"W1": RNG.standard_normal((D, H)), "b1": RNG.standard_normal(H),
        "W2": RNG.standard_normal((H, C)), "b2": RNG.standard_normal(C)}
+V_LIST = RNG.standard_normal((3, D, C))  # the terms of a degree-2 polynomial filter
+CGS = compute_coefficients(CoefficientScheme(Variant.RANDOM_IID, 2), X, G, GATV2.weights)
 
 # entry point: (call on keyword arrays, the valid arrays, the axes the call fixes per array)
 CASES = {
@@ -65,15 +74,43 @@ CASES = {
                     {"d": D, "c": C, "heads": 2}, {"d": (), "c": (), "heads": ()}),
     "run_training": (lambda x, y: run_training(MODEL, x, y, steps=1, lr=0.01), {"x": X, "y": Y},
                      {"x": (0, 1), "y": (0,)}),
+    "mimo_polynomial": (mimo_polynomial, {"a_sym": normalized_adjacency(G), "x": X, "v_list": V_LIST},
+                        {"a_sym": (0, 1), "x": (0, 1), "v_list": ()}),
+    "polynomial_as_mimo_filter": (lambda v_list: polynomial_as_mimo_filter(v_list, BASIS), {"v_list": V_LIST},
+                                  {"v_list": ()}),
+    "sca_repeated_gcn": (lambda weights: sca_repeated_gcn(weights, BASIS), {"weights": RNG.standard_normal(3)},
+                         {"weights": ()}),
+    "eigendecompose_symmetric": (eigendecompose_symmetric, {"m": laplacian(G)}, {"m": (0, 1)}),
+    "ComputationalGraphSet": (lambda matrices: ComputationalGraphSet(matrices, G), {"matrices": CGS.matrices},
+                              {"matrices": (1, 2)}),
+    "LmgcLayer": (lambda weights: LmgcLayer(weights, GATV2.scheme), {"weights": GATV2.weights}, {"weights": (0,)}),
 }
+
+# public callables that take no array of their own: sizes, seeds, graphs, paths, or records that checked theirs
+NO_ARRAYS = {
+    "Graph", "generate_erdos_renyi", "is_connected", "laplacian", "load_edge_list", "normalized_adjacency",
+    "save_edge_list", "rank_one_graph", "filter_response", "weight_stack_from_filter", "pairwise_transform",
+    "Variant", "ExperimentConfig", "TrialResult", "run_universality_experiment", "TrialReport",
+    "independence_trial", "injectivity_trial",
+}
+# public callables that take arrays they do not check, and why
+UNCHECKED = {
+    "SpectralBasis": "the record eigendecompose_symmetric returns, built from its own solve",
+    "SpectralResponse": "the record filter_response and sca_repeated_gcn return, built from checked arrays",
+    "CoefficientScheme": "LmgcLayer checks its gating vectors against the (K, d, c) the scheme does not know",
+}
+NO_NUMBERS = ["abc", [[1.0, 2.0], [3.0]], {"a": 1}]  # a string, a ragged list and a dict
 
 
 def corrupted(data, array, fixed):
-    """array with one drawn fault: an extra axis, another size on a fixed axis, or a NaN; a size, no count."""
+    """array with one drawn fault: an extra axis, another size on a fixed axis, a NaN or a value that is no
+    array of numbers; a size argument by a value that is no count."""
     if isinstance(array, int):
         return data.draw(st.sampled_from([0, -1, 1.5, True]), label="size")
-    faults = ["rank", "nan"] + (["size"] if fixed else [])
+    faults = ["rank", "nan", "no numbers"] + (["size"] if fixed else [])
     fault = data.draw(st.sampled_from(faults), label="fault")
+    if fault == "no numbers":
+        return data.draw(st.sampled_from(NO_NUMBERS), label="value")
     if fault == "rank":
         return array[None] if data.draw(st.booleans(), label="leading axis") else array[..., None]
     if fault == "nan":
@@ -95,6 +132,13 @@ def test_a_corrupted_array_argument_raises_a_value_error_that_names_it(data):
     args = dict(arrays, **{name: corrupted(data, arrays[name], fixed[name])})
     with pytest.raises(ValueError, match=f"^{name} must "):
         call(**args)
+
+
+def test_every_public_callable_that_takes_an_array_is_an_entry_point():
+    public = {name for name in gclab.__all__ if callable(getattr(gclab, name))}
+    unlisted = public - set(CASES) - NO_ARRAYS - set(UNCHECKED)
+    assert unlisted == set(), f"{sorted(unlisted)} are neither entry points nor listed as taking no checked array"
+    assert NO_ARRAYS | set(UNCHECKED) <= public - set(CASES)  # the lists name public callables, and no entry point
 
 
 @pytest.mark.parametrize("transform, name", [(graph_fourier, "x"), (inverse_fourier, "x_hat")])
@@ -121,3 +165,15 @@ def test_siso_gc_rejects_a_2d_theta_with_n_entries():
 def test_a_1d_signal_is_named_with_its_own_shape(call, want):
     with pytest.raises(ValueError, match=f"^x must have shape {re.escape(want)}, got \\(5,\\)$"):
         call(np.ones(5))
+
+
+def test_gin_forward_names_an_mlp_of_three_arrays():
+    with pytest.raises(ValueError, match=r"^mlp must be the four arrays \(W1, b1, W2, b2\): "
+                                         r"not enough values to unpack \(expected 4, got 3\)$"):
+        gin_forward(X, G, tuple(MLP.values())[:3])
+
+
+def test_a_gating_vector_that_is_no_array_of_numbers_is_named():
+    vectors = (np.ones(C), [[1.0, 2.0], [3.0]])
+    with pytest.raises(ValueError, match="^vectors must be an array of numbers: setting an array element"):
+        LmgcLayer(GATV2.weights, CoefficientScheme(Variant.GATV2_SOFTMAX, 2, vectors))

@@ -332,14 +332,18 @@ class TestPolynomialStacks:
             mimo_polynomial(normalized_adjacency(g), x, [v]), x, atol=0
         )
 
-    @pytest.mark.parametrize("v_list", [[], [np.eye(2), np.ones((2, 3))], [np.ones(2)]],
-                             ids=["empty", "unequal", "vector"])
-    def test_bad_terms_rejected_by_both_forms(self, v_list):
+    @pytest.mark.parametrize("v_list, message", [
+        ([], r"must have shape \(terms, d, c\), got \(0,\)$"),
+        (np.zeros((0, 2, 2)), r"must hold one or more \(d, c\) terms, got shape \(0, 2, 2\)$"),
+        ([np.eye(2), np.ones((2, 3))], "must be an array of numbers: setting an array element with a sequence"),
+        ([np.ones(2)], r"must have shape \(terms, d, c\), got \(1, 2\)$"),
+    ], ids=["empty", "no-terms", "unequal", "vector"])
+    def test_bad_terms_rejected_by_both_forms(self, v_list, message):
         g, basis = make_basis(6, seed=32)
         x = np.ones((6, 2))
-        with pytest.raises(ValueError, match=r"v_list must hold one or more \(d, c\) matrices"):
+        with pytest.raises(ValueError, match="^v_list " + message):
             mimo_polynomial(normalized_adjacency(g), x, v_list)
-        with pytest.raises(ValueError, match=r"v_list must hold one or more \(d, c\) matrices"):
+        with pytest.raises(ValueError, match="^v_list " + message):
             polynomial_as_mimo_filter(v_list, basis)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])

@@ -1,4 +1,5 @@
-"""gclab imports only what pyproject.toml declares: the standard library and numpy."""
+"""gclab imports only what pyproject.toml declares, the standard library and numpy, and the tests
+only that, the test extra (pytest and hypothesis) and the helper modules beside them."""
 
 import ast
 import sys
@@ -6,8 +7,11 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "gclab").glob("*.py"))
+TESTS = Path(__file__).resolve().parent
+SOURCES = sorted((TESTS.parent / "src" / "gclab").glob("*.py"))
 ALLOWED = set(sys.stdlib_module_names) | {"numpy", "gclab"}
+HELPERS = {"composed_primitives", "dense_oracles", "reference_samplers", "reference_writers"}
+TEST_ALLOWED = ALLOWED | {"pytest", "hypothesis"} | HELPERS
 
 
 def imported_modules(tree):
@@ -28,3 +32,9 @@ def test_the_walk_sees_imports_inside_functions():
 def test_imports_only_the_standard_library_and_numpy(path):
     found = set(imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
     assert found <= ALLOWED, f"{path.name} imports undeclared {sorted(found - ALLOWED)}"
+
+
+@pytest.mark.parametrize("path", sorted(TESTS.glob("*.py")), ids=lambda path: path.name)
+def test_tests_import_only_declared_test_dependencies(path):
+    found = set(imported_modules(ast.parse(path.read_text(encoding="utf-8"))))
+    assert found <= TEST_ALLOWED, f"tests/{path.name} imports undeclared {sorted(found - TEST_ALLOWED)}"

@@ -49,7 +49,7 @@ class TestConstruction:
         assert Graph.from_edges(3, edges) == Graph(3, frozenset({(0, 1)}))
 
     def test_empty_graph_rejected(self):
-        with pytest.raises(ValueError, match="at least one node"):
+        with pytest.raises(ValueError, match="^n must be at least 1, got 0$"):
             Graph(0, frozenset())
 
     @pytest.mark.parametrize("n, shown", [(2.5, "2.5"), (True, "True"), ("3", "'3'")])

@@ -47,7 +47,7 @@ def small_setup(seed=0, n=6, d=3, c=2, k=2, variant=Variant.GATV2_SOFTMAX):
 
 class TestSchemeValidation:
     def test_k_must_be_positive(self):
-        with pytest.raises(ValueError, match="at least one"):
+        with pytest.raises(ValueError, match="^k must be at least 1, got 0$"):
             CoefficientScheme(Variant.RANDOM_IID, 0)
 
     @pytest.mark.parametrize("k, shown", [(2.5, "2.5"), (True, "True"), (2.0, "2.0")])

@@ -838,11 +838,22 @@ class TestIndependence:
             parallel_control(*sizes, 3)
 
     def test_parallel_control_inverts_the_exclusion(self):
-        # the doubled multiset with shared coefficients produces exactly parallel rows
+        # the doubled multiset gets its elements' coefficients twice, so its row is parallel to the base's
         fa, fb = parallel_control(k=2, d=3, c=3, seed=14)
-        np.testing.assert_array_equal(fb, 2 * fa)
         smax, smin = np.linalg.svd(np.stack([fa, fb]), compute_uv=False)
         assert smin / smax < COLLISION_RTOL
+
+    def test_parallel_control_fails_coefficients_keyed_by_position(self, monkeypatch):
+        # a planted fault: each element's coefficients follow its place in its instance, not its features;
+        # seed 14's base instance has two distinct elements, so its doubled multiset is not a scaling
+        def by_place(self, centers, counts, elements):
+            place = np.arange(len(elements)) - np.repeat(np.cumsum(counts) - counts, counts)
+            return 1.0 + place[:, None] + np.arange(self.k)
+
+        monkeypatch.setattr(CoefficientSource, "alphas", by_place)
+        fa, fb = parallel_control(k=2, d=3, c=3, seed=14)
+        smax, smin = np.linalg.svd(np.stack([fa, fb]), compute_uv=False)
+        assert smin / smax > COLLISION_RTOL
 
 
 class TestCounterexample:
