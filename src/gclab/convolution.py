@@ -286,8 +286,8 @@ def sca_repeated_gcn(weights, spectrum: Spectrum) -> SpectralResponse:
     Only the eigenvalues are read, so a SpectralBasis or a Spectrum will do.
     """
     weights = checked_array("weights", weights, "k")
-    if len(weights) < 1:
-        raise ValueError("need at least one filter weight")
+    if len(weights) == 0:  # the shape rule lets (0,) through
+        raise ValueError(f"weights must hold one or more filter weights, got shape {weights.shape}")
     mu = spectrum.adjacency_eigenvalues()
     response = np.prod(weights) * mu ** len(weights)
     return SpectralResponse(spectrum.eigenvalues.copy(), response)

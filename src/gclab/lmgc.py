@@ -66,7 +66,8 @@ class CoefficientScheme(_Frozen):
             raise ValueError(f"{variant.value} defines K={want} computational graph(s); got k={k}")
         count = k if variant in (Variant.GATV2_SOFTMAX, Variant.FAGCN_TANH, Variant.LMGC_EQ14) else 0
         if len(vectors) != count:
-            raise ValueError(f"{variant.value} takes {count} gating vector(s), one per head; got {len(vectors)}")
+            raise ValueError(f"vectors must hold {count} gating vector(s) for {variant.value}, one per head; "
+                             f"got {len(vectors)}")
         check(natural_error, seed=seed)
         self._set(variant=variant, k=k, vectors=vectors, seed=seed)
 
@@ -92,8 +93,8 @@ class LmgcLayer(_Frozen):
         length = vector_length(scheme.variant, *weights.shape)
         shapes = [float_array("vectors", v).shape for v in scheme.vectors]
         if any(shape != (length,) for shape in shapes):
-            raise ValueError(f"{scheme.variant.value} at (K, d, c) = {weights.shape} takes "
-                             f"gating vectors of length {length}; got shapes {shapes}")
+            raise ValueError(f"vectors must have length {length} for {scheme.variant.value} at (K, d, c) = "
+                             f"{weights.shape}; got shapes {shapes}")
         check(finite_error, vectors=scheme.vectors)
         self._set(weights=weights, scheme=scheme)
 

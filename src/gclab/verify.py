@@ -8,20 +8,20 @@ gates lmgc runs, over chunks of PAIRS_PER_CHUNK pairs. Identical instances
 get identical coefficients, exactly for random_iid and up to rounding for the
 tanh sources, whose matrix products round with an instance's place in a chunk.
 
-The suites read their Generator through _LatticeWords: its uint32 words in
-blocks, each block decoded once, as it is fetched, by numpy's own
-bounded-integer rule into an int8 lattice draw, a flag if either range
-rejects it, and a step table entry per word, so they draw the same pair
-stream as sample_instance calls on the bare Generator. _decode_chunk chains
-instance starts through the step table in one comprehension, cuts the chain
-at the first flagged word, and sorts every instance's elements in one
-lexsort by owner, then coordinates. numpy's loops read past a redrawn
-instance and a word its range rejects. The decoder reads the words once, in
-order: a redrawn instance is dropped by index from the decoded ones, an a
-still without a b at the end of a round is carried, decoded, into the next,
-and a rejected word is dropped from the stream. The redraw rule finds every
-neighbour pair it redraws once per round, and pads an instance's elements to
-one row only for the pairs it must compare element by element.
+The suites read their Generator through _LatticeWords: its uint32 words,
+each decoded once, as it is fetched, by numpy's own bounded-integer rule into
+an int8 lattice draw and a step table entry per word, so they draw the same
+pair stream as sample_instance calls on the bare Generator. _decode_chunk
+chains instance starts through the step table in one comprehension, tests
+each word the chain read by the range of its role, and sorts every
+instance's elements in one lexsort by owner, then coordinates. numpy's loops
+read past a redrawn instance and a word its range rejects. The decoder reads
+the words once, in order: a redrawn instance is dropped by index from the
+decoded ones, an a still without a b at the end of a round is carried,
+decoded, into the next, and a rejected word is dropped from the stream
+before its round runs again. The redraw rule finds every neighbour pair it
+redraws once per round, and pads an instance's elements to one row only for
+the pairs it must compare element by element.
 
 A chunk's work is done once per instance where it depends only on the
 instance: random_iid keys chain each center once and extend the chain by
@@ -33,8 +33,6 @@ element order (autodiff._sum_rows).
 """
 
 from __future__ import annotations
-
-from bisect import bisect_right
 
 import numpy as np
 
@@ -80,46 +78,37 @@ class TrialReport(_Frozen):
 
 
 class _LatticeWords:
-    """A Generator's 32-bit words in blocks, the source of its integers over ranges up to 2^32.
+    """A Generator's 32-bit words, the source of its integers over ranges up to 2^32.
 
     For such a range numpy reads the Generator's next_uint32 words one at a
     time by Lemire's rule (arXiv:1805.10941): a word u gives m = u * span, is
     redrawn while m mod 2^32 < 2^32 mod span (_rejects), and yields
     low + (m >> 32). rng.integers(0, 2**32, n, dtype=np.uint32) reads the
     same words, so decoding them by that rule gives the Generator's own
-    draws. reserve, which fetches the first block when the reader is built,
-    decodes each block once as it fetches it (_decode_block, for instances
-    of dimension d), so draws, hops and flagged always describe exactly the
-    held words; flagged holds the sorted indices of the words either range
-    rejects, less those settle has read.
-    _decode_chunk moves pos past the words it decoded, and settle reads a
-    flagged word once its range is known. The reader holds words it has not
-    returned yet, so it must be rng's only user.
+    draws. draws and hops are always _decode_block of the held words, for
+    instances of dimension d: reserve decodes only the words it fetches, and
+    drop deletes a word from all three. _decode_chunk moves pos past the
+    words it decoded. The reader holds words it has not returned yet, so it
+    must be rng's only user.
     """
 
-    def __init__(self, rng: np.random.Generator, block: int, d: int):
-        self._rng, self._block, self.d = rng, block, d
+    def __init__(self, rng: np.random.Generator, d: int):
+        self._rng, self.d = rng, d
         self.words, self.pos = np.empty(0, dtype=np.uint32), 0
-        self.reserve(block)
+        self.draws, self.hops = _decode_block(self.words, d)
 
     def reserve(self, count: int) -> None:
-        """Hold at least count unread words, appending a decoded block to the unread ones if needed."""
-        if len(self.words) - self.pos < count:
-            fresh = self._rng.integers(0, 2**32, max(self._block, count), dtype=np.uint32)
-            block = [fresh, *_decode_block(fresh, self.d)]  # words, draws, hops, flagged
-            if (pos := self.pos) < len(self.words):  # the unread words, decoded already, go first
-                block[3] += len(self.words) - pos
-                unread = [a[pos:] for a in (self.words, self.draws, self.hops)]
-                unread.append(self.flagged[np.searchsorted(self.flagged, pos) :] - pos)
-                block = [np.concatenate(pair) for pair in zip(unread, block)]
-            (self.words, self.draws, self.hops, self.flagged), self.pos = block, 0
+        """Hold at least count unread words, fetching and decoding only the missing ones after them."""
+        if (missing := count - (len(self.words) - self.pos)) > 0:
+            fresh = self._rng.integers(0, 2**32, missing, dtype=np.uint32)
+            held = fresh, *_decode_block(fresh, self.d)
+            if self.pos < len(self.words):  # the unread words, decoded already, go first
+                held = map(np.concatenate, zip((a[self.pos :] for a in (self.words, self.draws, self.hops)), held))
+            (self.words, self.draws, self.hops), self.pos = held, 0
 
-    def settle(self, i: int, span: int) -> None:
-        """Read the flagged word i by the range of span: drop it if that range rejects it, else unflag it."""
-        self.flagged = self.flagged[self.flagged != i]
-        if _rejects(self.words[i], span):  # numpy's loop reads past it
-            self.words, self.draws, self.hops = (np.delete(a, i) for a in (self.words, self.draws, self.hops))
-            self.flagged[self.flagged > i] -= 1
+    def drop(self, i: int) -> None:
+        """Delete word i, which the range it is read for rejects: numpy's loop reads past it."""
+        self.words, self.draws, self.hops = (np.delete(a, i) for a in (self.words, self.draws, self.hops))
 
 
 def sample_instance(rng: np.random.Generator, d: int) -> MultisetInstance:
@@ -243,7 +232,7 @@ def _max_words(d: int) -> int:
 
 
 def _decode_block(words: np.ndarray, d: int):
-    """Each uint32 word's int8 lattice draw and hop, and the words either range rejects, wherever they sit.
+    """Each uint32 word's int8 lattice draw and hop, as if its range accepts it.
 
     hops[j] = d + 1 + size * d, in the narrowest type that holds it, is the
     length of an instance whose size word is j.
@@ -254,17 +243,16 @@ def _decode_block(words: np.ndarray, d: int):
     hops = (wide * MAX_ELEMENTS >> 32).astype(np.min_scalar_type(_max_words(d)))
     hops *= d
     hops += 2 * d + 1
-    flagged = _rejects(words, 2 * LATTICE_RANGE + 1) | _rejects(words, MAX_ELEMENTS)
-    return draws, hops, np.flatnonzero(flagged)
+    return draws, hops
 
 
-def _lattice_instances(draws: np.ndarray, starts: list, d: int):
+def _lattice_instances(draws: np.ndarray, starts: np.ndarray, d: int):
     """Instances read from draws[starts[i]:starts[i + 1]], elements sorted within each.
 
-    Returns centers (P, d), counts (P,) and elements (E, d), int8 lattice
-    coordinates, each instance's counts[p] elements in turn.
+    starts is an int64 array. Returns centers (P, d), counts (P,) and
+    elements (E, d), int8 lattice coordinates, each instance's counts[p]
+    elements in turn.
     """
-    starts = np.array(starts, dtype=np.int64)
     counts = (np.diff(starts) - (d + 1)) // d
     heads = starts[:-1, None] + np.arange(d + 1)  # the center words, then the size word
     centers = np.take(draws, heads[:, :d])
@@ -368,29 +356,33 @@ def _decode_chunk(words: _LatticeWords, pairs: int, independence: bool):
     """The next pairs that sample_instance and _PairRule draw from the words' Generator.
 
     Returns the centers, counts and sorted elements of the instances a, b of
-    each pair in turn, as _outputs takes them. A round chains instance ends
-    from pos through the step table and cuts them at the first flagged word,
-    which an instance that reaches it also ends past; words.settle then reads
-    that word as a size draw if it sits at an instance's start + d, else as a
-    lattice draw. The walk drops redrawn instances whole, which leaves the
-    roles of later words as they were, and an a left without a b joins the
-    next round's batch. A call ends on a round that keeps all 2r instances of
-    its r pairs.
+    each pair in turn, as _outputs takes them. A round chains instance starts
+    from pos through the step table and tests each word it read by the range
+    of its role: the size range at an instance's start + d, the lattice range
+    elsewhere. The first word so rejected holds a true role, as every word
+    before it was accepted, so words.drop deletes it, as numpy's loop reads
+    past it, and the round runs again. The walk drops redrawn instances
+    whole, which leaves the roles of later words as they were, and an a left
+    without a b joins the next round's batch. A call ends on a round that
+    keeps all 2r instances of its r pairs.
     """
     d, parts, carried = words.d, [], None
     while pairs:
         todo = 2 * pairs - (carried is not None)
         words.reserve(todo * _max_words(d))
         steps = memoryview(words.hops)[d:]  # steps[s] = hops[s + d] for an instance at word s, as Python ints
-        start, flagged = words.pos, words.flagged
-        i = np.searchsorted(flagged, start)
-        end = int(flagged[i]) if i < len(flagged) else len(words.words)  # words before end decode as drawn
+        start = words.pos
         ends = [start := start + steps[start] for _ in range(todo)]
-        starts = [words.pos, *ends[: bisect_right(ends, end)]]
+        starts = np.array([words.pos, *ends])
+        read = words.words[starts[0] : starts[-1]]
+        rejected = _rejects(read, 2 * LATTICE_RANGE + 1)
+        sizes = starts[:-1] + d - starts[0]
+        rejected[sizes] = _rejects(read[sizes], MAX_ELEMENTS)
+        if rejected.any():
+            words.drop(int(starts[0] + np.argmax(rejected)))
+            continue
         batch = _lattice_instances(words.draws, starts, d)
-        words.pos = starts[-1]
-        if len(starts) <= todo:  # the instance at starts[-1] holds the flagged word end
-            words.settle(end, MAX_ELEMENTS if end == starts[-1] + d else 2 * LATTICE_RANGE + 1)
+        words.pos = int(starts[-1])
         if carried is not None:
             batch = tuple(np.concatenate(arrays) for arrays in zip(carried, batch))
         centers, counts, elements = batch
@@ -409,13 +401,9 @@ def _decode_chunk(words: _LatticeWords, pairs: int, independence: bool):
     return parts[0] if len(parts) == 1 else tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
-def _pair_words(seed: int, d: int, num_pairs: int) -> _LatticeWords:
-    """A trial's reader, refilled by blocks of the most words a chunk's pairs read without a redraw.
-
-    A trial of fewer than PAIRS_PER_CHUNK pairs refills by its own pairs' words.
-    """
-    block = min(num_pairs, PAIRS_PER_CHUNK) * 2 * _max_words(d)
-    return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), block, d)
+def _pair_words(seed: int, d: int) -> _LatticeWords:
+    """A trial's reader of the pair stream its seed gives."""
+    return _LatticeWords(np.random.default_rng(derive_seed(seed, 1)), d)
 
 
 def _weights(seed: int, k: int, d: int, c: int) -> np.ndarray:
@@ -445,7 +433,7 @@ def _trial(kind: str, num_pairs: int, k, d, c, seed, source: str) -> TrialReport
         raise ValueError("linear independence requires K > 1")
     if independence and c < 2:  # two outputs in R^1 are always parallel
         raise ValueError(f"c must be at least 2 for independence, got {c}")
-    words = _pair_words(seed, d, num_pairs)
+    words = _pair_words(seed, d)
     weights = _weights(seed, k, d, c)
     coeffs = CoefficientSource(source, k, d, c, seed)
     violations, min_score, witness = 0, np.inf, (-1, None, None)

@@ -19,11 +19,13 @@ class ScalarWords:
     Lemire's rule (arXiv:1805.10941): a word u gives m = u * span, is redrawn
     while m mod 2^32 < 2^32 mod span, and yields low + (m >> 32); a range of
     width 1 reads no word. Draws come back as arrays, 0-d for size None, so
-    sample_instance reads them as it reads the Generator's.
+    sample_instance reads them as it reads the Generator's. Given a
+    lookahead, each call first reserves that many words, so the reader holds
+    unread words when it fetches the ones a call reads past them.
     """
 
-    def __init__(self, words):
-        self.words = words
+    def __init__(self, words, lookahead: int | None = None):
+        self.words, self.lookahead = words, lookahead
 
     def _next_word(self) -> int:
         self.words.reserve(1)
@@ -44,6 +46,8 @@ class ScalarWords:
         if not 1 <= span <= 2**32:
             raise ValueError(f"integers range of width {span} is outside [1, 2^32]")
         shape = () if size is None else size
+        if self.lookahead:
+            self.words.reserve(self.lookahead)
         draws = [self._draw(low, span) for _ in range(int(np.prod(shape)))]
         return np.array(draws, dtype=np.int64).reshape(shape)
 

@@ -6,7 +6,8 @@ is no array of numbers (a size argument of build_model by a value that is no
 count), and expects a ValueError whose message starts with that argument's
 name. A guard keeps every public callable that takes an array among the
 entry points. The regression tests below them pin the inputs that once
-returned a result without a word, or failed with numpy's own message.
+returned a result without a word, failed with numpy's own message, or
+failed with a message that did not start with the argument's name.
 """
 
 import re
@@ -83,7 +84,9 @@ CASES = {
     "eigendecompose_symmetric": (eigendecompose_symmetric, {"m": laplacian(G)}, {"m": (0, 1)}),
     "ComputationalGraphSet": (lambda matrices: ComputationalGraphSet(matrices, G), {"matrices": CGS.matrices},
                               {"matrices": (1, 2)}),
-    "LmgcLayer": (lambda weights: LmgcLayer(weights, GATV2.scheme), {"weights": GATV2.weights}, {"weights": (0,)}),
+    "LmgcLayer": (  # the gating vectors as one (K, c) array, a vector per row
+        lambda weights, vectors: LmgcLayer(weights, CoefficientScheme(Variant.GATV2_SOFTMAX, 2, tuple(vectors))),
+        {"weights": GATV2.weights, "vectors": np.stack(GATV2.scheme.vectors)}, {"weights": (0,), "vectors": (0, 1)}),
 }
 
 # public callables that take no array of their own: sizes, seeds, graphs, paths, or records that checked theirs
@@ -97,7 +100,8 @@ NO_ARRAYS = {
 UNCHECKED = {
     "SpectralBasis": "the record eigendecompose_symmetric returns, built from its own solve",
     "SpectralResponse": "the record filter_response and sca_repeated_gcn return, built from checked arrays",
-    "CoefficientScheme": "LmgcLayer checks its gating vectors against the (K, d, c) the scheme does not know",
+    "CoefficientScheme": "it checks only how many gating vectors it holds; LmgcLayer checks their length and "
+                         "values against the (K, d, c) the scheme does not know",
 }
 NO_NUMBERS = ["abc", [[1.0, 2.0], [3.0]], {"a": 1}]  # a string, a ragged list and a dict
 
@@ -176,4 +180,19 @@ def test_gin_forward_names_an_mlp_of_three_arrays():
 def test_a_gating_vector_that_is_no_array_of_numbers_is_named():
     vectors = (np.ones(C), [[1.0, 2.0], [3.0]])
     with pytest.raises(ValueError, match="^vectors must be an array of numbers: setting an array element"):
+        LmgcLayer(GATV2.weights, CoefficientScheme(Variant.GATV2_SOFTMAX, 2, vectors))
+
+
+def test_sca_repeated_gcn_names_empty_weights():
+    with pytest.raises(ValueError, match=r"^weights must hold one or more filter weights, got shape \(0,\)$"):
+        sca_repeated_gcn([], BASIS)
+
+
+@pytest.mark.parametrize("vectors, want", [
+    ((np.ones(C),), r"hold 2 gating vector\(s\) for gatv2_softmax, one per head; got 1$"),
+    ((np.ones(C), np.ones(C + 1)), r"have length 2 for gatv2_softmax at \(K, d, c\) = \(2, 3, 2\); "
+                                   r"got shapes \[\(2,\), \(3,\)\]$"),
+], ids=["count", "length"])
+def test_a_wrong_count_or_length_of_gating_vectors_is_named(vectors, want):
+    with pytest.raises(ValueError, match=f"^vectors must {want}"):
         LmgcLayer(GATV2.weights, CoefficientScheme(Variant.GATV2_SOFTMAX, 2, vectors))

@@ -101,14 +101,16 @@ class TestSchemeValidation:
             CoefficientScheme(Variant.GATV2_SOFTMAX, 2, (np.zeros(2),))
 
     def test_fagcn_needs_its_gating_vector(self):
-        with pytest.raises(ValueError, match=r"fagcn_tanh takes 1 gating vector\(s\)"):
+        want = r"^vectors must hold 1 gating vector\(s\) for fagcn_tanh, one per head; got 0$"
+        with pytest.raises(ValueError, match=want):
             CoefficientScheme(Variant.FAGCN_TANH, 1)
 
     @pytest.mark.parametrize(
         "variant, k", [(Variant.GCN_NORM, 1), (Variant.ACM_FIXED, 2), (Variant.RANDOM_IID, 2)]
     )
     def test_constant_schemes_take_no_vectors(self, variant, k):
-        with pytest.raises(ValueError, match=rf"{variant.value} takes 0 gating vector\(s\)"):
+        want = rf"^vectors must hold 0 gating vector\(s\) for {variant.value}, one per head; got 1$"
+        with pytest.raises(ValueError, match=want):
             CoefficientScheme(variant, k, (np.zeros(4),))
 
 
@@ -130,13 +132,15 @@ class TestGatingVectorLengths:
     @pytest.mark.parametrize("variant, k, wrong, right", CASES)
     def test_layer_rejects_wrong_length(self, variant, k, wrong, right):
         _, _, weights, scheme = self.setup_case(variant, k, wrong)
-        with pytest.raises(ValueError, match=rf"{variant.value} .* length {right}; got"):
+        want = rf"^vectors must have length {right} for {variant.value} at \(K, d, c\) = .*; got shapes"
+        with pytest.raises(ValueError, match=want):
             LmgcLayer(weights, scheme)
 
     @pytest.mark.parametrize("variant, k, wrong, right", CASES)
     def test_compute_coefficients_rejects_wrong_length(self, variant, k, wrong, right):
         g, x, weights, scheme = self.setup_case(variant, k, wrong)
-        with pytest.raises(ValueError, match=rf"{variant.value} .* length {right}; got"):
+        want = rf"^vectors must have length {right} for {variant.value} at \(K, d, c\) = .*; got shapes"
+        with pytest.raises(ValueError, match=want):
             compute_coefficients(scheme, x, g, weights)
 
 

@@ -17,9 +17,9 @@ import pytest
 
 import gclab
 from gclab.convolution import FilterTensor, SpectralResponse, WeightStack
-from gclab.graph import Graph
+from gclab.graph import Graph, generate_erdos_renyi, laplacian
 from gclab.lmgc import CoefficientScheme, ComputationalGraphSet, LmgcLayer, Variant
-from gclab.spectral import SpectralBasis, Spectrum
+from gclab.spectral import SpectralBasis, Spectrum, eigendecompose_symmetric
 from gclab.train import ExperimentConfig, TrialResult
 from gclab.verify import MultisetInstance, TrialReport
 
@@ -194,6 +194,13 @@ def test_graph_equality_ignores_its_cache():
     g = path_graph()
     _ = g.adjacency, g.neighbors  # fill the cache
     assert g == path_graph() and hash(g) == hash(path_graph())
+
+
+def test_a_record_stays_in_its_set_when_an_array_field_is_written_in_place():
+    basis = eigendecompose_symmetric(laplacian(generate_erdos_renyi(6, 0.5, seed=1)))
+    members = {basis}
+    basis.eigenvalues[0] += 1.0
+    assert basis in members and basis in list(members)
 
 
 def test_multiset_instances_work_as_set_members():

@@ -75,27 +75,28 @@ class TestSampling:
 
 
 class TestLatticeWords:
-    """The scalar reference reader, over _LatticeWords' blocks, draws as the Generator does."""
+    """The scalar reference reader, over _LatticeWords, draws as the Generator does."""
 
-    def assert_same_draws(self, seed, block, calls):
-        words = ScalarWords(_LatticeWords(np.random.default_rng(seed), block, 4))
+    def assert_same_draws(self, seed, lookahead, calls):
+        words = ScalarWords(_LatticeWords(np.random.default_rng(seed), 4), lookahead)
         rng = np.random.default_rng(seed)
         for low, high, size in calls:
             assert words.integers(low, high, size).tolist() == rng.integers(low, high, size).tolist()
 
-    @pytest.mark.parametrize("block", [1, 3, 7, 64, 4096])
-    def test_lattice_ranges_equal_the_generator(self, block):
-        # blocks shorter than a draw make every call cross a refill
+    @pytest.mark.parametrize("lookahead", [1, 3, 7, 64, 4096])
+    def test_lattice_ranges_equal_the_generator(self, lookahead):
+        # a lookahead shorter than a draw makes the call read past the held words,
+        # and every later reserve fetches behind the unread ones
         pick = np.random.default_rng(40)
         calls = []
         for _ in range(600):
             size = [None, int(pick.integers(1, 9)), (int(pick.integers(1, 6)), int(pick.integers(1, 8)))]
             max_size = int(pick.integers(1, MAX_ELEMENTS + 1))  # 1 is the zero-width range
             calls += [(*LATTICE, size[pick.integers(3)]), (1, max_size + 1, None)]
-        self.assert_same_draws(41, block, calls)
+        self.assert_same_draws(41, lookahead, calls)
 
     def test_zero_and_full_width_ranges(self):
-        words = ScalarWords(_LatticeWords(np.random.default_rng(42), 5, 4))
+        words = ScalarWords(_LatticeWords(np.random.default_rng(42), 4))
         rng = np.random.default_rng(42)
         assert words.integers(1, 2).tolist() == rng.integers(1, 2).tolist() == 1
         assert words.integers(3, 4, (2, 3)).tolist() == rng.integers(3, 4, (2, 3)).tolist()
@@ -103,8 +104,8 @@ class TestLatticeWords:
         with pytest.raises(ValueError, match="outside"):
             words.integers(0, 2**32 + 1)
 
-    @pytest.mark.parametrize("block", [1, 2, 5, 64])
-    def test_heavy_rejection_range_equals_the_generator(self, block):
+    @pytest.mark.parametrize("lookahead", [1, 2, 5, 64])
+    def test_heavy_rejection_range_equals_the_generator(self, lookahead):
         # a span of 3 * 2^30 rejects every word u = 0 mod 4, a quarter of them,
         # so numpy's own draws check the scalar redraw loop here
         span = 3 * 2**30
@@ -112,19 +113,16 @@ class TestLatticeWords:
         assert np.count_nonzero(raw * np.uint64(span) % 2**32 < 2**32 % span) > 50
         pick = np.random.default_rng(44)
         calls = [(7, 7 + span, [None, int(pick.integers(1, 6))][pick.integers(2)]) for _ in range(300)]
-        self.assert_same_draws(43, block, calls)
+        self.assert_same_draws(43, lookahead, calls)
 
     @pytest.mark.parametrize("max_elements", [1, MAX_ELEMENTS])
     @pytest.mark.parametrize("d", [1, 3, 4, 7])
-    @pytest.mark.parametrize("block", [13, None])
-    def test_instances_equal_consecutive_generator_calls(self, d, max_elements, block, monkeypatch):
+    @pytest.mark.parametrize("lookahead", [13, None])
+    def test_instances_equal_consecutive_generator_calls(self, d, max_elements, lookahead, monkeypatch):
         # MAX_ELEMENTS = 1 makes every size draw the zero-width range, which reads no word
         monkeypatch.setattr(gclab.verify, "MAX_ELEMENTS", max_elements)
         rng = np.random.default_rng(derive_seed(45, 1))
-        if block is None:
-            words = ScalarWords(_pair_words(45, d, 256))
-        else:
-            words = ScalarWords(_LatticeWords(np.random.default_rng(derive_seed(45, 1)), block, d))
+        words = ScalarWords(_pair_words(45, d), lookahead)
         for _ in range(2000):
             assert sample_instance(words, d) == sample_instance(rng, d)
 
@@ -142,7 +140,7 @@ def test_chunks_decode_the_generator_pairs(monkeypatch, trial, chunk):
     monkeypatch.setattr(gclab.verify, "PAIRS_PER_CHUNK", chunk)
     independence = trial is independence_trial
     for d in (1, 4):
-        words = _pair_words(46, d, 600)
+        words = _pair_words(46, d)
         rng = np.random.default_rng(derive_seed(46, 1))
         for _ in range(-(-600 // chunk)):
             want = [draw_pair(rng, d, independence) for _ in range(chunk)]
@@ -155,26 +153,27 @@ def test_decoder_draws_the_generator_pairs_at_any_d(d):
     # could sort, and at d = 20 an instance is up to 121 words long; the
     # second chunk crosses a refill
     for independence in (False, True):
-        words = _pair_words(47, d, 300)
+        words = _pair_words(47, d)
         rng = np.random.default_rng(derive_seed(47, 1))
         for _ in range(2):
             want = [draw_pair(rng, d, independence) for _ in range(300)]
             assert decoded_pairs(_decode_chunk(words, 300, independence)) == want
 
 
-def test_decode_block_decodes_and_flags_each_word_by_the_scalar_rule():
-    # 0 is rejected by both ranges, and k / 11 mod 2^32 (11u = k) by the lattice range alone
+def test_decode_block_decodes_each_word_by_the_scalar_rule():
+    # 0 is rejected by both ranges, and k / 11 mod 2^32 (11u = k) by the lattice range alone;
+    # _decode_block decodes every word as drawn, and _decode_chunk tests each by its role's range
     crafted = [0, *(k * pow(11, -1, 2**32) % 2**32 for k in (1, 2, 3))]
     plain = np.random.default_rng(48).integers(0, 2**32, 4000, dtype=np.uint32).tolist()
     words = np.array(crafted + plain, dtype=np.uint32)
     lattice, size = 2 * LATTICE_RANGE + 1, MAX_ELEMENTS
     for d in (1, 4, 20):
-        draws, hops, flagged = _decode_block(words, d)
+        draws, hops = _decode_block(words, d)
         assert draws.dtype == np.int8
         assert draws.tolist() == [(u * lattice >> 32) - LATTICE_RANGE for u in crafted + plain]
         assert hops.tolist() == [d + 1 + ((u * size >> 32) + 1) * d for u in crafted + plain]
-        want = [i for i, u in enumerate(crafted + plain) if _rejects(u, lattice) or _rejects(u, size)]
-        assert flagged.tolist() == want == [0, 1, 2, 3]
+    rejected = _rejects(words, lattice) | _rejects(words, size)
+    assert np.flatnonzero(rejected).tolist() == [0, 1, 2, 3]
     assert [bool(_rejects(u, size)) for u in crafted] == [True, False, False, False]
     assert [u * lattice % 2**32 < 2**32 % lattice for u in crafted] == [True] * 4
 
@@ -274,7 +273,7 @@ CRAFTED = {  # (independence, words that draw_pair reads as the pair (A, B); "la
 READER_OPS = st.one_of(
     st.tuples(st.just("reserve"), st.integers(0, 12)),
     st.tuples(st.just("read"), st.integers(0, 12)),
-    st.tuples(st.just("settle"), st.integers(0, 2**16), st.sampled_from([2 * LATTICE_RANGE + 1, MAX_ELEMENTS])),
+    st.tuples(st.just("drop"), st.integers(0, 2**16)),
 )
 
 
@@ -283,36 +282,31 @@ READER_OPS = st.one_of(
     prefix=st.lists(st.sampled_from([REJECTED, *(k * LATTICE_ONLY % 2**32 for k in (1, 2, 3))])
                     | st.integers(0, 2**32 - 1), min_size=60, max_size=120),
     d=st.sampled_from([1, 2, 4]),
-    block=st.integers(1, 8),
     ops=st.lists(READER_OPS, max_size=30),
 )
-def test_reader_state_is_the_decoding_of_its_held_words(prefix, d, block, ops):
-    # after any reserve, read or settle, draws, hops and flagged are _decode_block
-    # of the held words, less the flags settle has read off words it kept
+def test_reader_state_is_the_decoding_of_its_held_words(prefix, d, ops):
+    # after any reserve, read or drop, draws and hops are _decode_block of the held
+    # words, and a reserve fetches only the words it is missing
     source = CraftedWords(prefix)
-    words = _LatticeWords(source, block, d)
-    held, kept = list(range(source.pos)), set()  # the stream index of each held word; those settle read and kept
+    words = _LatticeWords(source, d)
+    held = []  # the stream index of each held word
     for op in [("read", 0), *ops]:  # the state is checked after construction too
+        unread = len(words.words) - words.pos
         if op[0] == "reserve":
             pos, fetched = words.pos, source.pos
             words.reserve(op[1])
-            if source.pos > fetched:
-                held = held[pos:] + list(range(fetched, source.pos))
-            assert len(words.words) - words.pos >= op[1]
+            held = held[pos:] + list(range(fetched, source.pos)) if source.pos > fetched else held
+            assert len(words.words) - words.pos == max(op[1], unread)
         elif op[0] == "read":  # _decode_chunk moves pos past the words it decoded
             words.pos = min(words.pos + op[1], len(words.words))
-        elif (ahead := words.flagged[words.flagged >= words.pos]).size:  # it settles words at or past pos
-            i, span = int(ahead[op[1] % len(ahead)]), op[2]
-            words.settle(i, span)
-            if _rejects(source.words[held[i]], span):
-                del held[i]
-            else:
-                kept.add(held[i])
+        elif unread:  # it drops a word at or past pos
+            i = words.pos + op[1] % unread
+            words.drop(i)
+            del held[i]
         assert words.words.tolist() == source.words[held].tolist()
-        draws, hops, flagged = _decode_block(words.words, d)
+        draws, hops = _decode_block(words.words, d)
         assert words.draws.tolist() == draws.tolist() and words.draws.dtype == draws.dtype
         assert words.hops.tolist() == hops.tolist() and words.hops.dtype == hops.dtype
-        assert words.flagged.tolist() == [i for i in flagged.tolist() if held[i] not in kept]
 
 
 @pytest.mark.parametrize("case", CRAFTED)
@@ -326,7 +320,7 @@ def test_crafted_fallbacks_equal_the_scalar_reader(case):
     d, count = 2, 12
     for chunk in (count, 1):
         sources = CraftedWords(prefix), CraftedWords(prefix)
-        scalar, words = (_LatticeWords(source, 64, d) for source in sources)
+        scalar, words = (_LatticeWords(source, d) for source in sources)
         reference = ScalarWords(scalar)
         want = [draw_pair(reference, d, independence) for _ in range(count)]
         clean = 3 if case == "lattice-only size" else 6  # A read at size 4 moves every word after it
@@ -579,7 +573,7 @@ class TestAggregate:
         # d = 1 can cancel to 1e-5 of that size, so only at d = 4 is the
         # bound also relative to the row itself
         for seed, independence in ((60, False), (61, True)):
-            chunk = _decode_chunk(_pair_words(seed, d, 1024), 1024, independence)
+            chunk = _decode_chunk(_pair_words(seed, d), 1024, independence)
             source = CoefficientSource(kind, k, d, 4, seed)
             weights = _weights(seed, k, d, 4)
             got, want = _outputs(*chunk, source, weights), reduceat_outputs(*chunk, source, weights)
